@@ -4,41 +4,7 @@ import (
 	"io"
 	"sort"
 	"sync"
-
-	"repro/internal/netem"
 )
-
-// chunkPool recycles chunk body buffers between fetch loops and the
-// chunk manager: a path checks a buffer out before its range request
-// and the manager returns it after the chunk's bytes have been
-// delivered in order (and written to the sink). Without recycling,
-// every request allocated a fresh chunk-sized body whose first-touch
-// page faults dominated fleet-scale read copies.
-var chunkPool = sync.Pool{
-	New: func() any { return new([]byte) },
-}
-
-// maxPooledChunk bounds recycled chunk buffers so a one-off huge bulk
-// chunk cannot pin memory.
-const maxPooledChunk = 4 << 20
-
-func getChunkBuf(n int64) []byte {
-	bp := chunkPool.Get().(*[]byte)
-	if int64(cap(*bp)) >= n {
-		return (*bp)[:n]
-	}
-	// Too small: let it go and allocate at the requested size, so the
-	// pool converges on the session's working chunk size.
-	return make([]byte, n)
-}
-
-func putChunkBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledChunk {
-		return
-	}
-	b = b[:0]
-	chunkPool.Put(&b)
-}
 
 // Span is a half-open byte range [Off, Off+Size) of the video stream.
 type Span struct {
@@ -49,15 +15,12 @@ type Span struct {
 // End returns the exclusive end offset.
 func (s Span) End() int64 { return s.Off + s.Size }
 
-// chunkPayload is one completed chunk in the out-of-order store. The
-// blocking engine stores an owned contiguous buffer (data, recycled
-// through chunkPool after delivery); the evented engine stores borrowed
-// connection views (views, in stream order) plus the release callback
+// chunkPayload is one completed chunk in the out-of-order store:
+// borrowed connection views (in stream order) plus the release callback
 // that returns their bytes to the connection once the chunk has been
-// delivered — the zero-copy path never materialises the chunk.
+// delivered — the chunk is never materialised.
 type chunkPayload struct {
-	data    []byte   // owned buffer; the payload's bytes when release == nil
-	views   [][]byte // borrowed views; the payload's bytes when release != nil
+	views   [][]byte // borrowed views holding the payload's bytes
 	release func()   // returns the views' bytes to their connection
 	size    int64    // total payload bytes (frontier advance)
 }
@@ -69,14 +32,13 @@ type chunkPayload struct {
 // fills, which also realises the "complete transfers at the same time"
 // goal when the scheduler misjudges.
 type chunkManager struct {
-	// deliverMu serialises whole complete() calls so the in-order
+	// deliverMu serialises whole completeViews calls so the in-order
 	// prefix reaches the sink and the playout buffer in frontier order
 	// even when both paths finish chunks simultaneously. It is always
 	// acquired before mu.
 	deliverMu sync.Mutex
 
-	mu   sync.Mutex
-	cond *netem.Cond // clock-aware: paths parked in acquire are jumpable
+	mu sync.Mutex
 
 	total    int64 // content length; -1 until the first bootstrap
 	next     int64 // next unassigned offset
@@ -89,11 +51,10 @@ type chunkManager struct {
 	gate    bool // fetching allowed (ON/OFF state)
 	stopped bool
 
-	// notify, when set, is invoked (outside mu) after every state change
-	// that Broadcasts cond. The evented engine points it at the session
-	// loop so parked path machines re-poll acquireTry at exactly the
-	// instants a blocking path would have woken from cond.Wait. It must
-	// be installed before the first path starts and never changed.
+	// notify is invoked (outside mu) after every state change that can
+	// turn an acquireTry "wait" into a span or an "over": the session
+	// points it at its loop so parked path machines re-poll at exactly
+	// the instant of the change.
 	notify func()
 
 	sink io.Writer // receives the in-order byte stream (may be nil)
@@ -107,26 +68,17 @@ type chunkManager struct {
 	limit func() int64
 }
 
-func newChunkManager(clock *netem.Clock, maxOOO int, sink io.Writer) *chunkManager {
+func newChunkManager(maxOOO int, sink io.Writer, notify func()) *chunkManager {
 	if maxOOO < 1 {
 		maxOOO = 1
 	}
-	cm := &chunkManager{
+	return &chunkManager{
 		total:    -1,
 		stored:   make(map[int64]chunkPayload),
 		storedBy: make(map[int64]int),
 		maxOOO:   maxOOO,
+		notify:   notify,
 		sink:     sink,
-	}
-	cm.cond = netem.NewCond(clock, &cm.mu)
-	return cm
-}
-
-// notifyAfter runs the evented re-poll hook; call after releasing mu at
-// any site that Broadcasts cond.
-func (cm *chunkManager) notifyAfter() {
-	if cm.notify != nil {
-		cm.notify()
 	}
 }
 
@@ -136,30 +88,27 @@ func (cm *chunkManager) setTotal(n int64) {
 	if cm.total < 0 {
 		cm.total = n
 	}
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
-	cm.notifyAfter()
+	cm.notify()
 }
 
 // setLimit installs the just-in-time goal-offset bound.
 func (cm *chunkManager) setLimit(f func() int64) {
 	cm.mu.Lock()
 	cm.limit = f
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
-	cm.notifyAfter()
+	cm.notify()
 }
 
 // setGate flips the ON/OFF fetch gate.
 func (cm *chunkManager) setGate(on bool) {
 	cm.mu.Lock()
 	cm.gate = on
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
-	cm.notifyAfter()
+	cm.notify()
 }
 
-// stop aborts all waiters; acquire returns ok=false afterwards. Any
+// stop ends assignment; acquireTry reports over afterwards. Any
 // undelivered view payloads still parked in the out-of-order store pin
 // connection segment memory, so their bytes are returned to the owning
 // connections here.
@@ -168,10 +117,8 @@ func (cm *chunkManager) stop() {
 	cm.stopped = true
 	var rel []func()
 	var offs []int64
-	for off, pay := range cm.stored {
-		if pay.release != nil {
-			offs = append(offs, off)
-		}
+	for off := range cm.stored {
+		offs = append(offs, off)
 	}
 	sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
 	for _, off := range offs {
@@ -179,12 +126,11 @@ func (cm *chunkManager) stop() {
 		delete(cm.stored, off)
 		delete(cm.storedBy, off)
 	}
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
 	for _, f := range rel {
 		f()
 	}
-	cm.notifyAfter()
+	cm.notify()
 }
 
 // doneLocked reports whether the whole stream has been delivered.
@@ -236,37 +182,12 @@ func (cm *chunkManager) tryAcquireLocked(want int64) (Span, bool) {
 	return Span{}, false
 }
 
-// acquire blocks until work is available for path i and returns the next
-// span to fetch, sized by want but clamped to the remaining content.
-// part is path i's clock handle, used for the clock-visible wait.
-// ok=false means the stream is fully delivered or the manager stopped.
-func (cm *chunkManager) acquire(i int, want int64, part *netem.Participant) (Span, bool) {
-	if want < 1 {
-		want = 1
-	}
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	for {
-		if cm.stopped || cm.doneLocked() {
-			return Span{}, false
-		}
-		if s, ok := cm.tryAcquireLocked(want); ok {
-			return s, true
-		}
-		if !cm.cond.Wait(part) {
-			// Emulation clock stopped: no further deliveries or gate
-			// flips will ever signal this wait.
-			return Span{}, false
-		}
-	}
-}
-
-// acquireTry is the evented engine's non-parking acquire. It hands out a
-// span when one is available now (ok), reports the stream delivered or
-// the manager stopped (over), or — when neither — tells the caller to
-// stay idle until the next notify callback re-polls it. want is pinned
-// by the caller across re-polls, mirroring the blocking acquire whose
-// want is fixed for the whole wait.
+// acquireTry is the non-parking acquire. It hands out the next span to
+// fetch when one is available now (ok), sized by want but clamped to the
+// remaining content; reports the stream delivered or the manager stopped
+// (over); or — when neither — tells the caller to stay idle until the
+// next notify callback re-polls it. want is pinned by the caller across
+// re-polls.
 func (cm *chunkManager) acquireTry(want int64) (s Span, ok, over bool) {
 	if want < 1 {
 		want = 1
@@ -280,32 +201,21 @@ func (cm *chunkManager) acquireTry(want int64) (s Span, ok, over bool) {
 	return s, ok, false
 }
 
-// complete records a finished chunk fetched by path i and delivers any
-// newly in-order prefix to the sink.
-func (cm *chunkManager) complete(i int, s Span, data []byte) {
-	cm.deliver(i, s, chunkPayload{data: data, size: int64(len(data))})
-}
-
-// completeViews is complete for the evented engine's zero-copy path:
-// the chunk's bytes live in borrowed connection views that are written
-// to the sink in order and then returned to the connection via release.
-// size is the total view length (the span's size).
+// completeViews records a finished chunk fetched by path i and delivers
+// any newly in-order prefix to the sink. The chunk's bytes live in
+// borrowed connection views that are written to the sink in order and
+// then returned to the connection via release. size is the total view
+// length (the span's size).
 func (cm *chunkManager) completeViews(i int, s Span, views [][]byte, release func(), size int64) {
-	cm.deliver(i, s, chunkPayload{views: views, release: release, size: size})
-}
-
-func (cm *chunkManager) deliver(i int, s Span, pay chunkPayload) {
 	cm.deliverMu.Lock()
 	defer cm.deliverMu.Unlock()
 	cm.mu.Lock()
 	if cm.stopped {
 		cm.mu.Unlock()
-		if pay.release != nil {
-			pay.release()
-		}
+		release()
 		return
 	}
-	cm.stored[s.Off] = pay
+	cm.stored[s.Off] = chunkPayload{views: views, release: release, size: size}
 	cm.storedBy[s.Off] = i
 	var delivered []chunkPayload
 	for {
@@ -321,17 +231,12 @@ func (cm *chunkManager) deliver(i int, s Span, pay chunkPayload) {
 	frontier := cm.frontier
 	onDeliver := cm.onDeliver
 	sink := cm.sink
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
 
 	if sink != nil {
 		for _, d := range delivered {
-			if d.release == nil {
-				sink.Write(d.data)
-			} else {
-				for _, v := range d.views {
-					sink.Write(v)
-				}
+			for _, v := range d.views {
+				sink.Write(v)
 			}
 		}
 	}
@@ -339,16 +244,12 @@ func (cm *chunkManager) deliver(i int, s Span, pay chunkPayload) {
 		onDeliver(frontier)
 	}
 	// The delivered payloads' bytes have reached the sink (which copies)
-	// and every callback has run: recycle owned buffers for future
-	// fetches and hand borrowed views back to their connections.
+	// and every callback has run: hand the borrowed views back to their
+	// connections.
 	for _, d := range delivered {
-		if d.release != nil {
-			d.release()
-		} else {
-			putChunkBuf(d.data)
-		}
+		d.release()
 	}
-	cm.notifyAfter()
+	cm.notify()
 }
 
 // fail requeues a chunk whose transfer failed so any path can take it.
@@ -356,9 +257,8 @@ func (cm *chunkManager) fail(s Span) {
 	cm.mu.Lock()
 	cm.retry = append(cm.retry, s)
 	sort.Slice(cm.retry, func(a, b int) bool { return cm.retry[a].Off < cm.retry[b].Off })
-	cm.cond.Broadcast()
 	cm.mu.Unlock()
-	cm.notifyAfter()
+	cm.notify()
 }
 
 // outstanding reports how many completed chunks are stored out of order.

@@ -1,16 +1,10 @@
 package core
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net/http"
 	"time"
 
-	"repro/internal/httpx"
 	"repro/internal/netem"
-	"repro/internal/origin"
 )
 
 // PathConfig wires one MSPlayer path: an emulated interface plus the
@@ -39,53 +33,9 @@ type PathConfig struct {
 	Resilience Resilience
 }
 
-// path runs the fetch loop of one MSPlayer path: bootstrap against the
-// network's web proxy, then repeatedly acquire a span from the chunk
-// manager, fetch it with an HTTP range request, and report the measured
-// throughput to the scheduler. Failures trigger same-network replica
-// failover, token refresh, or backoff-and-retry on interface loss.
-type path struct {
-	id     int
-	cfg    PathConfig
-	player *Player
-	client *http.Client
-	tr     *httpx.Transport
-	part   *netem.Participant // the fetch-loop goroutine's clock handle
-
-	info      *origin.VideoInfo
-	servers   []string
-	serverIdx int
-	url       string
-
-	// rng is the path's private splitmix64 state for backoff jitter,
-	// derived from the session seed and path id. Only the fetch-loop
-	// goroutine draws from it, so the draw order — and therefore every
-	// jittered backoff instant — is deterministic per seed.
-	rng uint64
-
-	// res is the resilience layer's per-target health state; nil when
-	// the layer is disabled.
-	res *sourceSet
-	// hedging is the range size of the most recent hedge whose reissue
-	// has not yet resolved (0 when none): the next success counts a
-	// hedge win, the next genuine failure counts its bytes wasted.
-	hedging int64
-}
-
-func newPath(id int, cfg PathConfig, pl *Player) *path {
-	if cfg.Network == "" {
-		cfg.Network = cfg.Iface.Name()
-	}
-	tr := httpx.NewTransport(cfg.Iface)
-	tr.SetRequestTimeout(cfg.RequestTimeout)
-	return &path{id: id, cfg: cfg, player: pl, tr: tr, client: &http.Client{Transport: tr},
-		rng: uint64(pl.cfg.Seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9,
-		res: newSourceSet(cfg.Resilience, pl.cfg.Seed, id)}
-}
-
-// errClockStopped ends retry loops when the emulation is torn down
-// mid-session: sleeps on a stopped clock return immediately, so
-// retrying without this sentinel would hot-loop.
+// errClockStopped ends retry chains and interrupted sessions when the
+// emulation is torn down mid-session: no timer fires on a stopped
+// clock, so a retry without this sentinel would never resume.
 var errClockStopped = errors.New("core: emulation clock stopped")
 
 // errSessionStopped is the abort error the player's teardown pipeline
@@ -93,36 +43,9 @@ var errClockStopped = errors.New("core: emulation clock stopped")
 // reads and writes from the teardown instant on.
 var errSessionStopped = errors.New("core: session stopped")
 
-// backoff sleeps an exponentially growing emulated delay — 250 ms
-// doubling to a 2 s cap, plus deterministic per-path jitter of up to
-// half the base — returning a non-nil error if the context was
-// cancelled or the clock stopped. The jitter matters under correlated
-// faults: when a server kill fails hundreds of sessions at one virtual
-// instant, un-jittered exponential backoff would march them all back
-// in lockstep, re-creating the stampede on every retry.
-func (p *path) backoff(ctx context.Context, attempt int) error {
-	d := 250 * time.Millisecond << uint(min(attempt, 3))
-	d += time.Duration(p.jitter(int64(d) / 2))
-	p.part.Sleep(d)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if p.player.clock.Stopped() {
-		return errClockStopped
-	}
-	return nil
-}
-
-// jitter returns the next draw in [0, n) from the path's splitmix64
-// stream (0 when n <= 0).
-func (p *path) jitter(n int64) int64 {
-	return splitmixDraw(&p.rng, n)
-}
-
 // splitmixDraw advances the splitmix64 state rng and returns a draw in
-// [0, n) (0 when n <= 0). Both engines' paths draw through this one
-// function, so a given seed yields one jitter sequence regardless of
-// which engine runs the session.
+// [0, n) (0 when n <= 0). Backoff and breaker jitter both draw through
+// it, each from its own state seeded by (session seed, path id).
 func splitmixDraw(rng *uint64, n int64) int64 {
 	if n <= 0 {
 		return 0
@@ -133,284 +56,6 @@ func splitmixDraw(rng *uint64, n int64) int64 {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
 	return int64(z % uint64(n))
-}
-
-// bootstrap fetches video metadata from the network's web proxy,
-// retrying with backoff until it succeeds or ctx is cancelled.
-func (p *path) bootstrap(ctx context.Context) error {
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		info, err := p.fetchInfo(ctx)
-		if err == nil {
-			if len(info.VideoServers) == 0 && len(p.cfg.VideoServers) == 0 {
-				err = fmt.Errorf("core: no video servers in network %s", p.cfg.Network)
-			} else if _, e := info.ContentLengthFor(p.player.cfg.Itag); e != nil {
-				err = e
-			}
-		}
-		if err != nil {
-			if berr := p.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-			continue
-		}
-		p.info = info
-		p.servers = info.VideoServers
-		if len(p.cfg.VideoServers) > 0 {
-			p.servers = p.cfg.VideoServers
-		}
-		p.serverIdx = 0
-		p.url = info.PlaybackURL(p.servers[0], p.player.cfg.Itag)
-		n, _ := info.ContentLengthFor(p.player.cfg.Itag)
-		p.player.onBootstrap(info, n)
-		return nil
-	}
-}
-
-func (p *path) fetchInfo(ctx context.Context) (*origin.VideoInfo, error) {
-	url := fmt.Sprintf("http://%s/watch?v=%s", p.cfg.ProxyAddr, p.player.cfg.VideoID)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	if p.res != nil {
-		// Watch requests are never hedged; disarm any budget left over
-		// from the preceding range request.
-		p.tr.SetHedge(0)
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("core: watch request: status %d", resp.StatusCode)
-	}
-	var info origin.VideoInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return nil, fmt.Errorf("core: decoding video info: %w", err)
-	}
-	return &info, nil
-}
-
-// failover rotates to the next replica in the network, wrapping past
-// the end of the list so replicas that failed earlier — and may have
-// recovered since — are re-probed instead of written off. Once a
-// failure streak has walked the whole list (attempt is the streak
-// count), it backs off and re-bootstraps to refresh the server list,
-// picking up restarted replicas and dropping killed ones.
-func (p *path) failover(ctx context.Context, attempt int) error {
-	if len(p.servers) > 1 && attempt%len(p.servers) != 0 {
-		p.serverIdx = (p.serverIdx + 1) % len(p.servers)
-		p.player.metrics.failover(p.id)
-		p.url = p.info.PlaybackURL(p.servers[p.serverIdx], p.player.cfg.Itag)
-		return nil
-	}
-	if err := p.backoff(ctx, attempt); err != nil {
-		return err
-	}
-	p.player.metrics.rebootstrap(p.id)
-	return p.bootstrap(ctx)
-}
-
-// reselect is the resilient replacement for failover: it picks the
-// best live source by health score, failing fast past breaker-open
-// targets instead of burning a request-deadline budget on each, and
-// admits half-open probes at their jittered re-open instants. Probes
-// are 1 KiB range requests issued outside the chunk manager, so a
-// still-dead target wedges only the probe — never a real chunk span
-// that would sit on the contiguous buffering frontier for a full
-// deadline. When every breaker is open the path sleeps exactly until
-// the earliest half-open instant. Every 2×len(servers) consecutive
-// failures it falls back to backoff + re-bootstrap to refresh the
-// server list.
-func (p *path) reselect(ctx context.Context, attempt int) error {
-	if attempt > 0 && len(p.servers) > 0 && attempt%(2*len(p.servers)) == 0 {
-		if err := p.backoff(ctx, attempt); err != nil {
-			return err
-		}
-		p.player.metrics.rebootstrap(p.id)
-		if err := p.bootstrap(ctx); err != nil {
-			return err
-		}
-	}
-	clock := p.player.clock
-	for {
-		idx, probe, wait, ok := p.res.pick(p.servers, clock.Now())
-		if !ok {
-			p.part.SleepUntil(wait)
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if clock.Stopped() {
-				return errClockStopped
-			}
-			if idx, probe, _, ok = p.res.pick(p.servers, clock.Now()); !ok {
-				return p.backoff(ctx, attempt)
-			}
-		}
-		if probe {
-			admitted, err := p.probe(ctx, idx)
-			if err != nil {
-				return err
-			}
-			if !admitted {
-				continue
-			}
-		}
-		if idx != p.serverIdx {
-			p.serverIdx = idx
-			p.player.metrics.failover(p.id)
-			p.url = p.info.PlaybackURL(p.servers[idx], p.player.cfg.Itag)
-		}
-		return nil
-	}
-}
-
-// probe issues the 1 KiB half-open probe against servers[idx] and
-// reports whether the target redeemed itself. Probe outcomes drive the
-// breaker and the robustness metrics but never feed the service
-// window — a 1 KiB probe's latency says nothing about chunk service
-// rates. The probe runs on the deadline-clamped probeBudget rather
-// than the rate prediction, so a healthy target whose prediction has
-// gone stale still gets the full deadline to redeem itself.
-func (p *path) probe(ctx context.Context, idx int) (bool, error) {
-	clock := p.player.clock
-	p.player.metrics.halfOpenProbe(p.id)
-	p.player.metrics.request(p.id)
-	p.tr.SetHedge(p.res.probeBudget(p.cfg.RequestTimeout))
-	u := p.info.PlaybackURL(p.servers[idx], p.player.cfg.Itag)
-	buf := getChunkBuf(probeBytes)
-	_, err := httpx.GetRangeBuf(ctx, p.client, u, 0, probeBytes-1, buf)
-	putChunkBuf(buf)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return false, cerr
-		}
-		if errors.Is(err, httpx.ErrHedged) {
-			p.player.metrics.hedge(p.id)
-		} else {
-			p.player.metrics.failure(p.id)
-			if errors.Is(err, httpx.ErrRequestTimeout) {
-				p.player.metrics.timeout(p.id)
-			}
-		}
-		if p.res.observeFailure(p.servers[idx], clock.Now()) {
-			p.player.metrics.breakerOpen(p.id)
-		}
-		return false, nil
-	}
-	p.res.admit(p.servers[idx])
-	return true, nil
-}
-
-// run is the path's main loop; it returns when the stream is complete,
-// the player stops, or ctx is cancelled. part is the loop goroutine's
-// clock handle: every park the path performs — backoffs, chunk-manager
-// waits, dials and in-request reads — goes through it.
-func (p *path) run(ctx context.Context, part *netem.Participant) {
-	p.part = part
-	p.tr.Bind(part)
-	if err := p.bootstrap(ctx); err != nil {
-		return
-	}
-	clock := p.player.clock
-	failStreak := 0
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		want := p.player.cfg.Scheduler.Size(p.id)
-		span, ok := p.player.cm.acquire(p.id, want, part)
-		if !ok {
-			return
-		}
-		p.player.metrics.request(p.id)
-		if p.res != nil {
-			p.tr.SetHedge(p.res.hedgeBudget(span.Size, p.cfg.RequestTimeout, len(p.servers)))
-		}
-		start := clock.Now()
-		buf := getChunkBuf(span.Size)
-		data, err := httpx.GetRangeBuf(ctx, p.client, p.url, span.Off, span.End()-1, buf)
-		if err != nil {
-			putChunkBuf(buf)
-			if p.res != nil && errors.Is(err, httpx.ErrHedged) {
-				// The hedge budget elapsed: the laggard was cancelled at
-				// exactly that instant, and the range is reissued against
-				// the best-scored live source. Abandoning our own request
-				// is not a failure, but it is a breaker strike — repeated
-				// hedges against a blackholed source open its breaker
-				// long before a deadline-based streak would.
-				p.player.cm.fail(span)
-				if ctx.Err() != nil {
-					return
-				}
-				p.player.metrics.hedge(p.id)
-				if p.hedging > 0 {
-					p.player.metrics.hedgeWasted(p.id, p.hedging)
-				}
-				p.hedging = span.Size
-				if p.res.observeHedge(p.servers[p.serverIdx], clock.Now()) {
-					p.player.metrics.breakerOpen(p.id)
-				}
-				if err := p.reselect(ctx, 0); err != nil {
-					return
-				}
-				continue
-			}
-			p.player.metrics.failure(p.id)
-			p.player.cm.fail(span)
-			if ctx.Err() != nil {
-				return
-			}
-			failStreak++
-			if errors.Is(err, httpx.ErrRequestTimeout) {
-				p.player.metrics.timeout(p.id)
-			}
-			if p.hedging > 0 {
-				p.player.metrics.hedgeWasted(p.id, p.hedging)
-				p.hedging = 0
-			}
-			if p.res != nil {
-				if p.res.observeFailure(p.servers[p.serverIdx], clock.Now()) {
-					p.player.metrics.breakerOpen(p.id)
-				}
-			}
-			var se *httpx.StatusError
-			if errors.As(err, &se) && (se.Code == http.StatusForbidden || se.Code == http.StatusUnauthorized) {
-				// Token expired or rejected: refresh via the proxy.
-				p.player.metrics.rebootstrap(p.id)
-				if err := p.bootstrap(ctx); err != nil {
-					return
-				}
-			} else if p.res != nil {
-				if err := p.reselect(ctx, failStreak); err != nil {
-					return
-				}
-			} else if err := p.failover(ctx, failStreak); err != nil {
-				return
-			}
-			continue
-		}
-		failStreak = 0
-		if p.hedging > 0 {
-			p.player.metrics.hedgeWon(p.id)
-			p.hedging = 0
-		}
-		if len(data) == 0 || len(buf) == 0 || &data[0] != &buf[0] {
-			// The response took the allocating fallback; recycle ours.
-			putChunkBuf(buf)
-		}
-		elapsed := clock.Now().Sub(start)
-		if p.res != nil {
-			p.res.observeSuccess(p.servers[p.serverIdx], elapsed, span.Size)
-		}
-		p.player.cfg.Scheduler.Observe(p.id, span.Size, elapsed)
-		p.player.metrics.chunk(p.id, span.Size, p.player.phase(), clock.Now(), elapsed)
-		p.player.cm.complete(p.id, span, data)
-	}
 }
 
 func min(a, b int) int {

@@ -38,10 +38,10 @@ type Config struct {
 	// StopAfterRefills > 0 ends the session once that many re-buffering
 	// cycles have been measured (the Fig. 5 mode).
 	StopAfterRefills int
-	// OnRun, if set, is called on the session goroutine right after it
-	// is registered with the clock, before the session can park. The
-	// testbed uses it to anchor pending fault injections: their sleeps
-	// must not start running before the session participants exist.
+	// OnRun, if set, is called in the session's first loop step, before
+	// any machine starts. The testbed uses it to anchor pending fault
+	// injections: their sleeps must not start running before the session
+	// exists.
 	OnRun func()
 	// Seed decorrelates the per-path backoff jitter streams across
 	// sessions. Zero is a valid seed; sessions sharing a seed draw
@@ -87,29 +87,14 @@ type Player struct {
 	buffer *PlayoutBuffer
 	start  time.Time
 
-	// Session lifecycle state, guarded by smu and signalled through the
-	// clock-aware scond so Run, the paths and the gater park
-	// clock-visibly. Teardown is a three-stage state machine driven by
-	// RunAs: stopping (the books are sealed and every in-flight transfer
-	// is aborted at one pinned virtual instant), draining (the worker
-	// goroutines unwind on the clock, parked via scond), closed (the
-	// sealed metrics are collected).
-	smu         sync.Mutex
-	scond       *netem.Cond
-	sessionDone bool // stop condition reached
-	cancelled   bool // Run's context fired or teardown began
-	pathsExited bool // every path returned
-	liveWorkers int  // running path + gater goroutines (the drain barrier)
-	bufferReady bool // first bootstrap created the playout buffer
-	kicked      bool // gate turned OFF since the gater last looked
-	sealOnce    sync.Once
+	// sess is the running session's machine set, installed by RunEvented
+	// before the first machine starts; kick re-polls it.
+	sess *evSession
 
-	// evKick, when set, is invoked after every lifecycle state change
-	// that Broadcasts scond (bufferReady, gate-off kicks, seal). The
-	// evented engine points it at the session loop so its machines
-	// re-poll at exactly the instants the blocking goroutines would have
-	// woken. Installed before the machines start, never changed.
-	evKick func()
+	// Session lifecycle state, guarded by smu.
+	smu         sync.Mutex
+	sessionDone bool // stop condition reached
+	sealOnce    sync.Once
 
 	// Byte accounting sealed at the session-end instant (see seal):
 	// Elapsed/TotalBytes/Paths define the session's result at the moment
@@ -135,9 +120,8 @@ func NewPlayer(cfg Config) (*Player, error) {
 		cfg:   cfg,
 		clock: cfg.Clock,
 	}
-	p.scond = netem.NewCond(cfg.Clock, &p.smu)
-	p.cm = newChunkManager(cfg.Clock, cfg.MaxOutOfOrder, cfg.Sink)
-	p.cm.setGate(true) // pre-buffering starts fetching immediately
+	p.cm = newChunkManager(cfg.MaxOutOfOrder, cfg.Sink, p.kick)
+	p.cm.gate = true // pre-buffering starts fetching immediately
 	p.cm.onDeliver = p.onDeliver
 	networks := make([]string, len(cfg.Paths))
 	for i, pc := range cfg.Paths {
@@ -174,14 +158,13 @@ func (p *Player) onBootstrap(info *origin.VideoInfo, contentLength int64) {
 	if b, ok := p.cfg.Scheduler.(*BulkScheduler); ok {
 		b.SetGoal(func() int64 { return buf.GoalBytes(p.clock.Now()) })
 	}
-	p.smu.Lock()
-	p.bufferReady = true
-	p.scond.Broadcast()
-	p.smu.Unlock()
-	if p.evKick != nil {
-		p.evKick()
-	}
+	p.kick() // the gater was parked waiting for the buffer to exist
 }
+
+// kick enqueues a session re-poll step: every lifecycle change a parked
+// machine may be waiting on (buffer created, gate turned OFF, books
+// sealed, chunk-manager state) lands here.
+func (p *Player) kick() { p.sess.loop.Do(p.sess.step) }
 
 // onGate reacts to buffer gate flips: ON/OFF propagates to the chunk
 // manager, and OFF transitions kick the gater so it can schedule the
@@ -189,13 +172,7 @@ func (p *Player) onBootstrap(info *origin.VideoInfo, contentLength int64) {
 func (p *Player) onGate(on bool) {
 	p.cm.setGate(on)
 	if !on {
-		p.smu.Lock()
-		p.kicked = true
-		p.scond.Broadcast()
-		p.smu.Unlock()
-		if p.evKick != nil {
-			p.evKick()
-		}
+		p.kick()
 	}
 }
 
@@ -234,14 +211,14 @@ func (p *Player) phase() Phase {
 }
 
 // finish marks the stop condition reached, sealing the session's books
-// at the current instant. It runs on a registered goroutine (a path's
-// delivery callback or the gater) at a deterministic virtual instant.
+// at the current instant. It runs in a loop step (a path's delivery
+// callback or the gater) at a deterministic virtual instant.
 func (p *Player) finish() { p.seal(true) }
 
 // seal freezes the session's byte accounting at the caller's current
 // instant, exactly once. markDone additionally records that the stop
-// condition was reached (as opposed to an external cancellation or a
-// stopped clock, where RunAs seals at teardown entry instead).
+// condition was reached (as opposed to an interrupt or every path
+// exiting, where teardown seals on entry instead).
 func (p *Player) seal(markDone bool) {
 	p.sealOnce.Do(func() {
 		p.mu.Lock()
@@ -257,230 +234,57 @@ func (p *Player) seal(markDone bool) {
 		if markDone {
 			p.sessionDone = true
 		}
-		p.scond.Broadcast()
 		p.smu.Unlock()
-		if p.evKick != nil {
-			p.evKick()
-		}
+		p.kick()
 	})
-}
-
-// over reports whether the session should stop driving new work.
-func (p *Player) over() bool {
-	p.smu.Lock()
-	defer p.smu.Unlock()
-	return p.sessionDone || p.cancelled
-}
-
-// gater drives the time-based ON transitions: it sleeps until the
-// buffer drains to LowWater and flips fetching back on. part is the
-// gater goroutine's clock handle.
-func (p *Player) gater(part *netem.Participant) {
-	for {
-		if p.over() || p.clock.Stopped() {
-			return
-		}
-		p.mu.Lock()
-		buf := p.buffer
-		p.mu.Unlock()
-		if buf == nil {
-			// Wait for the first bootstrap. A false Wait means the clock
-			// stopped; the loop's top re-check exits then.
-			p.smu.Lock()
-			if !p.bufferReady && !p.sessionDone && !p.cancelled {
-				_ = p.scond.Wait(part)
-			}
-			p.smu.Unlock()
-			continue
-		}
-		now := p.clock.Now()
-		if buf.Finished(now) {
-			p.finish()
-			return
-		}
-		if wake, ok := buf.NextWake(now); ok {
-			part.SleepUntil(wake)
-			if p.over() || p.clock.Stopped() {
-				// The session ended (or the emulation stopped) while this
-				// sleep was pending: the books are sealed, so a Tick now
-				// would record post-session buffer events.
-				return
-			}
-			buf.Tick(p.clock.Now())
-			if buf.Finished(p.clock.Now()) {
-				p.finish()
-				return
-			}
-			continue
-		}
-		// Delivery-driven period: wait for a gate-off kick.
-		p.smu.Lock()
-		if !p.kicked && !p.sessionDone && !p.cancelled {
-			_ = p.scond.Wait(part)
-		}
-		p.kicked = false
-		p.smu.Unlock()
-	}
 }
 
 // Run executes the session until its stop condition (or ctx
-// cancellation) and returns the collected metrics.
-//
-// The calling goroutine registers with the emulation clock for the
-// duration of the session, and every goroutine Run spawns is registered
-// too, so in virtual mode the whole session advances deterministically.
-// A goroutine that already holds a clock Participant (a fleet session
-// spawned with Clock.Go, a test registered around fault injection)
-// must use RunAs with that handle instead — registering twice would
-// wedge the clock.
+// cancellation) and returns the collected metrics. It is the
+// synchronous convenience over RunEvented: the calling goroutine
+// registers with the emulation clock as the session's driver, starts
+// the machines on a private loop and parks on a Cond until they
+// complete, so in virtual mode the whole session advances
+// deterministically. The caller must not already hold a clock
+// Participant — registering twice would wedge the clock; such callers
+// use RunEvented and park themselves.
 func (p *Player) Run(ctx context.Context) (*Metrics, error) {
-	part := p.clock.Register()
-	defer part.Unregister()
-	return p.RunAs(ctx, part)
-}
+	driver := p.clock.Register()
+	defer driver.Unregister()
 
-// RunAs is Run on behalf of an already-registered participant: the
-// session's clock-visible waits go through part, whose registration the
-// caller continues to own.
-func (p *Player) RunAs(ctx context.Context, part *netem.Participant) (*Metrics, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	clock := p.clock
-	if p.cfg.OnRun != nil {
-		p.cfg.OnRun()
+	type result struct {
+		m   *Metrics
+		err error
 	}
-
-	p.mu.Lock()
-	p.start = clock.Now()
-	p.mu.Unlock()
-	p.metrics.start = p.start
-
-	paths := make([]*path, len(p.cfg.Paths))
-	// The last fetch loop to exit raises pathsExited itself, on its own
-	// still-registered goroutine: paths exiting is an emulated-time
-	// event, and relaying it through an unregistered watcher would open
-	// a window for nondeterministic clock jumps before Run observes it.
-	// The gater is excluded from that count — it legitimately outlives
-	// paths that fail before the first bootstrap — but both feed
-	// liveWorkers, the drain barrier RunAs parks on during teardown.
-	livePaths := len(p.cfg.Paths)
-	p.smu.Lock()
-	p.liveWorkers = len(p.cfg.Paths) + 1 // paths + gater
-	p.smu.Unlock()
-	workerDone := func() {
-		p.smu.Lock()
-		p.liveWorkers--
-		p.scond.Broadcast()
-		p.smu.Unlock()
-	}
-	var allWg sync.WaitGroup
-	for i, pc := range p.cfg.Paths {
-		paths[i] = newPath(i, pc, p)
-		pt := paths[i]
-		allWg.Add(1)
-		clock.Go(func(pp *netem.Participant) {
-			defer allWg.Done()
-			defer workerDone()
-			pt.run(ctx, pp)
-			p.smu.Lock()
-			livePaths--
-			if livePaths == 0 {
-				p.pathsExited = true
-				p.scond.Broadcast()
-			}
-			p.smu.Unlock()
-		})
-	}
-	allWg.Add(1)
-	clock.Go(func(gp *netem.Participant) {
-		defer allWg.Done()
-		defer workerDone()
-		p.gater(gp)
+	res := make(chan result, 1)
+	var mu sync.Mutex
+	cond := netem.NewCond(p.clock, &mu)
+	es := p.RunEvented(netem.NewLoop(), func(m *Metrics, err error) {
+		res <- result{m, err}
+		mu.Lock()
+		cond.Broadcast()
+		mu.Unlock()
 	})
+	// Cancellation originates outside emulated time, so the relay is
+	// clock-invisible: it ends the session at whatever instant it lands.
+	stop := context.AfterFunc(ctx, func() { es.interrupt(ctx.Err()) })
+	defer stop()
 
-	// Relay external cancellation into the session's clock-visible
-	// state. The watcher is intentionally unregistered: it only runs on
-	// an event originating outside emulated time.
-	go func() { //detlint:allow baredgo -- context-cancel relay is intentionally clock-invisible; it only forwards the abort
-		<-ctx.Done()
-		p.smu.Lock()
-		p.cancelled = true
-		p.scond.Broadcast()
-		p.smu.Unlock()
-	}()
-
-	stopped := false
-	p.smu.Lock()
-	for !p.sessionDone && !p.cancelled && !p.pathsExited {
-		if !p.scond.Wait(part) {
-			stopped = true // clock stopped mid-session (testbed closed)
-			break
-		}
+	mu.Lock()
+	for len(res) == 0 && cond.Wait(driver) {
 	}
-	sessionDone, pathsExited := p.sessionDone, p.pathsExited
-	p.smu.Unlock()
-
-	var runErr error
-	switch {
-	case sessionDone:
-	case stopped:
-		runErr = errClockStopped
-	case pathsExited:
-		if !p.cm.Done() {
-			runErr = errors.New("core: all paths exited before the session completed")
-		}
-	default:
-		runErr = ctx.Err()
-	}
-
-	// Stopping: this goroutine is runnable, so virtual time is pinned at
-	// the teardown instant until it parks again — for a clean session
-	// that is exactly the stop-condition instant. Everything here lands
-	// at that one instant: the books are sealed (a no-op when finish
-	// already sealed them), new chunk assignment stops, cancellation
-	// becomes visible to the workers, and every in-flight transfer is
-	// aborted through the clock-visible conn abort protocol. Per-request
-	// context watchers that fire later are no-ops (earliest abort wins),
-	// so teardown outcomes — including the origin's per-server request,
-	// byte and abort accounting — are functions of virtual time alone.
-	p.seal(false)
-	p.cm.stop()
-	p.smu.Lock()
-	p.cancelled = true
-	p.scond.Broadcast()
-	p.smu.Unlock()
-	cancel()
-	for _, pt := range paths {
-		pt.tr.Shutdown(errSessionStopped)
-	}
-
-	// Draining: the workers unwind at deterministic virtual instants
-	// (aborted fetches observe their conn errors, the gater wakes from
-	// its pending sleep); RunAs joins them parked on the clock.
-	p.smu.Lock()
-	for p.liveWorkers > 0 {
-		if !p.scond.Wait(part) {
-			break // clock stopped: workers exit promptly off-clock
-		}
-	}
-	p.smu.Unlock()
-	// Memory barrier (and stopped-clock fallback): the workers' final
-	// writes happen-before collect reads them. Suspend the session
-	// participant for the wait the clock cannot see.
-	part.Suspend()
-	allWg.Wait()
-	part.Resume()
-
-	// Closed: collect the sealed result.
-	return p.collect(), runErr
+	mu.Unlock()
+	// A false Wait is a stopped clock (testbed closed mid-session): no
+	// pending timer will fire, so collect the partial result. Interrupt
+	// is a no-op when the session already completed.
+	es.Interrupt()
+	r := <-res
+	return r.m, r.err
 }
 
-// collect assembles the session Metrics from the sealed books. It runs
-// after the drain barrier, so every contributing write has completed;
-// the values themselves were sealed at the session-end instant (clean
-// stop or teardown entry), so the teardown's own artifacts never leak
-// into the result.
+// collect assembles the session Metrics from the sealed books. The
+// values were sealed at the session-end instant (clean stop or teardown
+// entry), so the teardown's own artifacts never leak into the result.
 func (p *Player) collect() *Metrics {
 	m := &Metrics{Scheduler: p.cfg.Scheduler.Name()}
 	p.smu.Lock()

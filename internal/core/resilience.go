@@ -11,11 +11,10 @@ import (
 // back to the fixed-rotation failover of earlier revisions and the
 // session's wire behavior is bit-for-bit unchanged.
 //
-// The layer is engine-agnostic by construction: breaker state is
-// evaluated only at selection time (never from timer callbacks), all
-// jitter comes from a dedicated splitmix64 stream separate from the
-// path's backoff stream, and both the blocking and event-loop engines
-// drive the same sourceSet methods at mirrored instants.
+// The layer is deterministic by construction: breaker state is
+// evaluated only at selection time (never from timer callbacks), and
+// all jitter comes from a dedicated splitmix64 stream separate from the
+// path's backoff stream.
 type Resilience struct {
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// target's circuit breaker. Zero disables the whole layer.
@@ -145,11 +144,10 @@ type srcHealth struct {
 }
 
 // sourceSet tracks per-target health for one path. All methods run on
-// the path's single driving context (the fetch-loop goroutine or the
-// event loop), so no locking is needed and the state evolution — and
-// every jittered cooldown — is deterministic per seed. State is keyed
-// by address, so it survives re-bootstraps that rebuild the server
-// list.
+// the path's single driving context (its event-loop steps), so no
+// locking is needed and the state evolution — and every jittered
+// cooldown — is deterministic per seed. State is keyed by address, so
+// it survives re-bootstraps that rebuild the server list.
 type sourceSet struct {
 	cfg  Resilience
 	rng  uint64 // private splitmix64 stream for breaker-cooldown jitter

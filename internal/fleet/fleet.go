@@ -30,19 +30,6 @@ import (
 	"repro/internal/edge"
 )
 
-// Session engine kinds for Scenario.Engine.
-const (
-	// EngineGoroutine runs every session as parked goroutines (the
-	// original engine; also the default for an empty Engine).
-	EngineGoroutine = "goroutine"
-	// EngineEventLoop runs every session as event-loop state machines
-	// over borrow-based zero-copy reads, and serves the origin's
-	// eligible servers evented too: a whole run needs O(cores)
-	// goroutines instead of O(sessions). Wire-identical to the
-	// goroutine engine — reports are byte-identical per seed.
-	EngineEventLoop = "eventloop"
-)
-
 // SchedulerSpec names a chunk scheduler declaratively, so scenarios can
 // be described (and compared in A/B cohorts) without holding live
 // scheduler state.
@@ -431,11 +418,6 @@ type Scenario struct {
 	// (splitmix64 over ChaosPlan.Seed), so two runs of the same
 	// scenario still produce byte-identical reports.
 	Chaos *ChaosPlan
-	// Engine selects the session engine: EngineGoroutine (also the
-	// empty default) or EngineEventLoop. The engines are wire-identical
-	// — same report bytes per seed — and differ only in resource
-	// footprint (see the Engine* constants).
-	Engine string
 }
 
 // faultHorizon is the latest instant the fault plan touches (offset
@@ -454,11 +436,6 @@ func (sc Scenario) faultHorizon() time.Duration {
 func (sc Scenario) validate() error {
 	if len(sc.Cohorts) == 0 {
 		return fmt.Errorf("fleet: scenario %q has no cohorts", sc.Name)
-	}
-	switch sc.Engine {
-	case "", EngineGoroutine, EngineEventLoop:
-	default:
-		return fmt.Errorf("fleet: scenario %q has unknown engine %q", sc.Name, sc.Engine)
 	}
 	if sc.EdgeTier != nil {
 		if err := sc.EdgeTier.validate(); err != nil {

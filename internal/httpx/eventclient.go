@@ -22,8 +22,8 @@ import (
 // replays exactly the blocking round trip's connection-level
 // behaviour — the handshake script's message boundaries, the single
 // rendered request write, the demand-driven response reads at their
-// arrival instants — so a scenario produces a byte-identical timeline
-// on either engine. Range bodies are delivered as borrowed segment
+// arrival instants — so the two transports produce byte-identical
+// timelines (eventclient_test.go pins it). Range bodies are delivered as borrowed segment
 // views (Conn.ReadBuf) instead of copies; the consumer hands them
 // back through the release callback, and a per-connection FIFO ledger
 // reconciles held body views with the immediately-releasable protocol
@@ -71,9 +71,12 @@ func (t *EventTransport) Loop() *netem.Loop { return t.loop }
 // that virtual instant. Zero disables the deadline.
 func (t *EventTransport) SetRequestTimeout(d time.Duration) { t.reqTimeout = d }
 
-// SetHedge mirrors Transport.SetHedge: every subsequent attempt still
-// in flight d after starting is aborted with ErrHedged at exactly that
-// virtual instant. Zero disables the hedge budget.
+// SetHedge arms a hedge budget alongside the request deadline: every
+// subsequent attempt still in flight d after starting is aborted with
+// ErrHedged at exactly that virtual instant, so the caller can reissue
+// the range against another source with most of the deadline budget
+// intact. The hedge must be shorter than the request deadline to be
+// useful; zero disables it.
 func (t *EventTransport) SetHedge(d time.Duration) { t.hedge = d }
 
 // Shutdown mirrors Transport.Shutdown at the caller's instant: new

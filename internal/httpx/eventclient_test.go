@@ -308,10 +308,13 @@ func clientEngineTrace(t *testing.T, evented bool) []string {
 	if evented {
 		loop := netem.NewLoop()
 		et := NewEventTransport(iface, clock, loop)
-		clock.NewTimer(func() { loop.Do(func() { et.Shutdown(errSession) }) }).
-			Schedule(epoch.Add(16*time.Second + 200*time.Millisecond))
 		d := &eventClientDriver{clock: clock, loop: loop, et: et, record: record}
 		clock.Go(func(p *netem.Participant) {
+			// Armed by the registered driver: from the unregistered test
+			// goroutine, with every server loop already parked, the
+			// clock would be free to jump straight to the shutdown.
+			clock.NewTimer(func() { loop.Do(func() { et.Shutdown(errSession) }) }).
+				Schedule(epoch.Add(16*time.Second + 200*time.Millisecond))
 			var wmu sync.Mutex
 			cond := netem.NewCond(clock, &wmu)
 			finished := false

@@ -30,7 +30,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -92,10 +91,6 @@ type Transport struct {
 	// write, response and body reads) with a netem.Timer racing the
 	// attempt; zero means no deadline. See SetRequestTimeout.
 	reqTimeout time.Duration
-	// hedge, when non-zero, races each attempt against a second, shorter
-	// budget that aborts with ErrHedged instead of ErrRequestTimeout —
-	// the cancel-the-laggard half of a hedged range request. See SetHedge.
-	hedge time.Duration
 
 	mu     sync.Mutex
 	idle   map[string][]*persistConn
@@ -136,64 +131,43 @@ func (t *Transport) SetRequestTimeout(d time.Duration) { t.reqTimeout = d }
 // deadline interrupted.
 var ErrRequestTimeout = fmt.Errorf("httpx: request deadline exceeded")
 
-// SetHedge arms a hedge budget alongside the request deadline: every
-// subsequent attempt still in flight d after starting is aborted with
-// ErrHedged at exactly that virtual instant, so the caller can reissue
-// the range against another source with most of the deadline budget
-// intact. The hedge must be shorter than the request deadline to be
-// useful; zero disables it. Like SetRequestTimeout, call it from the
-// owning goroutine between requests.
-func (t *Transport) SetHedge(d time.Duration) { t.hedge = d }
-
-// ErrHedged aborts requests whose SetHedge budget elapsed: the caller
-// gave up on this attempt to hedge the range elsewhere. Compare with
-// errors.Is, like ErrRequestTimeout. A hedged-out attempt on a reused
-// connection is not transparently retried — hedging exists precisely so
-// the caller can redirect the request.
+// ErrHedged aborts requests whose EventTransport.SetHedge budget
+// elapsed: the caller gave up on this attempt to hedge the range
+// elsewhere. Compare with errors.Is, like ErrRequestTimeout. A
+// hedged-out attempt on a reused connection is not transparently
+// retried — hedging exists precisely so the caller can redirect the
+// request.
 var ErrHedged = fmt.Errorf("httpx: request hedged")
 
 // deadlineGuard races one request attempt against the transport's
-// request deadline and, when armed, the shorter hedge budget. The
-// attempt's connection is handed over via setConn as soon as it exists
-// (a timer elapsing before the dial returns aborts the conn the moment
-// it materialises); both timers and the body owner arbitrate through
-// the same reqState CAS as the context watcher, so an aborted conn is
-// never repooled and at most one abort is ever issued — whichever
-// timer fires first decides the attempt's error.
+// request deadline. The attempt's connection is handed over via setConn
+// as soon as it exists (a timer elapsing before the dial returns aborts
+// the conn the moment it materialises); the timer and the body owner
+// arbitrate through the same reqState CAS as the context watcher, so an
+// aborted conn is never repooled and at most one abort is ever issued.
 type deadlineGuard struct {
 	state reqState
-	tm    *netem.Timer // request deadline (nil when unarmed)
-	htm   *netem.Timer // hedge budget (nil when unarmed)
+	tm    *netem.Timer
 
 	mu      sync.Mutex
 	conn    net.Conn
-	aborted error // which timer won, for a conn published after the fact
+	aborted error // set when the timer fired, for a conn published after the fact
 }
 
 // armDeadline returns a scheduled guard for one request attempt, or
-// nil when neither a deadline nor a hedge budget is configured. The
-// deadline timer is created before the hedge timer, so if both were
-// ever scheduled for one instant the deadline would win the wake order
-// — though SetHedge callers keep the hedge strictly shorter.
+// nil when no deadline is configured.
 func (t *Transport) armDeadline() *deadlineGuard {
-	if t.part == nil || (t.reqTimeout <= 0 && t.hedge <= 0) {
+	if t.part == nil || t.reqTimeout <= 0 {
 		return nil
 	}
-	now := t.part.Clock().Now()
 	g := &deadlineGuard{}
-	if t.reqTimeout > 0 {
-		g.tm = t.part.NewTimer(g.fire)
-		g.tm.Schedule(now.Add(t.reqTimeout))
-	}
-	if t.hedge > 0 {
-		g.htm = t.part.NewTimer(g.hedgeFire)
-		g.htm.Schedule(now.Add(t.hedge))
-	}
+	g.tm = t.part.NewTimer(g.fire)
+	g.tm.Schedule(t.part.Clock().Now().Add(t.reqTimeout))
 	return g
 }
 
 // setConn publishes the attempt's connection to the guard, aborting it
-// immediately when a timer already fired conn-less.
+// immediately when the timer already fired conn-less.
 func (g *deadlineGuard) setConn(c net.Conn) {
 	g.mu.Lock()
 	g.conn = c
@@ -204,34 +178,25 @@ func (g *deadlineGuard) setConn(c net.Conn) {
 	}
 }
 
-// fire and hedgeFire run on the clock's jump goroutine at their
-// instants. They only CAS and schedule a conn abort — never park.
-func (g *deadlineGuard) fire()      { g.abort(ErrRequestTimeout) }
-func (g *deadlineGuard) hedgeFire() { g.abort(ErrHedged) }
-
-func (g *deadlineGuard) abort(err error) {
+// fire runs on the clock's jump goroutine at the deadline instant. It
+// only CASes and schedules a conn abort — never parks.
+func (g *deadlineGuard) fire() {
 	if !g.state.v.CompareAndSwap(reqActive, reqAborted) {
 		return
 	}
 	g.mu.Lock()
 	c := g.conn
-	g.aborted = err
+	g.aborted = ErrRequestTimeout
 	g.mu.Unlock()
 	if c != nil {
-		abortConn(c, err)
+		abortConn(c, ErrRequestTimeout)
 	}
 }
 
-// stop cancels the pending timers; nil-safe.
+// stop cancels the pending timer; nil-safe.
 func (g *deadlineGuard) stop() {
-	if g == nil {
-		return
-	}
-	if g.tm != nil {
+	if g != nil {
 		g.tm.Stop()
-	}
-	if g.htm != nil {
-		g.htm.Stop()
 	}
 }
 
@@ -289,10 +254,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 					replayable = true
 				}
 			}
-			// A hedged-out attempt is never retried here: the caller
-			// cancelled it on purpose and will reissue elsewhere.
-			if reused && replayable && attempt == 0 && ctx.Err() == nil &&
-				!errors.Is(err, ErrHedged) {
+			if reused && replayable && attempt == 0 && ctx.Err() == nil {
 				t.dropIdle(addr)
 				continue
 			}

@@ -438,7 +438,8 @@ type wakeItem struct {
 // collecting every due sleeper across shards into one (deadline, seq)
 // sorted batch and snapshotting its wake actions. The caller holds
 // jumpMu; the returned slice is the clock's reusable scratch, valid
-// until the next collectDue call.
+// until the next collectDue call (a private copy when the batch holds a
+// transient, see below).
 func (c *Clock) collectDue() []wakeItem {
 	batch := c.batch[:0]
 	for !c.stopped.Load() && c.idle.Load() == c.parts.Load() {
@@ -494,10 +495,20 @@ func (c *Clock) collectDue() []wakeItem {
 		sort.Sort(&c.batch)
 	}
 	fire := c.fire[:0]
+	transient := false
 	for _, s := range batch {
 		fire = append(fire, wakeItem{ch: s.ch, fn: s.fn})
+		transient = transient || s.transient
 	}
 	c.fire = fire
+	if transient {
+		// A popped transient has already left the accounting, so once
+		// the rest of the batch is running again the next jump — and
+		// its reuse of the scratch — may start before this batch's
+		// fan-out has reached the transient's token. Hand such batches
+		// out as a private copy.
+		return append([]wakeItem(nil), fire...)
+	}
 	return fire
 }
 

@@ -53,7 +53,7 @@
 //  4. A Participant belongs to one goroutine at a time, and a
 //     registered goroutine holds exactly one: code called on behalf of
 //     an already-registered caller takes the caller's handle (see
-//     core.Player.RunAs, Interface.Dial, Listener.AcceptP, Conn.Bind)
+//     Interface.Dial, Listener.AcceptP, Conn.Bind, httpx.Transport.Bind)
 //     instead of registering again — a second registration for the
 //     same goroutine would deadlock the accounting.
 //
@@ -96,8 +96,39 @@
 // paced writes — wakes through the abort's Cond broadcast and observes
 // err by the rules above, at instants the clock alone decides. The only
 // scheduling races left are between goroutines runnable at the very
-// same virtual instant, which the protocol makes commute. Clock.Stop is
-// the out-of-band big hammer for ending an emulation from outside
+// same virtual instant, which the abort protocol makes commute.
+//
+// That last sentence is a property of this protocol, not of the clock,
+// and reading it as the latter is how the retired goroutine session
+// engine went red off a one-core box. The clock pins virtual time while
+// any participant is runnable, but it does not order two participants
+// that are runnable at the same instant — the Go scheduler does, in
+// wall time. The goroutine engine ran each MSPlayer path as its own
+// participant, and both paths of a session shared the chunk manager:
+// whenever both were runnable at one instant — Broadcast awake together
+// by a gate flip or a delivery, or failed together by one replica kill
+// — whichever goroutine reached the chunk mutex first took the
+// contested span. Span assignment does not commute (the paths want
+// different sizes, and near the buffering goal only one of them gets a
+// span at all), so which path fetched what — and from there re-buffer
+// counts, goodput and elapsed time — followed scheduler order: stable
+// at GOMAXPROCS=1, where the run queue is itself deterministic, and
+// different run to run on two cores. At the last commit that had the
+// engine, `go test ./internal/fleet/` on 2 cores was red 5 runs in 5
+// (cross-engine parity 5, goroutine-engine same-seed chaos double runs
+// 4, goroutine-engine fault goldens 4, teardown churn 1). The layers
+// both engines shared were not at fault: the same suite with every
+// session on event-loop machines — still against goroutine-served
+// throttled origins and goroutine-served edge handlers, which park on
+// Cond exactly as before — is byte-identical at GOMAXPROCS 1, 2 and 4
+// and under -race. The rule that follows: state that two same-instant
+// actors both mutate must be driven from one ordered context. A
+// session's machines are steps of one Loop, parked paths are re-polled
+// in the order they parked, and every readiness or timer callback that
+// feeds them fires in (deadline, seq) order, so same-instant order is a
+// function of virtual time too.
+//
+// Clock.Stop is the out-of-band big hammer for ending an emulation from outside
 // emulated time: it wakes every parked waiter and freezes Now() at the
 // stop instant in both clock modes, so post-stop accessors read one
 // stable time instead of a wall clock that keeps running.
@@ -184,12 +215,10 @@
 //     service windows) is never read or written from a timer callback.
 //     The hedge timer's callback only aborts the in-flight conn at the
 //     budget instant — mechanism, not policy; the resulting error is
-//     observed by the path's driving context (its fetch goroutine or
-//     its event-loop step), which alone advances breaker/hedge state
-//     at selection and completion instants. Callbacks mutating that
-//     state would make the outcome depend on where a jump happened to
-//     run a timer, and the two engines — whose callbacks fire on
-//     different goroutines — could then diverge byte-wise.
+//     observed by the path's driving context (its event-loop step),
+//     which alone advances breaker/hedge state at selection and
+//     completion instants. Callbacks mutating that state would make the
+//     outcome depend on where a jump happened to run a timer.
 //
 // # Timer-driven state machines
 //
@@ -234,13 +263,12 @@
 //  5. Waiting is always a Timer, never a poll: a machine that needs a
 //     deadline (request timeout, scheduler backoff) arms a Timer whose
 //     callback enqueues the next step. Between callbacks a machine
-//     occupies no goroutine and the clock sees only its timers, so the
-//     jump loop's waiter accounting — and with it every report byte —
-//     is identical to the blocking engine's.
+//     occupies no goroutine and the clock sees only its timers.
 //
-// core.RunEvented is the reference consumer: the full MSPlayer session
-// (bootstrap, multi-path fetch loops, failover backoff, playout gate)
-// as one such machine.
+// core.RunEvented is the consumer: every MSPlayer session (bootstrap,
+// multi-path fetch loops, failover backoff, playout gate) is one such
+// machine; the blocking API remains for goroutine-served handlers, the
+// edge backhaul and the reference tests the machines are pinned to.
 //
 // Internally the participant/idle counters are atomics and the jump
 // mutex guards only the jump loop itself; wake tokens are delivered

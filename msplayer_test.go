@@ -3,6 +3,7 @@ package msplayer
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -262,5 +263,72 @@ func TestFirstVideoByteOrderMatchesHeadStart(t *testing.T) {
 	if wifi.FirstVideoByte >= lte.FirstVideoByte {
 		t.Fatalf("wifi first byte (%v) should precede lte (%v)",
 			wifi.FirstVideoByte, lte.FirstVideoByte)
+	}
+}
+
+// TestStreamReturnsOnCancel: a context cancelled while both paths are
+// parked on blackholed replicas — no request deadline, so nothing in
+// virtual time will ever wake them — must end Stream promptly with
+// ctx.Err() and the partial metrics sealed at the cancel instant.
+func TestStreamReturnsOnCancel(t *testing.T) {
+	tb := newTB(t, steadyProfile(5))
+	for _, nw := range []string{"wifi", "lte"} {
+		for _, addr := range tb.Cluster().VideoServerAddrs(nw) {
+			if err := tb.Cluster().Blackhole(addr, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	defer tb.Inject(func(ip *netem.Participant) {
+		ip.Sleep(5 * time.Second) // long after both bootstraps completed
+		cancel()
+	})()
+	m, err := tb.Stream(ctx, SessionConfig{
+		Scheduler: NewHarmonicScheduler(256<<10, 0.05),
+		Paths:     BothPaths,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if m == nil {
+		t.Fatal("no partial metrics")
+	}
+	if m.Elapsed != 5*time.Second || m.TotalBytes != 0 || m.PreBufferDone {
+		t.Fatalf("partial metrics not sealed at the cancel instant: elapsed=%v bytes=%d prebuffered=%v",
+			m.Elapsed, m.TotalBytes, m.PreBufferDone)
+	}
+	for _, p := range m.Paths {
+		if p.Requests != 1 || p.Bytes != 0 || p.Failures != 0 {
+			t.Errorf("path %s: %d requests, %d bytes, %d failures; want one parked request",
+				p.Network, p.Requests, p.Bytes, p.Failures)
+		}
+	}
+}
+
+// TestStreamReturnsOnTestbedClose: closing the testbed mid-session
+// stops the clock under the parked Stream, which must return the
+// clock-stopped error with the metrics sealed at the stop instant
+// instead of hanging on timers that will never fire.
+func TestStreamReturnsOnTestbedClose(t *testing.T) {
+	tb := newTB(t, steadyProfile(6))
+	defer tb.Inject(func(ip *netem.Participant) {
+		ip.Sleep(3 * time.Second) // mid pre-buffering
+		tb.Close()
+	})()
+	m, err := tb.Stream(context.Background(), SessionConfig{
+		Scheduler: NewHarmonicScheduler(256<<10, 0.05),
+		Paths:     BothPaths,
+	})
+	if err == nil || err.Error() != "core: emulation clock stopped" {
+		t.Fatalf("err = %v, want the clock-stopped error", err)
+	}
+	if m == nil {
+		t.Fatal("no partial metrics")
+	}
+	if m.Elapsed != 3*time.Second || m.TotalBytes == 0 || m.PreBufferDone {
+		t.Fatalf("partial metrics not sealed at the stop instant: elapsed=%v bytes=%d prebuffered=%v",
+			m.Elapsed, m.TotalBytes, m.PreBufferDone)
 	}
 }

@@ -76,8 +76,8 @@ type Profile struct {
 	// EventLoop serves the origin cluster's eligible servers as
 	// event-loop state machines instead of parked per-connection
 	// goroutines (see origin.ClusterConfig.EventLoop). Wire-identical to
-	// the goroutine engine; fleet runs flip it together with the evented
-	// session engine to keep the whole world O(cores) in goroutines.
+	// goroutine-served origins; fleet runs set it to keep the whole
+	// world O(cores) in goroutines.
 	EventLoop bool
 }
 
@@ -266,10 +266,10 @@ func (c *Client) Testbed() *Testbed { return c.tb }
 // injection (Interface.SetAlive, Cluster.Kill) at deterministic virtual
 // instants; fn parks through the Participant handle it receives. A
 // clock hold pins virtual time until the next session starts on this
-// testbed (sessions release pending holds the moment they register),
-// so fn's sleeps cannot run down before the session participants
-// exist. The returned release function drops the hold for the error
-// path where no session ever starts; defer it:
+// testbed (a session releases pending holds in its first step), so
+// fn's sleeps cannot run down before the session exists. The returned
+// release function drops the hold for the error path where no session
+// ever starts; defer it:
 //
 //	defer tb.Inject(func(p *netem.Participant) {
 //		p.Sleep(30 * time.Second)
@@ -375,9 +375,8 @@ func (tb *Testbed) Stream(ctx context.Context, cfg SessionConfig) (*Metrics, err
 
 // NewSession builds a core player for cfg on this client's access links
 // without starting it. Sessions on distinct clients are independent and
-// may run concurrently; each registers its own goroutines with the
-// shared clock, so a fleet of sessions advances deterministically in
-// one virtual-time world.
+// may run concurrently; all of them advance on the shared clock, so a
+// fleet of sessions is deterministic in one virtual-time world.
 func (c *Client) NewSession(cfg SessionConfig) (*core.Player, error) {
 	tb := c.tb
 	video := cfg.Video
@@ -430,8 +429,11 @@ func (c *Client) NewSession(cfg SessionConfig) (*core.Player, error) {
 }
 
 // Stream runs a session on this client to completion and returns its
-// metrics. The calling goroutine must not already be registered with
-// the testbed clock; registered callers (fleet sessions) use StreamAs.
+// metrics, parking the calling goroutine on the testbed clock meanwhile
+// (see core.Player.Run). The caller must not already be registered with
+// the clock; registered callers — a fleet driver running many sessions —
+// use StreamEvented. A cancelled ctx or a closed testbed ends the
+// session early with the partial metrics sealed at that instant.
 func (c *Client) Stream(ctx context.Context, cfg SessionConfig) (*Metrics, error) {
 	p, err := c.NewSession(cfg)
 	if err != nil {
@@ -440,25 +442,12 @@ func (c *Client) Stream(ctx context.Context, cfg SessionConfig) (*Metrics, error
 	return p.Run(ctx)
 }
 
-// StreamAs runs a session on this client on behalf of an
-// already-registered clock participant (e.g. a fleet session goroutine
-// spawned with Clock.Go): the session's top-level waits park through
-// part instead of registering a second time.
-func (c *Client) StreamAs(ctx context.Context, part *netem.Participant, cfg SessionConfig) (*Metrics, error) {
-	p, err := c.NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunAs(ctx, part)
-}
-
 // StreamEvented starts a session on this client as event-loop state
 // machines on loop and returns immediately; done receives the metrics
-// at the virtual instant StreamAs would have returned. The caller (or
-// some other registered participant) must keep the clock alive while
-// the session runs; on a stopped clock, Interrupt the returned handle
-// to collect the partial result. Both engines are wire-identical and
-// produce identical Metrics per seed.
+// at the virtual instant the session ends. The caller (or some other
+// registered participant) must keep the clock alive while the session
+// runs; on a stopped clock, Interrupt the returned handle to collect
+// the partial result.
 func (c *Client) StreamEvented(loop *netem.Loop, cfg SessionConfig, done func(*Metrics, error)) (*EventedSession, error) {
 	p, err := c.NewSession(cfg)
 	if err != nil {
