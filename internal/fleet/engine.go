@@ -428,8 +428,8 @@ func (ev *eventedRun) arm(tb *msplayer.Testbed, profile *msplayer.Profile, co *C
 	spawn := func() {
 		// The session RNG decides event participation; its draws happen
 		// in a fixed order, so participation is a pure function of the
-		// seed.
-		rng := rand.New(rand.NewSource(sessSeed))
+		// seed. Created at the first draw: most cohorts never read it.
+		var rng *rand.Rand
 		wifiProf := profile.WiFi
 		if co.WiFi != nil {
 			wifiProf = *co.WiFi
@@ -442,7 +442,13 @@ func (ev *eventedRun) arm(tb *msplayer.Testbed, profile *msplayer.Profile, co *C
 		overlayLossWindows(&lteProf, lossWins)
 		var downs []Event
 		for _, ev := range co.Events {
-			affected := ev.Fraction == 0 || ev.Fraction >= 1 || rng.Float64() < ev.Fraction
+			affected := ev.Fraction == 0 || ev.Fraction >= 1
+			if !affected {
+				if rng == nil {
+					rng = rand.New(trace.NewSource(sessSeed))
+				}
+				affected = rng.Float64() < ev.Fraction
+			}
 			if !affected {
 				continue
 			}

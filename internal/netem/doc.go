@@ -295,6 +295,11 @@
 //   - The jitter/loss rng is seeded lazily on the first draw; links
 //     with neither jitter nor loss never pay the ~600-word math/rand
 //     seeding. Draw sequences are unchanged for links that do draw.
+//     Not drawing is not the only way out of that cost: a stream read
+//     once and dropped (trace.Lognormal's per-slot variate, fleet's
+//     participation draw) goes through trace.NewSource, which computes
+//     math/rand's first value in closed form and builds the register
+//     only for a second. A direction reads many values, so it seeds.
 //
 // Consumers keep their own pools layered on the same idea: httpx pools
 // connection bufio.Readers and response-body scratch, and core recycles

@@ -90,16 +90,17 @@ func Outage(base Rate, start time.Time, d time.Duration) Rate {
 // throughput spread reported for home WiFi and LTE links.
 //
 // Randomness invariant: the multiplier is a pure function of (seed,
-// slot) — a fresh *rand.Rand is derived per slot and no state is shared
-// between calls — so concurrent queries from any number of sessions
-// return identical values for identical instants, keeping fleet runs
+// slot) — the first normal variate of the math/rand stream seeded with
+// seed ^ slot·φ, drawn through NewSource, with no state shared between
+// calls — so concurrent queries from any number of sessions return
+// identical values for identical instants, keeping fleet runs
 // bit-identical per seed.
 //
 // Because the multiplier is pure, the last computed (slot, multiplier)
 // pair is cached behind an atomic pointer: pacing queries hit the same
-// slot many times per interval, and seeding a math/rand source per
-// query (~600 words of state) dominated fleet-scale profiles. A cache
-// hit returns the identical value a recomputation would.
+// slot many times per interval, and a hit (a load and a compare) is
+// cheaper than even the closed-form draw plus math.Exp. A cache hit
+// returns the identical value a recomputation would.
 func Lognormal(base Rate, sigma float64, interval time.Duration, seed int64) Rate {
 	if interval <= 0 {
 		interval = 200 * time.Millisecond
@@ -114,11 +115,16 @@ func Lognormal(base Rate, sigma float64, interval time.Duration, seed int64) Rat
 		if m := memo.Load(); m != nil && m.slot == slot {
 			return base.RateAt(t) * m.f
 		}
-		rng := rand.New(rand.NewSource(seed ^ slot*0x7E3779B97F4A7C15))
-		f := math.Exp(rng.NormFloat64()*sigma - sigma*sigma/2) // mean-one multiplier
+		f := math.Exp(slotNormal(seed, slot)*sigma - sigma*sigma/2) // mean-one multiplier
 		memo.Store(&slotMul{slot: slot, f: f})
 		return base.RateAt(t) * f
 	})
+}
+
+// slotNormal returns the standard normal variate of (seed, slot): the
+// first NormFloat64 of the math/rand stream seeded with seed ^ slot·φ.
+func slotNormal(seed, slot int64) float64 {
+	return rand.New(NewSource(seed ^ slot*0x7E3779B97F4A7C15)).NormFloat64()
 }
 
 // RandomWalk produces a mean-reverting multiplicative random walk around
@@ -138,8 +144,7 @@ func RandomWalk(mean, min, max float64, interval time.Duration, seed int64) Rate
 	lastSlot := int64(-1)
 	lastVal := mean
 	step := func(slot int64, from float64) float64 {
-		rng := rand.New(rand.NewSource(seed ^ slot*0x7E3779B97F4A7C15))
-		r := from + 0.25*(mean-from) + rng.NormFloat64()*0.1*mean
+		r := from + 0.25*(mean-from) + slotNormal(seed, slot)*0.1*mean
 		if r < min {
 			r = min
 		}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -114,6 +116,94 @@ func TestLognormalDeterministicAndMeanish(t *testing.T) {
 	c := Lognormal(Constant(1e6), 0.3, 500*time.Millisecond, 43)
 	if c.RateAt(epoch) == a.RateAt(epoch) && c.RateAt(epoch.Add(time.Second)) == a.RateAt(epoch.Add(time.Second)) {
 		t.Fatal("different seeds produced identical samples")
+	}
+}
+
+// TestLognormalMoments is the statistical fence on the shaper's noise
+// (closed forms, not recorded values): over 100 000 fresh slots the
+// mean-one multiplier averages 1 and its log has standard deviation σ.
+func TestLognormalMoments(t *testing.T) {
+	const (
+		sigma    = 0.4
+		interval = 200 * time.Millisecond
+		n        = 100_000
+	)
+	r := Lognormal(Constant(1), sigma, interval, 7)
+	var sum, logSum, logSq float64
+	for i := 0; i < n; i++ {
+		f := r.RateAt(epoch.Add(time.Duration(i) * interval))
+		sum += f
+		l := math.Log(f)
+		logSum += l
+		logSq += l * l
+	}
+	mean := sum / n
+	logSD := math.Sqrt(logSq/n - (logSum/n)*(logSum/n))
+	if math.Abs(mean-1) > 0.01 {
+		t.Errorf("multiplier mean = %.5f, want 1 ± 1%%", mean)
+	}
+	if math.Abs(logSD-sigma) > 0.02*sigma {
+		t.Errorf("log-multiplier standard deviation = %.5f, want %.2f ± 2%%", logSD, sigma)
+	}
+}
+
+// oneDrawSlots returns n instants, one per slot, whose normal variate
+// the ziggurat accepts at the first candidate (the closed-form path).
+func oneDrawSlots(seed int64, interval time.Duration, n int) []time.Time {
+	var ts []time.Time
+	for slot := int64(0); len(ts) < n; slot++ {
+		src := NewSource(seed ^ slot*0x7E3779B97F4A7C15)
+		rand.New(src).NormFloat64()
+		if src.(*source).full == nil {
+			ts = append(ts, time.Unix(0, slot*interval.Nanoseconds()))
+		}
+	}
+	return ts
+}
+
+// TestLognormalFreshSlotAllocs holds a fresh slot on the one-draw path
+// to the source and the memo entry: no 4.9 KB math/rand register.
+func TestLognormalFreshSlotAllocs(t *testing.T) {
+	const (
+		interval = 200 * time.Millisecond
+		runs     = 1000
+	)
+	ts := oneDrawSlots(3, interval, runs+1) // AllocsPerRun warms up with one extra call
+	r := Lognormal(Constant(1), 0.4, interval, 3)
+	i := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		r.RateAt(ts[i])
+		i++
+	})
+	runtime.ReadMemStats(&after)
+	if allocs > 2 {
+		t.Errorf("fresh slot = %v allocs, want ≤ 2", allocs)
+	}
+	if perSlot := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perSlot >= 256 {
+		t.Errorf("fresh slot = %d B, want < 256", perSlot)
+	}
+}
+
+var benchSink float64
+
+func BenchmarkLognormalFreshSlot(b *testing.B) {
+	const interval = 200 * time.Millisecond
+	r := Lognormal(Constant(1), 0.4, interval, 11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += r.RateAt(epoch.Add(time.Duration(i) * interval))
+	}
+}
+
+func BenchmarkLognormalHit(b *testing.B) {
+	r := Lognormal(Constant(1), 0.4, 200*time.Millisecond, 11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += r.RateAt(epoch.Add(time.Duration(i&1023) * time.Microsecond))
 	}
 }
 
