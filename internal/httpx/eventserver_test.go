@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -190,17 +193,23 @@ func engineTrace(t *testing.T, evented bool) []string {
 // observable timeline byte for byte — response bytes, completion
 // instants, request hook instants, aborted-request byte attribution,
 // blackhole behaviour and drain — under slow-start, jitter, loss and
-// send-buffer backpressure.
+// send-buffer backpressure. The reference is testdata/server_timeline.txt,
+// recorded from the goroutine-per-connection engine.
 func TestEventServerMatchesBlockingTimeline(t *testing.T) {
-	blocking := engineTrace(t, false)
-	eventloop := engineTrace(t, true)
-	if len(blocking) != len(eventloop) {
-		t.Fatalf("trace lengths differ: blocking %d, eventloop %d\nblocking: %v\neventloop: %v",
-			len(blocking), len(eventloop), blocking, eventloop)
+	golden, err := os.ReadFile(filepath.Join("testdata", "server_timeline.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range blocking {
-		if blocking[i] != eventloop[i] {
-			t.Errorf("trace[%d]:\n  blocking:  %s\n  eventloop: %s", i, blocking[i], eventloop[i])
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	for _, evented := range []bool{false, true} {
+		got := engineTrace(t, evented)
+		if len(got) != len(want) {
+			t.Fatalf("evented=%v: trace length %d, pinned %d\ngot: %v", evented, len(got), len(want), got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("evented=%v trace[%d]:\n  pinned: %s\n  got:    %s", evented, i, want[i], got[i])
+			}
 		}
 	}
 }

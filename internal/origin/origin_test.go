@@ -3,6 +3,7 @@ package origin
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -213,18 +214,38 @@ func TestThrottlePacesAfterBurst(t *testing.T) {
 	throttled := ClusterConfig{Throttle: &ThrottleConfig{BurstBytes: 64 << 10, RateFactor: 1.25}}
 	cluster, n, wifi, _ := testDeployment(t, throttled)
 	info := fetchInfo(t, cluster, wifi, "wifi", "shortclip01")
-	client := httpx.NewClient(wifi)
 	url := info.PlaybackURL(info.VideoServers[0], 22)
 
+	// A registered driver pins virtual time while the fetch is armed and
+	// then parks until well past its completion, so the completion
+	// instant is a pure function of the emulation.
 	clock := n.Clock()
+	drv := clock.Register()
+	defer drv.Unregister()
+	loop := netem.NewLoop()
+	et := httpx.NewEventTransport(wifi, clock, loop)
 	start := clock.Now()
-	// 1 MiB: 64 KiB burst + ~960 KiB paced at 1.25×312.5 KB/s ≈ 2.5 s.
-	if _, err := httpx.GetRange(context.Background(), client, url, 0, 1<<20-1); err != nil {
-		t.Fatal(err)
+	var elapsed time.Duration
+	ferr := errors.New("fetch never completed")
+	loop.Do(func() {
+		et.GetRangeViews(url, 0, 1<<20-1, func(_ [][]byte, release func(), err error) {
+			elapsed, ferr = clock.Now().Sub(start), err
+			if err == nil {
+				release()
+			}
+			et.Shutdown(nil)
+		})
+	})
+	drv.SleepUntil(start.Add(time.Minute))
+	if ferr != nil {
+		t.Fatal(ferr)
 	}
-	elapsed := clock.Now().Sub(start)
-	if elapsed < 2*time.Second {
-		t.Fatalf("throttled fetch took %v, want >= 2s", elapsed)
+	// 1 MiB: 64 KiB burst + ~960 KiB paced at 1.25×312.5 KB/s ≈ 2.5 s.
+	// The exact instant was recorded from the goroutine-served origin,
+	// whose pacing parked the connection's goroutine in Participant.Sleep.
+	const pinned = 2644827064 * time.Nanosecond
+	if elapsed != pinned {
+		t.Fatalf("throttled fetch took %v, pinned %v", elapsed, time.Duration(pinned))
 	}
 }
 
