@@ -37,7 +37,7 @@ func main() {
 	// (/videoplayback): replicas are pointless on a single host.
 	self := *addr
 	proxy := origin.NewWebProxy(*network, catalog, func() []string { return []string{self} },
-		secret, origin.TokenTTL, clock, 0)
+		secret, origin.TokenTTL, clock)
 	video := origin.NewVideoServer(self, *network, catalog, secret, clock, nil)
 
 	mux := http.NewServeMux()

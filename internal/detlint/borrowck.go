@@ -27,12 +27,14 @@ var borrowParamFuncs = map[string]bool{
 }
 
 // spawnFuncs names call targets whose func-literal argument outlives
-// the call on another goroutine or a timer wheel entry: capturing a
-// borrowed view in one retains it beyond the call.
+// the call on another goroutine, a timer wheel entry or a response
+// continuation: capturing a borrowed view in one retains it beyond the
+// call.
 var spawnFuncs = map[string]bool{
 	"Go":        true, // Clock.Go
 	"NewTimer":  true, // Clock.NewTimer / Participant.NewTimer callbacks
 	"AfterFunc": true,
+	"After":     true, // httpx.After response continuations
 }
 
 // BorrowckAnalyzer enforces the borrowed-slice ownership rules of the

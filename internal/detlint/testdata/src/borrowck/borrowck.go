@@ -15,18 +15,27 @@ func (c *content) CachedSlice(off int64, n int) []byte {
 }
 
 // edgeCache mimics edge.Cache: PageView hands out borrowed views of
-// cached page buffers (matching is by method name).
+// cached page buffers on a hit, or the flight whose PageView hands them
+// out once the fill lands (matching is by method name).
 type edgeCache struct{ page []byte }
 
-func (e *edgeCache) PageView(pg int64) ([]byte, error) {
+type flight struct{ page []byte }
+
+func (e *edgeCache) PageView(pg int64, wake func()) ([]byte, *flight) {
 	return e.page, nil
 }
+
+func (f *flight) PageView() ([]byte, error) { return f.page, nil }
 
 // clock mimics the netem.Clock spawn API: closures handed to Go outlive
 // the calling function.
 type clock struct{}
 
 func (clock) Go(fn func()) { fn() }
+
+// After mimics httpx.After: the continuation runs once the response's
+// bytes so far are on the wire, long after the call returns.
+func After(w any, fn func(written int64, err error, resume func())) {}
 
 var pool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
 
@@ -115,13 +124,24 @@ func poolSpawnCapture(clk clock) {
 // retaining one in a field is a finding, serving it onward as a plain
 // call argument is the sanctioned pattern.
 func pageViewFieldStore(h *holder, e *edgeCache) {
-	v, _ := e.PageView(0)
+	v, _ := e.PageView(0, nil)
 	h.view = v // want "borrowed view stored into field view"
 }
 
 func pageViewServePass(h *holder, e *edgeCache) {
-	v, _ := e.PageView(0)
+	v, _ := e.PageView(0, nil)
 	h.WriteStable(v[:4])
+}
+
+// A page view captured by a response continuation outlives the
+// continuation that borrowed it; the flight's view is a borrow too.
+func pageViewContinuationCapture(h *holder, e *edgeCache) {
+	v, f := e.PageView(0, nil)
+	After(h, func(int64, error, func()) {
+		h.WriteStable(v) // want "borrowed slice v captured by closure spawned via After"
+	})
+	w, _ := f.PageView()
+	h.view = w // want "borrowed view stored into field view"
 }
 
 // evConn mimics netem.Conn's borrow-based read path: ReadBuf hands out

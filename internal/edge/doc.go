@@ -26,7 +26,13 @@
 //
 // The store's observable state — resident set, eviction order, and the
 // hit/miss/fill/evict/byte counters — is a pure function of the
-// scenario seed, independent of wall-clock goroutine interleaving:
+// scenario seed. No goroutine interleaving is left to decide it: every
+// edge connection is an httpx connection machine whose handler takes
+// each page in a continuation (httpx.After) at the instant a blocking
+// write loop would have asked for it, and every backhaul fill is an
+// httpx.EventTransport request on its own loop, all stepped by clock
+// callbacks in (deadline, seq) order. The invariants below make the
+// books independent of same-instant request order as well:
 //
 //   - Recency and frequency are keyed to virtual time, never to a
 //     wall-clock or arrival-order counter. Same-instant touches
@@ -42,16 +48,19 @@
 //     page then evicts global minima until the store fits, and with
 //     uniform page cost that greedy fold is order-independent.
 //   - A request is a hit only when the page's fill landed at a
-//     strictly earlier virtual instant. A request racing a fill
-//     completion at the same instant counts as a miss whichever way
-//     the wall-clock race resolves (it either joins the flight or sees
-//     a page whose fill instant equals now), and in neither case does
-//     it touch recency/frequency — so the counters and the eviction
-//     state cannot flap between runs.
-//   - Single-flight waiters take the filled bytes from the flight
-//     record, not a store re-lookup, so a same-instant eviction by an
-//     unrelated insert cannot change what a waiter observes.
-//   - The backhaul link is clean (no jitter, no loss), so the racy
+//     strictly earlier virtual instant. A request at the instant of a
+//     fill completion counts as a miss whichever side of it it runs on
+//     (it either joins the flight or sees a page whose fill instant
+//     equals now), and in neither case does it touch recency/frequency
+//     — so the counters and the eviction state cannot depend on
+//     same-instant order.
+//   - Single-flight waiters park a wake callback on the flight — a
+//     FIFO list, opener first — and are resumed in park order, each on
+//     its own connection's loop, when the fill completes. They take the
+//     filled bytes from the flight record, not a store re-lookup, so a
+//     same-instant eviction by an unrelated insert cannot change what a
+//     waiter observes.
+//   - The backhaul link is clean (no jitter, no loss), so the
 //     per-interface dial sequence perturbs nothing observable, and
 //     per-connection shaping makes a fill's duration a function of its
 //     start instant and size alone.

@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -280,8 +279,8 @@ func (e *Cache) Stats() Stats {
 	}
 }
 
-// Drain parks the caller until the edge's per-connection loops have
-// unwound (p may be nil to park as a transient), in deploy order.
+// Drain parks the caller until the edge's connection machines have
+// finished (p may be nil to park as a transient), in deploy order.
 // After a true return the books are final.
 func (e *Cache) Drain(p *netem.Participant) bool {
 	e.mu.Lock()
@@ -368,52 +367,97 @@ func (h *netHandler) handlePlayback(w http.ResponseWriter, r *http.Request) {
 	hw.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", from, to, size))
 	hw.Set("Content-Length", strconv.FormatInt(to-from+1, 10))
 	w.WriteHeader(http.StatusPartialContent)
-
-	// The body streams page by page: acquire each page covering the
-	// range (hit, coalesced wait, or fill) and write its overlap through
-	// the stable zero-copy path in the origin's 32 KB strides. Page
-	// buffers are immutable and never recycled, so the borrowed views
-	// satisfy WriteStable's contract (doc.go, ownership).
-	sw, _ := w.(stableWriter)
-	cp := httpx.ConnParticipant(w)
-	for off := from; off <= to; {
-		data, err := e.PageView(cp, id, itag, size, off/e.pageSize)
-		if err != nil {
-			return // fill failed or emulation stopped; the conn is done either way
-		}
-		pstart := (off / e.pageSize) * e.pageSize
-		n := min(pstart+int64(len(data))-1, to) - off + 1
-		view := data[off-pstart : off-pstart+n]
-		for len(view) > 0 {
-			k := min(len(view), rangeChunk)
-			var werr error
-			var wn int
-			if sw != nil {
-				wn, werr = sw.WriteStable(view[:k])
-			} else {
-				wn, werr = w.Write(view[:k])
-			}
-			e.store.Load().addServed(int64(wn))
-			if werr != nil {
-				return // aborted mid-body
-			}
-			view = view[k:]
-		}
-		off += n
-	}
+	p := &playback{e: e, w: w, sw: w.(stableWriter), video: id, itag: itag, size: size, off: from, to: to}
+	p.next = p.step
+	httpx.After(w, p.next)
 }
 
-// PageView returns the store's view of one content page, filling it
-// over the backhaul on a miss. The result is a borrowed view of an
-// immutable edge-owned buffer: serve it or copy it, never retain it
-// (registered as a detlint borrowck producer).
-func (e *Cache) PageView(p *netem.Participant, video string, itag int, size, pg int64) ([]byte, error) {
+// playback is one /videoplayback body in flight. It streams page by
+// page, each page taken in a continuation (httpx.After) that runs once
+// the body before it is on the wire — the instant a blocking server's
+// write loop would have asked for it: a hit is written at once, a miss
+// parks the continuation's resume on the page's flight (opening and
+// filling it when there is none) and writes when the flight wakes it.
+// Pages go out through the stable zero-copy path in the origin's 32 KB
+// strides; page buffers are immutable and never recycled, so the
+// borrowed views satisfy WriteStable's contract (doc.go, ownership).
+type playback struct {
+	e       *Cache
+	w       http.ResponseWriter
+	sw      stableWriter
+	video   string
+	itag    int
+	size    int64
+	off, to int64   // next body byte to write, last body byte
+	served  int64   // body bytes booked to the store's served count
+	f       *flight // the flight the next page comes from, while parked
+	next    func(int64, error, func())
+}
+
+// step is the body's continuation. It books the bytes the writes so far
+// put on the wire — written is what a blocking write loop's calls would
+// have returned, short when the connection failed — and, unless the
+// connection failed or the range is done, writes the next page.
+func (p *playback) step(written int64, err error, resume func()) {
+	if d := written - p.served; d > 0 {
+		p.e.store.Load().addServed(d)
+		p.served = written
+	}
+	if err != nil || p.off > p.to {
+		resume()
+		return
+	}
+	pg := p.off / p.e.pageSize
+	if f := p.f; f != nil {
+		p.f = nil
+		view, ferr := f.PageView()
+		if ferr != nil {
+			resume() // the fill failed: the response ends short
+			return
+		}
+		p.write(pg, view)
+	} else {
+		view, f := p.e.PageView(p.video, p.itag, p.size, pg, resume)
+		if f != nil {
+			p.f = f
+			httpx.After(p.w, p.next)
+			return // the flight resumes us
+		}
+		p.write(pg, view)
+	}
+	httpx.After(p.w, p.next)
+	resume()
+}
+
+// write writes page pg's overlap with the rest of the range.
+func (p *playback) write(pg int64, page []byte) {
+	pstart := pg * p.e.pageSize
+	n := min(pstart+int64(len(page))-1, p.to) - p.off + 1
+	view := page[p.off-pstart : p.off-pstart+n]
+	for len(view) > 0 {
+		k := min(len(view), rangeChunk)
+		p.sw.WriteStable(view[:k])
+		view = view[k:]
+	}
+	p.off += n
+}
+
+// PageView resolves one page request at the caller's instant. On a hit
+// — or for a page that landed at this very instant — it returns a
+// borrowed view of the immutable edge-owned page buffer: serve it or
+// copy it, never retain it (registered as a detlint borrowck producer).
+// Otherwise it parks wake on the page's flight, opening the flight and
+// starting its fill over the backhaul when there is none, and returns
+// the flight; once woken, the caller takes the bytes from its PageView.
+func (e *Cache) PageView(video string, itag int, size, pg int64, wake func()) ([]byte, *flight) {
 	key := pageKey{video: video, itag: itag, page: pg}
-	pstart := pg * e.pageSize
-	plen := min(e.pageSize, size-pstart)
-	return e.store.Load().acquire(p, key, func() ([]byte, error) {
-		return e.fetchPage(p, key, pstart, plen)
-	})
+	s := e.store.Load()
+	view, f, open := s.acquire(key, wake)
+	if open {
+		pstart := pg * e.pageSize
+		e.fill(s, key, f, pstart, min(e.pageSize, size-pstart))
+	}
+	return view, f
 }
 
 // fillSource picks the origin replica one page fills from: an FNV-1a
@@ -440,16 +484,13 @@ func (e *Cache) fillSource(key pageKey) Network {
 	return nws[h%uint64(len(nws))]
 }
 
-// fetchPage fetches one page-aligned range from the page's fill-source
-// origin replica over the backhaul: a fresh connection per fill, bound
-// to the filling conn goroutine's clock handle, torn down when the
-// body is read. The bytes come back in an owned, never-recycled
-// buffer.
-func (e *Cache) fetchPage(p *netem.Participant, key pageKey, pstart, plen int64) ([]byte, error) {
+// fill fetches one page-aligned range from the page's fill-source
+// origin replica over the backhaul and completes the page's flight with
+// it: a fresh connection per fill, on a fresh EventTransport with its
+// own loop, closed when the body is in. The bytes are copied out of the
+// connection's views into an owned, never-recycled page buffer.
+func (e *Cache) fill(s *store, key pageKey, f *flight, pstart, plen int64) {
 	nw := e.fillSource(key)
-	tr := httpx.NewTransport(e.backhaul)
-	tr.Bind(p)
-	defer tr.CloseIdleConnections()
 	expire := e.clock.Now().Add(e.tokenTTL)
 	info := origin.VideoInfo{
 		VideoID: key.video,
@@ -458,7 +499,21 @@ func (e *Cache) fetchPage(p *netem.Participant, key pageKey, pstart, plen int64)
 		Expire:  expire.Unix(),
 	}
 	url := info.PlaybackURL(nw.Upstream, key.itag)
-	return httpx.GetRange(context.Background(), &http.Client{Transport: tr}, url, pstart, pstart+plen-1)
+	tr := httpx.NewEventTransport(e.backhaul, e.clock, netem.NewLoop())
+	tr.Loop().Do(func() {
+		tr.GetRangeViews(url, pstart, pstart+plen-1, func(views [][]byte, release func(), err error) {
+			var data []byte
+			if err == nil {
+				data = make([]byte, 0, plen)
+				for _, v := range views {
+					data = append(data, v...)
+				}
+				release()
+			}
+			tr.Shutdown(nil)
+			s.complete(key, f, data, err)
+		})
+	})
 }
 
 // rangeChunk mirrors the origin's 32 KB response write strides, so

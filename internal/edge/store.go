@@ -1,7 +1,6 @@
 package edge
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -47,17 +46,22 @@ type page struct {
 	uses     int64     // fill plus strict hits
 }
 
-// flight is one in-progress single-flight fill. Waiters read the
-// result from the flight record itself — never from a store re-lookup
-// — so a same-instant eviction cannot change what they observe.
+// flight is one in-progress fill. Its waiters — the request that
+// opened it first, then every miss that coalesced onto it — park a wake
+// callback, are woken in that order when it completes, and read the
+// result from the flight record itself — never from a store re-lookup —
+// so a same-instant eviction cannot change what they observe.
 type flight struct {
-	done bool
-	data []byte
-	err  error
+	data    []byte
+	err     error
+	waiters []func()
 }
 
-// errStopped aborts waiters when the emulation clock stops mid-fill.
-var errStopped = errors.New("edge: emulation clock stopped")
+// PageView returns what the fill delivered: a borrowed view of the
+// immutable, never-recycled page buffer — serve it or copy it, never
+// retain it — or the fill's error. Valid once the flight woke its
+// waiters.
+func (f *flight) PageView() ([]byte, error) { return f.data, f.err }
 
 // store is the bounded byte-budget page store behind one edge cache.
 // All determinism invariants are documented in doc.go.
@@ -69,7 +73,6 @@ type store struct {
 	now      func() time.Time
 
 	mu      sync.Mutex
-	cond    *netem.Cond
 	pages   map[pageKey]*page
 	order   []*page // resident pages; the victim scan walks this slice
 	used    int64
@@ -91,76 +94,68 @@ func newStore(clock *netem.Clock, budget, pageSize int64, policy string, stamped
 	if clock != nil {
 		s.now = clock.Now
 	}
-	s.cond = netem.NewCond(clock, &s.mu)
 	return s
 }
 
-// acquire returns the page bytes for key, serving from the store on a
-// hit and calling fetch (outside the store lock, on the caller's
-// goroutine) on a miss. p is the caller's clock handle; single-flight
-// waiters park through it.
-func (s *store) acquire(p *netem.Participant, key pageKey, fetch func() ([]byte, error)) ([]byte, error) {
+// acquire classifies one page request at the caller's virtual instant.
+// A strict hit, or a page that landed at this very instant, returns the
+// page's bytes. Any other request returns the flight its bytes will
+// come from, with wake parked on it behind the waiters already there;
+// open reports that the caller created the flight and must fetch the
+// page and complete it.
+func (s *store) acquire(key pageKey, wake func()) (data []byte, f *flight, open bool) {
 	now := s.now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if pg, ok := s.pages[key]; ok && pg.fillTime.Before(now) {
 		// A strict hit: the fill landed at an earlier instant, so every
-		// wall-clock interleaving observes it. Touches commute.
+		// same-instant request order observes it. Touches commute.
 		s.hits++
 		pg.lastUse = now
 		pg.uses++
-		data := pg.data
-		s.mu.Unlock()
-		return data, nil
+		return pg.data, nil, false
 	}
 	s.misses++
-	if !s.stampede {
-		if f, ok := s.flights[key]; ok {
-			// Coalesce onto the in-progress fill.
-			for !f.done {
-				if !s.cond.Wait(p) {
-					s.mu.Unlock()
-					return nil, errStopped
-				}
-			}
-			data, err := f.data, f.err
-			s.mu.Unlock()
-			return data, err
-		}
-		if pg, ok := s.pages[key]; ok {
-			// Resident with fillTime == now: this request raced the fill
-			// completion and lost the lock order. The other ordering would
-			// have joined the flight — same bytes, same miss, no touch.
-			data := pg.data
-			s.mu.Unlock()
-			return data, nil
-		}
-		f := &flight{}
-		s.flights[key] = f
-		s.mu.Unlock()
-		data, err := fetch()
-		s.mu.Lock()
-		if err == nil {
-			s.fill(key, data)
-		}
-		f.done, f.data, f.err = true, data, err
-		delete(s.flights, key)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return data, err
+	if s.stampede {
+		// Stampede mode: every miss fetches upstream, cache-storm style.
+		// A request racing a fill completion refetches in either order
+		// (absent, or resident with fillTime == now), so the fill count
+		// cannot depend on which same-instant request ran first.
+		return nil, &flight{waiters: []func(){wake}}, true
 	}
-	// Stampede mode: every miss fetches upstream, cache-storm style.
-	// A request racing a fill completion refetches in either wall
-	// ordering (absent, or resident with fillTime == now), so the fill
-	// count cannot flap between runs.
-	s.mu.Unlock()
-	data, err := fetch()
-	if err != nil {
-		return nil, err
+	if f, ok := s.flights[key]; ok {
+		// Coalesce onto the in-progress fill.
+		f.waiters = append(f.waiters, wake)
+		return nil, f, false
 	}
+	if pg, ok := s.pages[key]; ok {
+		// Resident with fillTime == now: this request ran after the fill
+		// completion at the same instant. The other order would have
+		// joined the flight — same bytes, same miss, no touch.
+		return pg.data, nil, false
+	}
+	f = &flight{waiters: []func(){wake}}
+	s.flights[key] = f
+	return nil, f, true
+}
+
+// complete records the outcome of a flight acquire opened — inserting
+// the page on success — and wakes its waiters in the order they parked.
+func (s *store) complete(key pageKey, f *flight, data []byte, err error) {
 	s.mu.Lock()
-	s.fill(key, data)
+	if err == nil {
+		s.fill(key, data)
+	}
+	f.data, f.err = data, err
+	if !s.stampede {
+		delete(s.flights, key)
+	}
+	waiters := f.waiters
+	f.waiters = nil
 	s.mu.Unlock()
-	return data, nil
+	for _, wake := range waiters {
+		wake()
+	}
 }
 
 // fill accounts a completed upstream fetch and inserts (or refreshes)

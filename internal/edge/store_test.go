@@ -1,8 +1,6 @@
 package edge
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -18,11 +16,17 @@ func newTestStore(budget int64, policy string, stampede bool) (*store, *time.Tim
 
 func key(video string, pg int64) pageKey { return pageKey{video: video, itag: 22, page: pg} }
 
-// get acquires a one-byte page, failing the test on error.
+// get acquires a one-byte page, completing the fill at once on a miss
+// that opens a flight, and fails the test unless the request resolved.
 func get(t *testing.T, s *store, k pageKey) {
 	t.Helper()
-	if _, err := s.acquire(nil, k, func() ([]byte, error) { return []byte{1}, nil }); err != nil {
-		t.Fatalf("acquire %v: %v", k, err)
+	woken := false
+	data, f, open := s.acquire(k, func() { woken = true })
+	if open {
+		s.complete(k, f, []byte{1}, nil)
+	}
+	if data == nil && !woken {
+		t.Fatalf("acquire %v never resolved", k)
 	}
 }
 
@@ -133,50 +137,49 @@ func TestSameInstantInsertOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestSingleFlightCoalesces pins the tentpole guarantee: N concurrent
-// misses on one page trigger exactly one upstream fetch, and every
-// caller gets the fetched bytes.
+// TestSingleFlightCoalesces pins the tentpole guarantee: N misses on one
+// page while its fill is in flight trigger exactly one upstream fetch,
+// every caller gets the fetched bytes from the flight, and the callers
+// are woken in the order they parked — the opener first.
 func TestSingleFlightCoalesces(t *testing.T) {
 	s, _ := newTestStore(8, PolicyLRU, false)
 	const n = 8
-	var fetches atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	fetch := func() ([]byte, error) {
-		fetches.Add(1)
-		close(started)
-		<-release
-		return []byte{42}, nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	data := make([][]byte, n)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		data[0], errs[0] = s.acquire(nil, key("v", 0), fetch)
-	}()
-	<-started // the filler holds the flight; everyone else must coalesce
-	for i := 1; i < n; i++ {
+	var woken []int
+	var flights []*flight
+	opened := 0
+	for i := 0; i < n; i++ {
 		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			data[i], errs[i] = s.acquire(nil, key("v", 0), fetch)
-		}()
-	}
-	close(release)
-	wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
+		data, f, open := s.acquire(key("v", 0), func() { woken = append(woken, i) })
+		if data != nil || f == nil {
+			t.Fatalf("caller %d resolved before the fill completed", i)
 		}
-		if len(data[i]) != 1 || data[i][0] != 42 {
-			t.Fatalf("caller %d got %v, want [42]", i, data[i])
+		if open {
+			opened++
+		}
+		flights = append(flights, f)
+	}
+	if opened != 1 {
+		t.Fatalf("%d callers opened a flight, want 1 (single-flight)", opened)
+	}
+	if len(woken) != 0 {
+		t.Fatalf("callers %v woken before the fill completed", woken)
+	}
+	s.complete(key("v", 0), flights[0], []byte{42}, nil)
+	for i, f := range flights {
+		if f != flights[0] {
+			t.Fatalf("caller %d parked on another flight", i)
+		}
+		if data, err := f.PageView(); err != nil || len(data) != 1 || data[0] != 42 {
+			t.Fatalf("caller %d got %v, %v, want [42]", i, data, err)
 		}
 	}
-	if got := fetches.Load(); got != 1 {
-		t.Fatalf("fetches = %d, want 1 (single-flight)", got)
+	for i, w := range woken {
+		if w != i {
+			t.Fatalf("wake order %v, want park order 0..%d", woken, n-1)
+		}
+	}
+	if len(woken) != n {
+		t.Fatalf("woke %d callers, want %d", len(woken), n)
 	}
 	_, misses, fills, _, _, _, _, _ := s.stats()
 	if fills != 1 {
@@ -188,31 +191,25 @@ func TestSingleFlightCoalesces(t *testing.T) {
 }
 
 // TestStampedeFetchesPerMiss checks the storm baseline: with coalescing
-// disabled every concurrent miss goes upstream.
+// disabled every miss goes upstream — including a miss that follows a
+// fill landing at the same instant, which is not a strict hit.
 func TestStampedeFetchesPerMiss(t *testing.T) {
 	s, _ := newTestStore(8, PolicyLRU, true)
 	const n = 6
-	var fetches atomic.Int64
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
+	var inFlight []*flight
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-gate
-			if _, err := s.acquire(nil, key("v", 0), func() ([]byte, error) {
-				fetches.Add(1)
-				return []byte{7}, nil
-			}); err != nil {
-				t.Error(err)
-			}
-		}()
+		data, f, open := s.acquire(key("v", 0), func() {})
+		if data != nil || !open {
+			t.Fatalf("miss %d did not open its own fill", i)
+		}
+		if i%2 == 0 {
+			s.complete(key("v", 0), f, []byte{7}, nil)
+		} else {
+			inFlight = append(inFlight, f)
+		}
 	}
-	close(gate)
-	wg.Wait()
-	// At the same virtual instant no fill is a strict hit, so all n miss.
-	if got := fetches.Load(); got != n {
-		t.Fatalf("fetches = %d, want %d (stampede mode)", got, n)
+	for _, f := range inFlight {
+		s.complete(key("v", 0), f, []byte{7}, nil)
 	}
 	_, _, fills, _, res, _, _, _ := s.stats()
 	if fills != n || res != 1 {

@@ -114,37 +114,45 @@ func TestDeterministic(t *testing.T) {
 }
 
 // TestGoroutineCeiling asserts the point of the event-loop design: a
-// 2000-session fleet must run on a goroutine count bounded by a small
-// constant — O(cores + servers), independent of the session count. A
-// wall-clock sampler records the peak goroutine count over the whole
-// run (spawn ramp, steady state and teardown alike).
+// fleet must run on a goroutine count bounded by a small constant —
+// O(cores + servers), independent of the session count — on the origin
+// alone (2000-session megacrowd) and behind edge caches, whose handlers
+// wait for fills and whose backhaul fills run as connection machines
+// too (200-session coldedge and edgeflap). A wall-clock sampler records
+// the peak goroutine count over each whole run (spawn ramp, steady
+// state and teardown alike).
 func TestGoroutineCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2000-session run in -short mode")
 	}
-	var peak atomic.Int64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
-				peak.Store(n)
-			}
-			select {
-			case <-stop:
-				return
-			case <-time.After(time.Millisecond): //detlint:allow wallclock -- goroutine-count sampler polls in real time, outside the emulation
-			}
-		}
-	}()
-	runBuiltin(t, "megacrowd", 2000, 7)
-	close(stop)
-	<-done
 	const ceiling = 64
-	if p := peak.Load(); p > ceiling {
-		t.Fatalf("2000-session fleet peaked at %d goroutines, want <= %d", p, ceiling)
-	} else {
-		t.Logf("2000-session fleet peaked at %d goroutines", p)
+	for _, tc := range []struct {
+		name     string
+		sessions int
+	}{{"megacrowd", 2000}, {"coldedge", 200}, {"edgeflap", 200}} {
+		var peak atomic.Int64
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+					peak.Store(n)
+				}
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Millisecond): //detlint:allow wallclock -- goroutine-count sampler polls in real time, outside the emulation
+				}
+			}
+		}()
+		runBuiltin(t, tc.name, tc.sessions, 7)
+		close(stop)
+		<-done
+		if p := peak.Load(); p > ceiling {
+			t.Errorf("%d-session %s peaked at %d goroutines, want <= %d", tc.sessions, tc.name, p, ceiling)
+		} else {
+			t.Logf("%d-session %s peaked at %d goroutines", tc.sessions, tc.name, p)
+		}
 	}
 }

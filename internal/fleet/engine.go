@@ -234,9 +234,6 @@ func Run(_ context.Context, sc Scenario) (*Report, error) {
 	} else {
 		profile = msplayer.TestbedProfile(sc.Seed)
 	}
-	// Sessions are state machines, and the origin's eligible servers
-	// serve evented too, so the whole world stays O(cores) in goroutines.
-	profile.EventLoop = true
 	tb, err := msplayer.NewTestbed(profile)
 	if err != nil {
 		return nil, err
@@ -347,7 +344,7 @@ func Run(_ context.Context, sc Scenario) (*Report, error) {
 	}
 
 	// Every session has torn down its transports through the clock-visible
-	// conn abort protocol, so the origin's per-connection loops unwind at
+	// conn abort protocol, so the origin's connection machines finish at
 	// deterministic virtual instants. Join that drain barrier on the
 	// clock, then sample the per-server books exactly once: after a
 	// settled drain they are final and exact — no wall-clock quiescence

@@ -480,7 +480,8 @@ func (rq *evReq) onDial(c *netem.Conn, err error) {
 		return
 	}
 	pc := &evClientConn{t: rq.t, c: c, addr: rq.addr}
-	wake := func() { pc.t.loop.Do(pc.step) }
+	step := pc.step // bound once: a method value per wake would allocate
+	wake := func() { pc.t.loop.Do(step) }
 	c.OnReadable(wake)
 	c.OnWritable(wake)
 	rq.bind(pc)

@@ -5,50 +5,41 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"repro/internal/handshake"
 	"repro/internal/netem"
 )
 
-// Event-loop server engine.
+// Connection machine.
 //
-// The blocking engine parks one goroutine per connection; this engine
-// runs each connection as a netem.Timer-driven state machine on the
-// clock's jump goroutine, so a fleet-scale origin holds O(servers)
-// goroutines instead of O(connections). The machine replays exactly
-// the blocking loop's connection-level behaviour — the handshake
-// script's message boundaries and Δ₁/Δ₂ delay instants, the request
-// parse instant, the responseWriter's bufio flush boundaries, and the
-// request hooks' firing instants — so a scenario produces a
-// byte-identical timeline on either engine.
+// Each accepted connection runs as a netem.Timer-driven state machine
+// on the clock's jump goroutine, so a fleet-scale origin or edge tier
+// holds O(servers) goroutines instead of O(connections). The machine
+// reproduces the connection-level behaviour of a goroutine blocked in
+// net.Conn calls — the handshake script's message boundaries and Δ₁/Δ₂
+// delay instants, the request parse instant, bufio's flush boundaries,
+// and the request hooks' firing instants — byte for byte, as pinned by
+// testdata/server_timeline.txt, recorded from the
+// goroutine-per-connection engine this one replaced.
 //
 // Handlers run inline on the machine (at the request's parse instant)
 // against a staging writer that records the exact connection-level
 // write calls bufio would have issued; a TryWrite pump then replays
 // the records, preserving call boundaries (different boundaries would
 // mean different pacing segments and a different emulated timeline).
-// Handlers therefore MUST NOT park: no clock sleeps, no blocking I/O.
-// Origin handlers qualify exactly when their think-time knobs are off
-// (no WatchDelay, no Throttle); parking handlers stay on the blocking
-// engine.
+// Handlers therefore never park. One that must wait — Trickle pacing,
+// an edge cache fill — registers a continuation with After: the pump
+// runs it at the instant a blocking write of everything staged so far
+// would have returned, and holds back whatever is staged after it until
+// it resumes.
 
-// WithEventLoop serves netem connections as event-loop state machines
-// instead of parked per-connection goroutines. Handlers must not park
-// (see the package comment above); non-netem connections fall back to
-// the blocking engine.
-func WithEventLoop() ServerOption {
-	return func(s *Server) { s.evented = true }
-}
-
-// accPool recycles the per-connection input accumulation buffers of
-// the event engine (requests and handshake messages are small; chunk
-// bodies never flow toward the server).
+// accPool recycles the per-connection input accumulation buffers
+// (requests and handshake messages are small; chunk bodies never flow
+// toward the server).
 var accPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4<<10); return &b },
 }
@@ -57,16 +48,15 @@ const maxPooledAcc = 64 << 10
 
 // stagePool recycles the per-connection response-staging arenas (a
 // response head plus its non-stable body bytes; page payloads alias
-// stable views and cost the arena nothing). Evented conns are
-// short-lived at fleet scale, so allocating the ~20 KB head arena per
-// accept dominated the engine's allocation profile.
+// stable views and cost the arena nothing). Conns are short-lived at
+// fleet scale, so allocating the ~20 KB head arena per accept dominated
+// the server's allocation profile.
 var stagePool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4<<10); return &b },
 }
 
 // srvBrPool / srvBwPool recycle the per-connection bufio pair the
-// evented conn machine feeds http.ReadRequest and the responseWriter
-// from, mirroring the blocking path's reader pooling.
+// machine feeds http.ReadRequest and the responseWriter from.
 var srvBrPool = sync.Pool{
 	New: func() any { return bufio.NewReaderSize(nil, 4<<10) },
 }
@@ -103,7 +93,7 @@ type eventConn struct {
 
 	// Input accumulation: arrived bytes are copied out of their borrowed
 	// views immediately (server-bound traffic is headers and handshake
-	// messages, so the copy is what the blocking engine's bufio did too).
+	// messages, so the copy is what a blocking bufio reader did too).
 	acc  []byte
 	scan int // request-terminator search resumes here
 
@@ -126,6 +116,18 @@ type eventConn struct {
 	reqTotal int // acc bytes spanning the request (headers + body)
 	pendReq  *http.Request
 	pendKA   bool
+	ended    bool // the response's end is framed (responseWriter.finish)
+
+	// Continuations: waiting while one has run and not yet resumed;
+	// resume is the handle every continuation gets, built on first use.
+	waiting bool
+	resume  func()
+
+	// The first failed replay: the error, and the responseWriter's
+	// written/acked counts a blocking writer would have reported.
+	failErr     error
+	failWritten int64
+	failAcked   int64
 
 	stage      *stageWriter
 	rw         *responseWriter
@@ -136,10 +138,10 @@ type eventConn struct {
 	remoteAddr string
 }
 
-// serveConnEvent starts the state machine for one accepted connection.
-// Runs on the accept-loop goroutine and never parks; the machine lives
+// serveConn starts the state machine for one accepted connection. Runs
+// on the accept-loop goroutine and never parks; the machine lives
 // entirely in clock callbacks afterwards.
-func (s *Server) serveConnEvent(c *netem.Conn) {
+func (s *Server) serveConn(c *netem.Conn) {
 	ec := &eventConn{
 		s:          s,
 		c:          c,
@@ -155,12 +157,14 @@ func (s *Server) serveConnEvent(c *netem.Conn) {
 	ec.stage.rw = ec.rw
 	ec.br = srvBrPool.Get().(*bufio.Reader)
 	ec.br.Reset(&ec.hdrReader)
-	ec.delay = s.clock.NewTimer(func() {
-		ec.loop.Do(func() {
-			ec.delayDone = true
-			ec.advance()
-		})
-	})
+	// Steps are bound once per connection: a method value or closure
+	// built per wake would allocate on every readiness callback.
+	advance := ec.advance
+	delayed := func() {
+		ec.delayDone = true
+		ec.advance()
+	}
+	ec.delay = s.clock.NewTimer(func() { ec.loop.Do(delayed) })
 	if s.blackhole.Load() {
 		ec.state = evSwallow
 	} else {
@@ -168,7 +172,7 @@ func (s *Server) serveConnEvent(c *netem.Conn) {
 		ec.hsNeed = handshake.HeaderLen
 	}
 	ec.loop.Do(func() {
-		wake := func() { ec.loop.Do(ec.advance) }
+		wake := func() { ec.loop.Do(advance) }
 		c.OnWritable(wake)
 		c.OnReadable(wake)
 		ec.advance()
@@ -238,7 +242,8 @@ func (ec *eventConn) consume(n int) {
 
 // advance cranks the machine as far as current observable state
 // allows, re-arming (returning) when it must wait for an arrival, for
-// send-buffer space, or for a delay timer. Every wake funnels here.
+// send-buffer space, for a delay timer or for a continuation to
+// resume. Every wake funnels here.
 func (ec *eventConn) advance() {
 	for {
 		switch ec.state {
@@ -246,8 +251,8 @@ func (ec *eventConn) advance() {
 			return
 
 		case evSwallow:
-			// The blocking engine's swallow: read and discard forever,
-			// terminating only when the peer fails the connection.
+			// A blackholed connection reads and discards forever,
+			// terminating only when the peer fails it.
 			for {
 				view, err := ec.c.ReadBuf()
 				if err != nil {
@@ -283,7 +288,7 @@ func (ec *eventConn) advance() {
 			ec.consume(ec.hsNeed)
 			ec.hsNeed, ec.hsHdrOK = 0, false
 			// Processing delay before the response flight: the timer fires
-			// at the same instant the blocking engine's clock.Sleep ends
+			// at the instant a blocking server's clock.Sleep would end
 			// (synchronously when the delay is zero).
 			ec.state = evDelay
 			ec.delayDone = false
@@ -324,20 +329,22 @@ func (ec *eventConn) advance() {
 			}
 
 		case evPump:
-			done, err := ec.pumpResponse()
-			if !done {
+			if ec.waiting || !ec.pump() {
 				return
 			}
 			req := ec.pendReq
+			if req != nil && ec.failErr == nil && !ec.ended {
+				// The handler and its continuations are done: frame the
+				// body's end, as a blocking server does the instant its
+				// handler returns, and pump that too.
+				ec.ended = true
+				ec.pendKA = ec.rw.finish() && !req.Close
+				continue
+			}
 			ec.pendReq = nil
-			if err != nil {
-				// The replay failed exactly where the blocking engine's
-				// conn write would have: the record's written snapshot is
-				// the body-byte count the blocking responseWriter had
-				// framed when that call was issued, which is what its
-				// aborted reqDone would have reported.
+			if ec.failErr != nil {
 				if req != nil && ec.s.reqDone != nil {
-					ec.s.reqDone(req, ec.stage.recs[ec.pumpIdx].written, true)
+					ec.s.reqDone(req, ec.failWritten, true)
 				}
 				ec.finish()
 				return
@@ -349,6 +356,7 @@ func (ec *eventConn) advance() {
 				ec.finish()
 				return
 			}
+			ec.stage.reset()
 			ec.state = evRequest
 		}
 	}
@@ -386,8 +394,8 @@ func (ec *eventConn) readRequest() bool {
 			return false
 		}
 		if len(req.TransferEncoding) > 0 {
-			// Chunked request bodies never occur in this tree; the event
-			// engine does not reassemble them.
+			// Chunked request bodies never occur in this tree; the
+			// machine does not reassemble them.
 			ec.finish()
 			return false
 		}
@@ -399,8 +407,7 @@ func (ec *eventConn) readRequest() bool {
 	}
 	// A declared body is buffered before dispatch (the handler cannot
 	// park to wait for it); bodyless requests — all traffic in this
-	// tree — dispatch at the same instant the blocking ReadRequest
-	// returns.
+	// tree — dispatch at the instant the header terminator arrives.
 	ok, err := ec.fill(ec.reqTotal)
 	if err != nil {
 		ec.finish()
@@ -429,8 +436,8 @@ func (ec *eventConn) readRequest() bool {
 }
 
 // dispatch stages one response: the handler runs inline (at the
-// request parse instant, matching the blocking engine) against the
-// staging writer, and the machine transitions to the pump.
+// request parse instant) against the staging writer, and the machine
+// transitions to the pump.
 func (ec *eventConn) dispatch(req *http.Request) {
 	s := ec.s
 	w := ec.rw
@@ -439,117 +446,170 @@ func (ec *eventConn) dispatch(req *http.Request) {
 	if s.reqStart != nil {
 		s.reqStart(req)
 	}
-	panicked := false
-	func() {
-		defer func() {
-			if e := recover(); e != nil {
-				panicked = true
-				fmt.Fprintf(os.Stderr, "httpx: panic serving %v: %v\n%s",
-					ec.c.RemoteAddr(), e, debug.Stack())
-			}
-		}()
+	ec.pendReq, ec.pendKA, ec.ended = req, false, false
+	ec.failErr = nil
+	ec.run(func() {
 		s.h.ServeHTTP(w, req)
 		if req.Body != nil {
 			io.Copy(io.Discard, req.Body)
 			req.Body.Close()
 		}
-	}()
-	if panicked {
-		// As in the blocking engine, the conn dies but the calls the
-		// handler completed before panicking still reach the wire.
-		if s.reqDone != nil {
-			s.reqDone(req, w.written, true)
-		}
-		ec.pendReq = nil
-		ec.pendKA = false
-	} else {
-		ec.pendReq = req
-		ec.pendKA = w.finish() && !req.Close
-	}
+	})
 	ec.state = evPump
 	ec.pumpIdx, ec.pumpOff = 0, 0
 }
 
-// pumpResponse replays the staged connection-level calls through
-// TryWrite, preserving each call's boundary (segment sizes depend on
-// the remaining length of the call in progress). done=false means the
-// send buffer filled and the armed writable callback resumes the pump;
-// a non-nil err reports the replay failing at record pumpIdx.
-func (ec *eventConn) pumpResponse() (done bool, err error) {
-	recs := ec.stage.recs
-	for ec.pumpIdx < len(recs) {
-		rec := &recs[ec.pumpIdx]
-		for ec.pumpOff < len(rec.data) {
+// run calls a handler step — ServeHTTP or a continuation — containing
+// a panic to this connection, as net/http's server does: the request
+// is reported aborted and the conn dies, though the calls the handler
+// staged before panicking still reach the wire.
+func (ec *eventConn) run(step func()) {
+	defer func() {
+		if e := recover(); e != nil {
+			fmt.Fprintf(os.Stderr, "httpx: panic serving %v: %v\n%s", ec.c.RemoteAddr(), e, debug.Stack())
+			if ec.pendReq != nil && ec.s.reqDone != nil {
+				ec.s.reqDone(ec.pendReq, ec.rw.written, true)
+			}
+			ec.pendReq = nil
+			ec.pendKA = false
+			ec.waiting = false
+		}
+	}()
+	step()
+}
+
+// pump replays the staged calls through TryWrite, preserving each
+// call's boundary (segment sizes depend on the remaining length of the
+// call in progress), and runs continuations as it reaches them. It
+// returns false when it must wait: for send-buffer space (the armed
+// writable callback resumes it) or for a continuation to resume. After
+// a call fails, the calls behind it are dropped, but continuations
+// still run and see the failure.
+func (ec *eventConn) pump() bool {
+	for ec.pumpIdx < len(ec.stage.recs) {
+		rec := &ec.stage.recs[ec.pumpIdx]
+		if rec.cont != nil {
+			fn, n, err := rec.cont, rec.acked, ec.failErr
+			if err != nil {
+				n = ec.failAcked
+			}
+			if ec.resume == nil {
+				resumed := func() {
+					ec.waiting = false
+					ec.advance()
+				}
+				ec.resume = func() { ec.loop.Do(resumed) }
+			}
+			ec.pumpIdx++
+			ec.waiting = true
+			ec.run(func() { fn(n, err, ec.resume) })
+			if ec.waiting {
+				return false
+			}
+			continue
+		}
+		for ec.failErr == nil && ec.pumpOff < len(rec.data) {
 			var n int
-			var werr error
+			var err error
 			if rec.stable {
-				n, werr = ec.c.TryWriteStable(rec.data[ec.pumpOff:])
+				n, err = ec.c.TryWriteStable(rec.data[ec.pumpOff:])
 			} else {
-				n, werr = ec.c.TryWrite(rec.data[ec.pumpOff:])
+				n, err = ec.c.TryWrite(rec.data[ec.pumpOff:])
 			}
 			ec.pumpOff += n
-			if werr != nil {
-				return true, werr
-			}
-			if ec.pumpOff < len(rec.data) {
-				return false, nil
+			if err != nil {
+				// The replay failed where a blocking writer's conn write
+				// would have: the snapshots are what it would have counted.
+				ec.failErr = err
+				ec.failWritten = rec.written
+				ec.failAcked = rec.acked
+				if rec.direct {
+					ec.failAcked += int64(ec.pumpOff)
+				}
+			} else if ec.pumpOff < len(rec.data) {
+				return false
 			}
 		}
 		ec.pumpIdx++
 		ec.pumpOff = 0
 	}
-	return true, nil
+	return true
 }
 
-// stageRec is one recorded connection-level write call. written is the
-// responseWriter's framed-body count at the instant the call was
-// issued: when the replay of this record fails, that is exactly the
-// count the blocking engine's aborted reqDone would have reported
-// (body bytes are counted before the connection write they trigger,
-// and a stop-on-error handler issues no calls after the failing one).
+// After continues the response w is writing once every byte written to
+// it so far is on the wire — the instant a blocking Write of those
+// bytes would have returned. fn then runs in the connection's loop with
+// the body bytes the handler's writes have reported written and, when
+// the connection failed putting them on the wire, the error that cut
+// the response short: the count is then what the failing blocking
+// write would have returned, and nothing written afterwards is sent.
+// Writes the handler makes after calling After — synchronously, or
+// inside fn — go out only once fn has called resume, which it must do
+// exactly once, from any goroutine; until then the connection waits.
+// That is how a handler paces a body or waits for a cache fill without
+// parking. The response ends once the handler has returned and no
+// continuation is pending. w must be the ResponseWriter the Server
+// handed the handler.
+func After(w http.ResponseWriter, fn func(written int64, err error, resume func())) {
+	rw := w.(*responseWriter)
+	rw.conn.recs = append(rw.conn.recs, stageRec{cont: fn, acked: rw.written})
+}
+
+// stageRec is one recorded connection-level write call, or a
+// continuation (cont) registered by After. written and acked are the
+// responseWriter's counts when the call was issued: when the replay of
+// this record fails, written is the body-byte count a blocking
+// server's aborted reqDone would have reported (body bytes are counted
+// before the connection write they trigger, and a stop-on-error handler
+// issues no calls after the failing one), and acked — plus the accepted
+// prefix of a direct write — what the failing write would have
+// returned.
 type stageRec struct {
 	data    []byte
-	stable  bool
+	stable  bool // data aliases an immutable view (TryWriteStable)
+	direct  bool // a body write handed over whole rather than a buffer flush
 	written int64
+	acked   int64
+	cont    func(written int64, err error, resume func())
 }
 
-// stageWriter is the net.Conn the responseWriter writes into under the
-// event engine: it records every connection-level call — boundaries
-// preserved — for later replay. Non-stable bytes are copied into an
-// arena (bufio reuses its flush buffer immediately); stable views are
-// aliased, keeping the zero-copy path zero-copy.
+// stageWriter is the connection the responseWriter writes into: it
+// records every connection-level call — boundaries preserved — for the
+// pump to replay.
 type stageWriter struct {
 	rw    *responseWriter
 	arena []byte
 	recs  []stageRec
 }
 
+// reset empties the stage, dropping the records' references — stable
+// views and continuations — so an idle keep-alive connection pins no
+// page buffer its last response aliased.
 func (st *stageWriter) reset() {
 	st.arena = st.arena[:0]
+	clear(st.recs)
 	st.recs = st.recs[:0]
 }
 
+// Write records a flush of the responseWriter's buffer, copying it into
+// the arena: bufio reuses its buffer immediately.
 func (st *stageWriter) Write(p []byte) (int, error) {
-	off := len(st.arena)
-	st.arena = append(st.arena, p...)
-	st.recs = append(st.recs, stageRec{data: st.arena[off:len(st.arena):len(st.arena)],
-		written: st.rw.written})
+	st.record(p, false, false)
 	return len(p), nil
 }
 
-// WriteStable implements stableConnWriter, so the responseWriter's
-// zero-copy path stages aliases of the origin's immortal page-cache
-// views instead of copies.
-func (st *stageWriter) WriteStable(p []byte) (int, error) {
-	//detlint:allow borrowck -- the stage is a sanctioned delivery-chain tier like the netem pipe: the record aliases the stable view only until the pump hands it to TryWriteStable on the same connection
-	st.recs = append(st.recs, stageRec{data: p, stable: true, written: st.rw.written})
-	return len(p), nil
+// record stages one connection-level call. A stable p — an immutable
+// view of the origin's page cache or the edge's page store, handed down
+// whole from WriteStable — is aliased instead of copied, keeping the
+// zero-copy path zero-copy: the stage is a delivery-chain tier like the
+// netem pipe, and the record holds the view only until the pump hands
+// it to TryWriteStable on the same connection.
+func (st *stageWriter) record(p []byte, stable, direct bool) {
+	if !stable {
+		off := len(st.arena)
+		st.arena = append(st.arena, p...)
+		p = st.arena[off:len(st.arena):len(st.arena)]
+	}
+	st.recs = append(st.recs, stageRec{data: p, stable: stable, direct: direct,
+		written: st.rw.written, acked: st.rw.acked})
 }
-
-func (st *stageWriter) Read([]byte) (int, error)         { return 0, io.EOF }
-func (st *stageWriter) Close() error                     { return nil }
-func (st *stageWriter) LocalAddr() net.Addr              { return nil }
-func (st *stageWriter) RemoteAddr() net.Addr             { return nil }
-func (st *stageWriter) SetDeadline(time.Time) error      { return nil }
-func (st *stageWriter) SetReadDeadline(time.Time) error  { return nil }
-func (st *stageWriter) SetWriteDeadline(time.Time) error { return nil }

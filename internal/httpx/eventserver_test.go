@@ -19,21 +19,20 @@ import (
 	"repro/internal/netem"
 )
 
-// engineTrace runs a fixed client workload against a server on one
-// engine (blocking goroutines or the event loop) and returns a trace
-// of everything observable: client-side response content and
+// serverTrace runs a fixed client workload against a server and returns
+// a trace of everything observable: client-side response content and
 // completion instants, server-side request hook records, and the
-// abort/blackhole/drain milestones. The two engines must produce the
-// same multiset of records — same bytes, same virtual instants —
-// which is the cross-engine byte-identity contract the committed
+// abort/blackhole/drain milestones. It must equal, as a multiset — same
+// bytes, same virtual instants — the trace the goroutine-per-connection
+// engine produced, which is the byte-identity contract the committed
 // fleet reports rely on.
 //
 // The link is deliberately hostile: slow-start, jitter and loss (so
 // the per-direction rng draw order must match push for push), and a
 // small send buffer (so response pumps experience backpressure and
-// resume through OnWritable at the same instants the blocking writer
-// re-wakes from its cond).
-func engineTrace(t *testing.T, evented bool) []string {
+// resume through OnWritable at the same instants a blocking writer
+// re-woke from its cond).
+func serverTrace(t *testing.T) []string {
 	t.Helper()
 	clock := netem.NewVirtualClock()
 	defer clock.Stop()
@@ -99,17 +98,12 @@ func engineTrace(t *testing.T, evented bool) []string {
 		}
 	})
 
-	opts := []ServerOption{
-		WithRequestHooks(
-			func(r *http.Request) { record("reqStart %s %s", r.Method, r.URL.Path) },
-			func(r *http.Request, bodyBytes int64, aborted bool) {
-				record("reqDone %s %s bytes=%d aborted=%v", r.Method, r.URL.Path, bodyBytes, aborted)
-			}),
-	}
-	if evented {
-		opts = append(opts, WithEventLoop())
-	}
-	srv := Serve(clock, inner, mux, handshake.Params{Delta1: 4 * time.Millisecond, Delta2: 3 * time.Millisecond}, opts...)
+	hooks := WithRequestHooks(
+		func(r *http.Request) { record("reqStart %s %s", r.Method, r.URL.Path) },
+		func(r *http.Request, bodyBytes int64, aborted bool) {
+			record("reqDone %s %s bytes=%d aborted=%v", r.Method, r.URL.Path, bodyBytes, aborted)
+		})
+	srv := Serve(clock, inner, mux, handshake.Params{Delta1: 4 * time.Millisecond, Delta2: 3 * time.Millisecond}, hooks)
 	defer srv.Close()
 
 	lp := netem.LinkParams{
@@ -188,34 +182,32 @@ func engineTrace(t *testing.T, evented bool) []string {
 	return out
 }
 
-// TestEventServerMatchesBlockingTimeline is the cross-engine contract
-// test: the event-loop server must reproduce the blocking engine's
-// observable timeline byte for byte — response bytes, completion
-// instants, request hook instants, aborted-request byte attribution,
-// blackhole behaviour and drain — under slow-start, jitter, loss and
-// send-buffer backpressure. The reference is testdata/server_timeline.txt,
-// recorded from the goroutine-per-connection engine.
+// TestEventServerMatchesBlockingTimeline is the byte-identity contract:
+// the server must reproduce the observable timeline the blocking
+// goroutine-per-connection engine recorded in testdata/
+// server_timeline.txt before it was deleted — response bytes,
+// completion instants, request hook instants, aborted-request byte
+// attribution, blackhole behaviour and drain — under slow-start,
+// jitter, loss and send-buffer backpressure.
 func TestEventServerMatchesBlockingTimeline(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "server_timeline.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
-	for _, evented := range []bool{false, true} {
-		got := engineTrace(t, evented)
-		if len(got) != len(want) {
-			t.Fatalf("evented=%v: trace length %d, pinned %d\ngot: %v", evented, len(got), len(want), got)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("evented=%v trace[%d]:\n  pinned: %s\n  got:    %s", evented, i, want[i], got[i])
-			}
+	got := serverTrace(t)
+	if len(got) != len(want) {
+		t.Fatalf("trace length %d, pinned %d\ngot: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("trace[%d]:\n  pinned: %s\n  got:    %s", i, want[i], got[i])
 		}
 	}
 }
 
-// TestEventServerGoroutineFootprint verifies the point of the event
-// engine: connections held open against an evented server park no
+// TestEventServerGoroutineFootprint verifies the point of the
+// connection machine: connections held open against the server park no
 // per-connection goroutines.
 func TestEventServerGoroutineFootprint(t *testing.T) {
 	clock := netem.NewVirtualClock()
@@ -227,7 +219,7 @@ func TestEventServerGoroutineFootprint(t *testing.T) {
 	}
 	srv := Serve(clock, inner, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok")
-	}), handshake.Params{}, WithEventLoop())
+	}), handshake.Params{})
 	defer srv.Close()
 
 	lp := netem.LinkParams{Rate: netem.Mbps(50), Delay: time.Millisecond}
@@ -261,5 +253,116 @@ func TestEventServerGoroutineFootprint(t *testing.T) {
 	srv.mu.Unlock()
 	if active != conns {
 		t.Fatalf("active conns = %d, want %d", active, conns)
+	}
+}
+
+// TestAfterPacesAndReportsFailure pins the continuation contract. A
+// handler writes a body one 32 KB stride per continuation and resumes
+// each 100 ms late: every continuation must run once the strides before
+// it are on the wire, see the body bytes written so far, and hold back
+// the stride written after it until it resumes. When the client's
+// request deadline aborts the connection mid-body, the next
+// continuation must see the error and what the failing blocking write
+// would have reported, and the request must be booked aborted.
+func TestAfterPacesAndReportsFailure(t *testing.T) {
+	const stride, strides = 32 << 10, 8
+	body := make([]byte, stride*strides)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	type call struct {
+		at  time.Duration
+		n   int64
+		err error
+	}
+	run := func(deadline time.Duration) (calls []call, got int, ferr error, booked string) {
+		clock := netem.NewVirtualClock()
+		defer clock.Stop()
+		n := netem.NewNetwork(clock)
+		l, err := n.Listen("srv.test:443", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drv := clock.Register()
+		defer drv.Unregister()
+		epoch := clock.Now()
+		srv := Serve(clock, l, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.WriteHeader(http.StatusPartialContent)
+			var resume func()
+			pause := clock.NewTimer(func() { resume() })
+			i := 0
+			var next func(int64, error, func())
+			next = func(written int64, err error, r func()) {
+				calls = append(calls, call{clock.Now().Sub(epoch), written, err})
+				if err != nil || i == strides {
+					r()
+					return
+				}
+				w.(interface{ WriteStable([]byte) (int, error) }).WriteStable(body[i*stride : (i+1)*stride])
+				i++
+				After(w, next)
+				resume = r
+				pause.Schedule(clock.Now().Add(100 * time.Millisecond))
+			}
+			After(w, next)
+		}), handshake.Params{}, WithRequestHooks(nil, func(_ *http.Request, bytes int64, aborted bool) {
+			booked = fmt.Sprintf("bytes=%d aborted=%v", bytes, aborted)
+		}))
+		defer srv.Close()
+		lp := netem.LinkParams{Rate: netem.Mbps(20), Delay: 5 * time.Millisecond}
+		loop := netem.NewLoop()
+		et := NewEventTransport(n.NewInterface("cli", lp, lp), clock, loop)
+		et.SetRequestTimeout(deadline)
+		ferr = errors.New("fetch never completed")
+		loop.Do(func() {
+			et.GetRangeViews("http://srv.test:443/", 0, int64(len(body)-1), func(views [][]byte, release func(), err error) {
+				ferr = err
+				for _, v := range views {
+					got += len(v)
+				}
+				if err == nil {
+					release()
+				}
+				et.Shutdown(nil)
+			})
+		})
+		drv.SleepUntil(epoch.Add(time.Minute))
+		if !srv.Drain(drv) {
+			t.Fatal("drain did not settle")
+		}
+		return calls, got, ferr, booked
+	}
+
+	calls, got, err, booked := run(0)
+	if err != nil || got != len(body) {
+		t.Fatalf("paced fetch: %d bytes, err %v", got, err)
+	}
+	if len(calls) != strides+1 || booked != fmt.Sprintf("bytes=%d aborted=false", len(body)) {
+		t.Fatalf("paced fetch: %d continuations, booked %s", len(calls), booked)
+	}
+	for k, c := range calls {
+		if c.err != nil || c.n != int64(k*stride) {
+			t.Errorf("continuation %d saw written=%d err=%v, want %d", k, c.n, c.err, k*stride)
+		}
+		if k > 0 && c.at < calls[k-1].at+100*time.Millisecond {
+			t.Errorf("continuation %d ran at %v, under 100 ms after the one before (%v)", k, c.at, calls[k-1].at)
+		}
+	}
+
+	calls, _, err, booked = run(350 * time.Millisecond)
+	if !errors.Is(err, ErrRequestTimeout) {
+		t.Fatalf("deadline fetch err = %v, want the request deadline", err)
+	}
+	last := calls[len(calls)-1]
+	prev := calls[len(calls)-2]
+	if last.err == nil || prev.err != nil {
+		t.Fatalf("the failure must reach exactly the last continuation: %+v", calls)
+	}
+	if last.n < prev.n || last.n > prev.n+stride {
+		t.Errorf("failed continuation saw written=%d, want within the stride after %d", last.n, prev.n)
+	}
+	if booked != fmt.Sprintf("bytes=%d aborted=true", prev.n+stride) {
+		t.Errorf("booked %s, want the failing stride's end aborted", booked)
 	}
 }

@@ -1,25 +1,29 @@
 // Package httpx provides the HTTP plumbing MSPlayer uses on each path:
-// an http.Client bound to one emulated interface that completes the
-// secure-connection handshake inside its dialer, HTTP range-request
-// helpers, and an HTTP/1.1 server for the emulated origin.
+// an event-loop client (EventTransport) and a blocking http.Client
+// bound to one emulated interface, both completing the secure-connection
+// handshake before carrying requests, HTTP range-request helpers, and
+// an HTTP/1.1 server for the emulated origin and edge tiers.
 //
-// Both ends are built for the deterministic virtual clock: the client
-// Transport performs the whole round trip — dial, handshake, request
-// write, response and body reads — on the calling goroutine, and the
-// Server runs its accept loop and per-connection loops on goroutines
-// registered with the emulation clock. No goroutine in the HTTP path
-// ever parks outside the clock's waiter accounting, which is what lets
-// virtual time jump deterministically (net/http's Transport and Server
-// would park their internal goroutines on plain channels, invisible to
-// the clock). Connections are persistent, so each range request after
-// the first costs one request round trip, exactly as in the paper.
+// Everything is built for the deterministic virtual clock. The Server
+// runs one clock-registered accept goroutine and serves every
+// connection as a state machine stepped by clock callbacks
+// (eventserver.go): handlers run inline and never block, and a handler
+// that must wait continues through After. EventTransport runs each
+// request the same way on the caller's netem.Loop; the blocking
+// Transport performs the whole round trip on the calling goroutine.
+// Nothing in the HTTP path parks outside the clock's accounting, which
+// is what lets virtual time jump deterministically (net/http's
+// Transport and Server would park their internal goroutines on plain
+// channels, invisible to the clock). Connections are persistent, so
+// each range request after the first costs one request round trip,
+// exactly as in the paper.
 //
 // Teardown is deterministic end to end: Transport.Shutdown aborts every
 // connection through the netem conn abort protocol (a clock event at
 // one pinned virtual instant), the Server's request lifecycle hooks
 // (WithRequestHooks) attribute each request's bytes and Aborted
-// disposition on clock-registered goroutines, and Server.Drain joins
-// the per-connection loops on the clock. Per-request context
+// disposition in the connection machines' clock callbacks, and
+// Server.Drain joins the machines on the clock. Per-request context
 // cancellation remains available for callers outside the emulation's
 // timeline (an unregistered watcher aborts the conn mid-request), but a
 // deterministic teardown makes those watchers no-ops by scheduling its
@@ -57,9 +61,8 @@ func NewClient(iface *netem.Interface) *http.Client {
 const maxIdlePerHost = 4
 
 // brPool recycles the 16 KB buffered readers that sit on every
-// emulated connection (client response parsing and server request
-// parsing alike); at fleet scale these buffers dominated per-connection
-// setup allocations.
+// blocking client connection; at fleet scale these buffers dominated
+// per-connection setup allocations.
 var brPool = sync.Pool{
 	New: func() any { return bufio.NewReaderSize(nil, 16<<10) },
 }

@@ -120,15 +120,14 @@ func TestGetRangeInvalidRange(t *testing.T) {
 }
 
 func TestGetRangeContextCancel(t *testing.T) {
-	// A handler that never responds: the fetch can only end through
-	// cancellation. (With the deterministic virtual clock any finite
-	// emulated transfer completes in microseconds of wall time, so a
-	// wall-clock cancel can no longer race a normal download.)
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
+	// A handler that never responds — its continuation never resumes —
+	// so the fetch can only end through cancellation. (With the
+	// deterministic virtual clock any finite emulated transfer completes
+	// in microseconds of wall time, so a wall-clock cancel can no longer
+	// race a normal download.)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/hang", func(w http.ResponseWriter, r *http.Request) {
-		<-release
+		After(w, func(int64, error, func()) {})
 	})
 	iface := testServer(t, mux)
 	client := NewClient(iface)

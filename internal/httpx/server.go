@@ -4,10 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"os"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -16,26 +13,22 @@ import (
 	"repro/internal/netem"
 )
 
-// Server is a minimal HTTP/1.1 server for the emulated origin. Every
-// goroutine it spawns — the accept loop and one loop per connection —
-// is registered with the emulation clock (receiving its Participant
-// handle), and all their blocking (accepts, handshake processing
-// delays, request reads, paced response writes, handler think time) is
-// clock-visible, so the virtual clock can account for the whole server
+// Server is a minimal HTTP/1.1 server for the emulated origin and edge
+// tiers. One clock-registered goroutine runs the accept loop; every
+// accepted connection is an event-loop state machine (eventserver.go)
+// stepped by clock callbacks, so the handshake processing delays,
+// request reads, response writes and handler continuations are all
+// clock-visible and the virtual clock accounts for the whole server
 // side deterministically.
 type Server struct {
 	clock *netem.Clock
-	l     net.Listener
+	l     *netem.Listener
 	h     http.Handler
 	hs    handshake.Params
 
 	// Request lifecycle hooks, fixed before the accept loop starts.
 	reqStart func(*http.Request)
 	reqDone  func(req *http.Request, bodyBytes int64, aborted bool)
-
-	// evented serves netem connections as event-loop state machines
-	// instead of parked per-connection goroutines (WithEventLoop).
-	evented bool
 
 	// blackhole makes the server accept connections and read requests
 	// but never respond (a wedged-process fault). Checked both before
@@ -45,13 +38,13 @@ type Server struct {
 	// a pooled connection to it).
 	blackhole atomic.Bool
 
-	// Connection-loop accounting behind the Drain barrier. Conn loops
-	// are clock-registered goroutines, so their exits land at emulated
-	// instants; a drainer parked on cond therefore joins them on the
-	// clock, with no wall-clock polling.
+	// Connection accounting behind the Drain barrier. Machines finish in
+	// clock callbacks, so their exits land at emulated instants; a
+	// drainer parked on cond therefore joins them on the clock, with no
+	// wall-clock polling.
 	mu     sync.Mutex
 	cond   *netem.Cond
-	active int // running per-connection loops
+	active int // connection machines not yet finished
 }
 
 // ServerOption configures a Server at Serve time (the accept loop runs
@@ -64,9 +57,9 @@ type ServerOption func(*Server)
 // handler produced and whether the request was aborted — i.e. the
 // response never reached the client intact because a connection write
 // failed (teardown abort, interface loss, server kill) or the handler
-// panicked. Both fire on the clock-registered per-connection goroutine,
-// so under a deterministic teardown every accounting mutation lands at
-// a deterministic emulated instant. Either hook may be nil.
+// panicked. Both fire in the connection's clock callbacks, so under a
+// deterministic teardown every accounting mutation lands at a
+// deterministic emulated instant. Either hook may be nil.
 func WithRequestHooks(start func(*http.Request), done func(req *http.Request, bodyBytes int64, aborted bool)) ServerOption {
 	return func(s *Server) {
 		s.reqStart = start
@@ -74,10 +67,21 @@ func WithRequestHooks(start func(*http.Request), done func(req *http.Request, bo
 	}
 }
 
+// WithEventLoop is a no-op kept for callers that still select the
+// engine.
+//
+// Deprecated: every server runs on the event loop.
+func WithEventLoop() ServerOption { return func(*Server) {} }
+
 // Serve starts serving h on l, completing the emulated TLS-style
 // handshake (with processing delays hs) on every accepted connection
 // before reading requests. Close the returned server to stop.
-func Serve(clock *netem.Clock, l net.Listener, h http.Handler, hs handshake.Params, opts ...ServerOption) *Server {
+//
+// Handlers run inline in the connection's clock callbacks and must
+// never block: no clock sleeps, no Cond waits, no blocking I/O. A
+// handler that has to wait — for pacing, for a cache fill — stages what
+// it has written and continues through After.
+func Serve(clock *netem.Clock, l *netem.Listener, h http.Handler, hs handshake.Params, opts ...ServerOption) *Server {
 	s := &Server{clock: clock, l: l, h: h, hs: hs}
 	s.cond = netem.NewCond(clock, &s.mu)
 	for _, opt := range opts {
@@ -87,9 +91,8 @@ func Serve(clock *netem.Clock, l net.Listener, h http.Handler, hs handshake.Para
 	return s
 }
 
-// Close stops the accept loop and, when l is a netem Listener, aborts
-// established connections (ErrServerDown), which unblocks and terminates
-// the per-connection loops.
+// Close stops the accept loop and aborts established connections
+// (ErrServerDown), which terminates their machines.
 func (s *Server) Close() error { return s.l.Close() }
 
 // SetBlackhole switches the server's blackhole fault on or off. A
@@ -101,12 +104,12 @@ func (s *Server) Close() error { return s.l.Close() }
 // Safe to call from a netem.Timer callback: it only flips a flag.
 func (s *Server) SetBlackhole(on bool) { s.blackhole.Store(on) }
 
-// Drain parks the caller until every per-connection loop has unwound,
+// Drain parks the caller until every connection machine has finished,
 // waiting on the emulation clock (p may be nil for an unregistered
 // caller, which parks as a transient). The caller must guarantee no new
 // connections will arrive — every client is gone or shut down —
 // otherwise the drain chases a moving target. It returns false when the
-// clock stopped before the loops unwound. After a true return, all
+// clock stopped before the machines finished. After a true return, all
 // request accounting (WithRequestHooks done callbacks included) has
 // been published.
 func (s *Server) Drain(p *netem.Participant) bool {
@@ -120,151 +123,27 @@ func (s *Server) Drain(p *netem.Participant) bool {
 	return true
 }
 
-// Addr returns the listen address.
-func (s *Server) Addr() net.Addr { return s.l.Addr() }
-
-// participantAccepter is implemented by netem.Listener: accepting with
-// the loop's Participant parks O(1) instead of as a transient.
-type participantAccepter interface {
-	AcceptP(*netem.Participant) (net.Conn, error)
-}
-
-// participantBinder is implemented by netem.Conn.
-type participantBinder interface {
-	Bind(*netem.Participant)
-}
-
 func (s *Server) acceptLoop(p *netem.Participant) {
-	pl, _ := s.l.(participantAccepter)
 	for {
-		var c net.Conn
-		var err error
-		if pl != nil {
-			c, err = pl.AcceptP(p)
-		} else {
-			c, err = s.l.Accept()
-		}
+		c, err := s.l.AcceptP(p)
 		if err != nil {
 			return
 		}
-		conn := c
 		s.mu.Lock()
 		s.active++
 		s.mu.Unlock()
-		if s.evented {
-			if nc, ok := conn.(*netem.Conn); ok {
-				s.serveConnEvent(nc)
-				continue
-			}
-		}
-		s.clock.Go(func(cp *netem.Participant) { s.serveConn(cp, conn) })
+		s.serveConn(c.(*netem.Conn))
 	}
 }
 
-func (s *Server) serveConn(p *netem.Participant, c net.Conn) {
-	// The active decrement is the outermost defer: by the time a drainer
-	// observes active == 0, this loop's request accounting (including
-	// the panic path) has fully published.
-	defer func() {
-		s.mu.Lock()
-		s.active--
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}()
-	defer c.Close()
-	// Contain handler panics to this connection, as net/http's server
-	// does: the conn dies, the process (and the experiment) survives.
-	defer func() {
-		if e := recover(); e != nil {
-			fmt.Fprintf(os.Stderr, "httpx: panic serving %v: %v\n%s", c.RemoteAddr(), e, debug.Stack())
-		}
-	}()
-	if b, ok := c.(participantBinder); ok {
-		b.Bind(p)
-	}
-	if s.blackhole.Load() {
-		swallow(c)
-		return
-	}
-	if err := handshake.Server(c, p, s.hs); err != nil {
-		return
-	}
-	br := getReader(c)
-	defer putReader(br)
-	// One response writer — header map, write buffer and all — serves
-	// every keep-alive request on this connection; reset wipes the
-	// per-request state without surrendering the allocations.
-	w := &responseWriter{conn: c, part: p, header: make(http.Header, 8),
-		bw: bufio.NewWriterSize(c, 4<<10)}
-	remoteAddr := c.RemoteAddr().String()
-	for {
-		req, err := http.ReadRequest(br)
-		if err != nil {
-			return
-		}
-		req.RemoteAddr = remoteAddr
-		if s.blackhole.Load() {
-			swallow(br)
-			return
-		}
-		w.reset(req.Method == http.MethodHead)
-		if !s.serveRequest(w, req) || req.Close {
-			return
-		}
-	}
-}
-
-// swallow reads and discards from r until it errors, never responding:
-// the read parks on the clock like any other connection read, so a
-// blackholed connection stays wedged at emulated instants until the
-// peer aborts it.
-func swallow(r io.Reader) { io.Copy(io.Discard, r) }
-
-// serveRequest dispatches one request through the lifecycle hooks and
-// reports whether the connection can carry another. The done hook fires
-// on every path out; a request counts as aborted when its response did
-// not reach the client intact — a connection write failed (teardown
-// abort, interface loss, server kill) or the handler panicked (the
-// panic then continues into the conn-level recover). Retiring the
-// connection for framing reasons (Connection: close, close-delimited
-// body) is a clean completion.
-func (s *Server) serveRequest(w *responseWriter, req *http.Request) (keepAlive bool) {
-	if s.reqStart != nil {
-		s.reqStart(req)
-	}
-	completed := false
-	if s.reqDone != nil {
-		defer func() { s.reqDone(req, w.written, !completed) }()
-	}
-	s.h.ServeHTTP(w, req)
-	if req.Body != nil {
-		io.Copy(io.Discard, req.Body)
-		req.Body.Close()
-	}
-	keepAlive = w.finish()
-	completed = w.err == nil
-	return keepAlive
-}
-
-// ConnParticipant returns the clock Participant of the server
-// connection behind w, or nil when w is not an httpx response writer.
-// Handlers run on the per-connection goroutine, so emulated think time
-// and pacing they charge must park through this handle.
-func ConnParticipant(w http.ResponseWriter) *netem.Participant {
-	if rw, ok := w.(*responseWriter); ok {
-		return rw.part
-	}
-	return nil
-}
-
-// responseWriter streams a response over the emulated connection so the
-// handler's write pattern (and any pacing it applies) reaches the link
-// shaper unbuffered beyond a small coalescing window. Bodies without a
+// responseWriter frames a response into the connection machine's stage
+// (eventserver.go), which pumps the recorded connection-level calls
+// onto the link, so the handler's write pattern reaches the link shaper
+// unbuffered beyond a small coalescing window. Bodies without a
 // declared Content-Length use chunked transfer encoding to keep the
 // connection reusable.
 type responseWriter struct {
-	conn        net.Conn
-	part        *netem.Participant
+	conn        *stageWriter
 	bw          *bufio.Writer
 	header      http.Header
 	isHead      bool
@@ -274,7 +153,11 @@ type responseWriter struct {
 	hasCL       bool
 	declaredCL  int64 // parsed Content-Length when hasCL
 	written     int64 // body bytes actually framed
-	err         error // first connection write/flush failure, if any
+	// acked is what the handler's writes would have reported written,
+	// in total, had the connection call being staged failed: the prefix
+	// of the write in progress already in the buffer counts, as it does
+	// in bufio's return value. Between writes it equals written.
+	acked int64
 }
 
 // reset clears per-request state for the next keep-alive request,
@@ -289,7 +172,7 @@ func (w *responseWriter) reset(isHead bool) {
 	w.hasCL = false
 	w.declaredCL = 0
 	w.written = 0
-	w.err = nil
+	w.acked = 0
 }
 
 // Header implements http.ResponseWriter.
@@ -341,44 +224,20 @@ func (w *responseWriter) Write(b []byte) (int, error) {
 	}
 	w.written += int64(len(b))
 	if w.chunked {
-		if _, err := fmt.Fprintf(w.bw, "%x\r\n", len(b)); err != nil {
-			return 0, w.fail(err)
-		}
-		n, err := w.bw.Write(b)
-		if err != nil {
-			return n, w.fail(err)
-		}
-		if _, err := io.WriteString(w.bw, "\r\n"); err != nil {
-			return n, w.fail(err)
-		}
-		return n, nil
+		fmt.Fprintf(w.bw, "%x\r\n", len(b))
+		w.body(b, false)
+		io.WriteString(w.bw, "\r\n")
+	} else {
+		w.body(b, false)
 	}
-	n, err := w.bw.Write(b)
-	if err != nil {
-		return n, w.fail(err)
-	}
-	return n, nil
-}
-
-// stableConnWriter is implemented by netem.Conn: a write whose buffer
-// is immutable and immortal may be aliased into delivery segments
-// instead of copied.
-type stableConnWriter interface {
-	WriteStable(p []byte) (int, error)
+	return len(b), nil
 }
 
 // WriteStable is Write for body bytes that are immutable and outlive
-// the response (borrowed views of the origin's content page cache).
-// On a Content-Length-framed response over a netem conn the bulk of
-// the bytes bypasses both the coalescing buffer and the pipe's segment
-// copy; otherwise it degrades to Write.
-//
-// The connection sees the exact write-call sequence bufio would have
-// produced — fill a partial buffer, flush it, direct-write a remainder
-// only when it exceeds the buffer, re-buffer a short tail — because
-// the pipe truncates its final pacing segment to each call's length:
-// different call boundaries would mean different segment sizes and a
-// different emulated timeline.
+// the response (borrowed views of the origin's content page cache or
+// the edge's page store). On a Content-Length-framed response the bulk
+// of the bytes bypasses both the coalescing buffer and the pipe's
+// segment copy; otherwise it degrades to Write.
 func (w *responseWriter) WriteStable(b []byte) (int, error) {
 	if !w.wroteHeader {
 		w.WriteHeader(http.StatusOK)
@@ -386,49 +245,41 @@ func (w *responseWriter) WriteStable(b []byte) (int, error) {
 	if len(b) == 0 || w.isHead || !bodyAllowed(w.status) {
 		return len(b), nil
 	}
-	sc, ok := w.conn.(stableConnWriter)
-	if !ok || w.chunked {
+	if w.chunked {
 		return w.Write(b)
 	}
 	w.written += int64(len(b))
-	size := w.bw.Available() + w.bw.Buffered()
-	total := 0
-	for len(b) > w.bw.Available() {
-		if w.bw.Buffered() == 0 && len(b) >= size {
-			n, err := sc.WriteStable(b)
-			total += n
-			b = b[n:]
-			if err != nil {
-				return total, w.fail(err)
-			}
-			continue
-		}
-		k := w.bw.Available()
-		if _, err := w.bw.Write(b[:k]); err != nil {
-			return total, w.fail(err)
-		}
-		total += k
-		b = b[k:]
-		if err := w.bw.Flush(); err != nil {
-			return total, w.fail(err)
-		}
-	}
-	if len(b) > 0 {
-		if _, err := w.bw.Write(b); err != nil {
-			return total, w.fail(err)
-		}
-		total += len(b)
-	}
-	return total, nil
+	w.body(b, true)
+	return len(b), nil
 }
 
-// fail records the first connection write failure (the request's abort
-// disposition) and returns err for the caller to propagate.
-func (w *responseWriter) fail(err error) error {
-	if w.err == nil {
-		w.err = err
+// body stages b, already counted into written, with the exact
+// connection-level call sequence bufio.Writer.Write produces — fill a
+// partial buffer, flush it, hand a remainder larger than the buffer
+// straight to the connection, re-buffer a short tail — because the
+// pipe truncates its final pacing segment to each call's length:
+// different call boundaries would mean different segment sizes and a
+// different emulated timeline. A stable remainder goes out as an alias
+// of b instead of a copy. Before each staged call, acked is set to what
+// bufio would have returned had that call failed.
+func (w *responseWriter) body(b []byte, stable bool) {
+	for len(b) > w.bw.Available() {
+		w.acked = w.written - int64(len(b))
+		if w.bw.Buffered() == 0 {
+			w.conn.record(b, stable, true)
+			b = nil
+			break
+		}
+		k := w.bw.Available()
+		w.bw.Write(b[:k])
+		b = b[k:]
+		w.acked += int64(k)
+		w.bw.Flush()
 	}
-	return err
+	if len(b) > 0 {
+		w.bw.Write(b)
+	}
+	w.acked = w.written
 }
 
 // copyBufPool recycles the scratch buffers ReadFrom streams bodies
@@ -472,10 +323,7 @@ func (w *responseWriter) finish() bool {
 	if w.chunked {
 		io.WriteString(w.bw, "0\r\n\r\n")
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.fail(err)
-		return false
-	}
+	w.bw.Flush()
 	if w.header.Get("Connection") == "close" {
 		return false
 	}

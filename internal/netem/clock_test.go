@@ -2,10 +2,40 @@ package netem
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
+
+// goAll starts each fn as a clock participant and returns a func that
+// waits for them all to return. Virtual time is held until every one
+// of them is registered: spawned one at a time from the unregistered
+// test goroutine, an early participant could otherwise park and let
+// the clock jump before a later one exists, and the schedule would
+// depend on the Go scheduler.
+func goAll(c *Clock, fns ...func(*Participant)) (wait func()) {
+	var wg sync.WaitGroup
+	wg.Add(len(fns))
+	c.Hold()
+	for _, fn := range fns {
+		fn := fn
+		c.Go(func(p *Participant) {
+			defer wg.Done()
+			fn(p)
+		})
+	}
+	c.Release()
+	return wg.Wait
+}
+
+// waitParked spins until n participants are parked on c, so a test can
+// act on parked waiters without a wall-clock sleep.
+func waitParked(c *Clock, n int64) {
+	for c.idle.Load() < n {
+		runtime.Gosched()
+	}
+}
 
 func TestVirtualClockAdvancesToDeadline(t *testing.T) {
 	c := NewVirtualClock()
@@ -28,23 +58,19 @@ func TestVirtualClockOrdersConcurrentSleepers(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []int
-	var wg sync.WaitGroup
 	base := c.Now()
-	delays := []time.Duration{300 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
-	for i, d := range delays {
+	var sleepers []func(*Participant)
+	for i, d := range []time.Duration{300 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond} {
 		i, d := i, d
-		wg.Add(1)
-		// Clock.Go registers each sleeper before any of them can park,
-		// so no deadline fires until all three are asleep.
-		c.Go(func(p *Participant) {
-			defer wg.Done()
+		sleepers = append(sleepers, func(p *Participant) {
 			p.SleepUntil(base.Add(d))
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
 		})
 	}
-	wg.Wait()
+	// No deadline fires until all three are asleep.
+	goAll(c, sleepers...)()
 	want := []int{1, 2, 0} // by ascending deadline
 	for i := range want {
 		if order[i] != want[i] {
@@ -83,12 +109,16 @@ func TestScaledClockCompressesSleep(t *testing.T) {
 
 func TestClockStopWakesSleepers(t *testing.T) {
 	c := NewVirtualClock()
+	// The registered driver pins virtual time, so only Stop can end the
+	// hour-long sleep.
+	drv := c.Register()
+	defer drv.Unregister()
 	done := make(chan struct{})
 	c.Go(func(p *Participant) {
 		p.SleepUntil(c.Now().Add(time.Hour))
 		close(done)
 	})
-	time.Sleep(5 * time.Millisecond) //detlint:allow wallclock -- real sleep lets goroutines park before asserting waiter accounting
+	waitParked(c, 1)
 	c.Stop()
 	select {
 	case <-done:
@@ -145,15 +175,10 @@ func TestVirtualClockWaitsForActiveParticipants(t *testing.T) {
 	release := make(chan struct{})
 	parked := make(chan struct{})
 	var wake time.Time
-	var wg sync.WaitGroup
-	wg.Add(2)
-	c.Go(func(p *Participant) {
-		defer wg.Done()
+	wait := goAll(c, func(p *Participant) {
 		p.Sleep(50 * time.Millisecond)
 		wake = c.Now()
-	})
-	c.Go(func(*Participant) {
-		defer wg.Done()
+	}, func(*Participant) {
 		close(parked)
 		<-release // deliberately invisible: holds the clock still
 	})
@@ -164,7 +189,7 @@ func TestVirtualClockWaitsForActiveParticipants(t *testing.T) {
 		t.Fatalf("clock advanced %v while a participant was runnable", got)
 	}
 	close(release)
-	wg.Wait()
+	wait()
 	if got := wake.Sub(c.base); got != 50*time.Millisecond {
 		t.Fatalf("sleeper woke at +%v, want +50ms", got)
 	}
@@ -180,12 +205,10 @@ func TestVirtualClockDeterministicTimestamps(t *testing.T) {
 		defer c.Stop()
 		var mu sync.Mutex
 		var wakes []time.Duration
-		var wg sync.WaitGroup
+		var sleepers []func(*Participant)
 		for g := 0; g < 4; g++ {
 			g := g
-			wg.Add(1)
-			c.Go(func(p *Participant) {
-				defer wg.Done()
+			sleepers = append(sleepers, func(p *Participant) {
 				rng := rand.New(rand.NewSource(int64(g) + 1))
 				for i := 0; i < 25; i++ {
 					p.Sleep(time.Duration(rng.Intn(5000)+1) * time.Microsecond)
@@ -195,7 +218,7 @@ func TestVirtualClockDeterministicTimestamps(t *testing.T) {
 				}
 			})
 		}
-		wg.Wait()
+		goAll(c, sleepers...)()
 		return wakes
 	}
 	a, b := run(), run()
@@ -270,7 +293,7 @@ func TestCondWaitReleasedByStop(t *testing.T) {
 		mu.Unlock()
 		done <- ok
 	})
-	time.Sleep(5 * time.Millisecond) //detlint:allow wallclock -- real sleep lets goroutines park before asserting waiter accounting
+	waitParked(c, 1)
 	c.Stop()
 	select {
 	case ok := <-done:
@@ -302,10 +325,7 @@ func TestCondSignalTransfersCredit(t *testing.T) {
 	ready := false
 	var consumedAt time.Time
 	var producedAt time.Time
-	var wg sync.WaitGroup
-	wg.Add(2)
-	c.Go(func(p *Participant) {
-		defer wg.Done()
+	goAll(c, func(p *Participant) {
 		mu.Lock()
 		for !ready {
 			cond.Wait(p)
@@ -313,9 +333,7 @@ func TestCondSignalTransfersCredit(t *testing.T) {
 		mu.Unlock()
 		consumedAt = c.Now()
 		p.Sleep(time.Millisecond)
-	})
-	c.Go(func(p *Participant) {
-		defer wg.Done()
+	}, func(p *Participant) {
 		p.Sleep(10 * time.Millisecond)
 		mu.Lock()
 		ready = true
@@ -326,8 +344,7 @@ func TestCondSignalTransfersCredit(t *testing.T) {
 		// consumer will set: if the signal failed to transfer credit,
 		// the clock could jump here before the consumer reads Now.
 		p.Sleep(time.Microsecond)
-	})
-	wg.Wait()
+	})()
 	if !consumedAt.Equal(producedAt) {
 		t.Fatalf("consumer observed %v, producer signalled at %v",
 			consumedAt.Sub(c.base), producedAt.Sub(c.base))

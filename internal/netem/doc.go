@@ -118,15 +118,16 @@
 // (cross-engine parity 5, goroutine-engine same-seed chaos double runs
 // 4, goroutine-engine fault goldens 4, teardown churn 1). The layers
 // both engines shared were not at fault: the same suite with every
-// session on event-loop machines — still against goroutine-served
-// throttled origins and goroutine-served edge handlers, which park on
-// Cond exactly as before — is byte-identical at GOMAXPROCS 1, 2 and 4
-// and under -race. The rule that follows: state that two same-instant
-// actors both mutate must be driven from one ordered context. A
-// session's machines are steps of one Loop, parked paths are re-polled
-// in the order they parked, and every readiness or timer callback that
-// feeds them fires in (deadline, seq) order, so same-instant order is a
-// function of virtual time too.
+// session on event-loop machines — then still against goroutine-served
+// throttled origins and edge handlers parking on Cond — was
+// byte-identical at GOMAXPROCS 1, 2 and 4 and under -race. The rule
+// that follows: state that two same-instant actors both mutate must be
+// driven from one ordered context. A session's machines are steps of
+// one Loop, parked paths are re-polled in the order they parked, and
+// every readiness or timer callback that feeds them fires in (deadline,
+// seq) order, so same-instant order is a function of virtual time too.
+// The servers have since followed: every connection is a machine, and
+// an edge's single-flight waiters resume in the order they parked.
 //
 // Clock.Stop is the out-of-band big hammer for ending an emulation from outside
 // emulated time: it wakes every parked waiter and freezes Now() at the
@@ -134,8 +135,8 @@
 // stable time instead of a wall clock that keeps running.
 //
 // Consumers build drain barriers on these semantics: httpx.Server
-// counts its per-connection loops and Server.Drain parks a caller (via
-// Cond) until they unwind, origin.Cluster.Drain chains that across
+// counts its connection machines and Server.Drain parks a caller (via
+// Cond) until they finish, origin.Cluster.Drain chains that across
 // every server, and the fleet engine joins that barrier on the clock
 // after its sessions finish, then samples the per-origin books exactly
 // once — final, settled, and bit-identical per seed, with no wall-clock
@@ -265,10 +266,12 @@
 //     callback enqueues the next step. Between callbacks a machine
 //     occupies no goroutine and the clock sees only its timers.
 //
-// core.RunEvented is the consumer: every MSPlayer session (bootstrap,
-// multi-path fetch loops, failover backoff, playout gate) is one such
-// machine; the blocking API remains for goroutine-served handlers, the
-// edge backhaul and the reference tests the machines are pinned to.
+// core.RunEvented and httpx.Server are the consumers: every MSPlayer
+// session (bootstrap, multi-path fetch loops, failover backoff, playout
+// gate) is one such machine, and so is every server connection —
+// origin, throttled origin and edge alike, with an edge's backhaul fills
+// on httpx.EventTransport. The blocking API remains for the blocking
+// httpx.Transport (examples/youtube) and the reference tests.
 //
 // Internally the participant/idle counters are atomics and the jump
 // mutex guards only the jump loop itself; wake tokens are delivered

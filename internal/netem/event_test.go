@@ -53,20 +53,28 @@ func TestEventReadMatchesBlockingRead(t *testing.T) {
 		defer clock.Stop()
 		client, server := Pipe(clock, params, params, "c", "s")
 		start := clock.Now()
-		clock.Go(func(p *Participant) {
+		writer := func(p *Participant) {
 			server.Bind(p)
 			if _, err := server.Write(payload); err != nil {
 				t.Errorf("write: %v", err)
 			}
 			server.Close()
-		})
+		}
 		if !evented {
 			var buf bytes.Buffer
-			if _, err := io.Copy(&buf, client); err != nil {
+			var err error
+			var end time.Time
+			goAll(clock, writer, func(p *Participant) {
+				client.Bind(p)
+				_, err = io.Copy(&buf, client)
+				end = clock.Now()
+			})()
+			if err != nil {
 				t.Fatalf("blocking read: %v", err)
 			}
-			return buf.Bytes(), clock.Now().Sub(start)
+			return buf.Bytes(), end.Sub(start)
 		}
+		clock.Go(writer)
 		received, termErr, doneAt := drainEvented(client)
 		clock.SleepUntil(start.Add(time.Hour))
 		if !errors.Is(*termErr, io.EOF) {

@@ -149,10 +149,19 @@ func TestHTTPOverNetem(t *testing.T) {
 	l, _ := n.Listen("web.test:80", 0)
 	defer l.Close()
 
+	// net/http's goroutines are invisible to the clock, so a jump could
+	// land between two of the handler's conn writes. Holding virtual time
+	// while the handler puts the whole response on the wire (it fits the
+	// send buffer, and the declared length leaves nothing to write after
+	// the handler returns) keeps the response one push.
 	mux := http.NewServeMux()
 	payload := make([]byte, 200<<10)
 	mux.HandleFunc("/blob", func(w http.ResponseWriter, r *http.Request) {
+		clock.Hold()
+		defer clock.Release()
+		w.Header().Set("Content-Length", fmt.Sprint(len(payload)))
 		w.Write(payload)
+		w.(http.Flusher).Flush()
 	})
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(l)
@@ -161,7 +170,10 @@ func TestHTTPOverNetem(t *testing.T) {
 	iface := n.NewInterface("wifi",
 		LinkParams{Rate: Mbps(8), Delay: 25 * time.Millisecond},
 		LinkParams{Rate: Mbps(8), Delay: 25 * time.Millisecond})
-	client := &http.Client{Transport: &http.Transport{DialContext: iface.DialContext}}
+	// One connection per host: the second request must wait for the first
+	// conn to return to the pool (net/http does that on a goroutine, in
+	// wall time) rather than race it with a fresh dial.
+	client := &http.Client{Transport: &http.Transport{DialContext: iface.DialContext, MaxConnsPerHost: 1}}
 
 	start := clock.Now()
 	resp, err := client.Get("http://web.test/blob")

@@ -12,28 +12,36 @@ import (
 )
 
 // transferTime sends size bytes through a fresh pipe with the given params
-// and returns the emulated duration from first write to full read.
+// and returns the emulated duration from first write to full read. Both
+// ends run as clock participants, so every instant between their parks
+// is pinned and the duration is a pure function of the link.
 func transferTime(t *testing.T, size int, p LinkParams) time.Duration {
 	t.Helper()
 	clock := NewVirtualClock()
 	defer clock.Stop()
 	client, server := Pipe(clock, p, p, "c", "s")
 	start := clock.Now()
-	go func() {
-		buf := make([]byte, size)
-		if _, err := server.Write(buf); err != nil {
+	var n int64
+	var err error
+	var end time.Time
+	goAll(clock, func(wp *Participant) {
+		server.Bind(wp)
+		if _, err := server.Write(make([]byte, size)); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		server.Close()
-	}()
-	n, err := io.Copy(io.Discard, client)
+	}, func(rp *Participant) {
+		client.Bind(rp)
+		n, err = io.Copy(io.Discard, client)
+		end = clock.Now()
+	})()
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if int(n) != size {
 		t.Fatalf("read %d bytes, want %d", n, size)
 	}
-	return clock.Now().Sub(start)
+	return end.Sub(start)
 }
 
 func TestPipeTransferTimeMatchesRatePlusDelay(t *testing.T) {

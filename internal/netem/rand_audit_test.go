@@ -67,9 +67,13 @@ func TestPipeJitterPerInstanceSeed(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	var twin1, twin2, noise run
+	// Hold virtual time until all six ends exist, so no pipe starts
+	// ahead of another.
+	clock.Hold()
 	drive(1234, &twin1, &wg)
 	drive(9999, &noise, &wg)
 	drive(1234, &twin2, &wg)
+	clock.Release()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {

@@ -38,8 +38,6 @@ type ClusterConfig struct {
 	// video servers alike, as the paper assumes the proxy is close to
 	// the video server.
 	ServerDelay time.Duration
-	// WatchDelay is the per-watch-request processing time at the proxy.
-	WatchDelay time.Duration
 	// TokenTTL overrides the one-hour default token validity.
 	TokenTTL time.Duration
 	// Throttle optionally enables Trickle-style pacing on video servers.
@@ -52,13 +50,9 @@ type ClusterConfig struct {
 	// Loads/Drain/Close merge the shard books back into deployment
 	// order, so reports are byte-identical for any shard count.
 	Shards int
-	// EventLoop serves connections as event-loop state machines instead
-	// of parked per-connection goroutines (httpx.WithEventLoop) on every
-	// server whose handlers never park: web proxies when WatchDelay is
-	// zero and video servers when Throttle is nil. Parking handlers keep
-	// the blocking engine — the event engine runs handlers inline in
-	// clock callbacks, which must not park. The engines are
-	// wire-identical, so reports do not change with this knob.
+	// EventLoop has no effect.
+	//
+	// Deprecated: every server runs on the event loop.
 	EventLoop bool
 }
 
@@ -104,7 +98,6 @@ type Cluster struct {
 	byNet    map[string][]string     // network -> deployed video server addrs; immutable after Deploy
 	handlers map[string]http.Handler // addr -> handler, for Restart; immutable after Deploy
 	networks map[string]string       // addr -> network, for Restart; immutable after Deploy
-	evented  map[string]bool         // addr -> serve on the event-loop engine; immutable after Deploy
 }
 
 // clusterShard owns a subset of the cluster's instances: their liveness
@@ -124,10 +117,10 @@ type serverInstance struct {
 }
 
 // serverLoad is the per-server request accounting behind Cluster.Loads.
-// Mutations ride the httpx request lifecycle hooks, which fire on the
-// server's clock-registered per-connection goroutines: under the
-// deterministic teardown pipeline every increment and decrement lands
-// at a deterministic emulated instant, so totals (and the Aborted
+// Mutations ride the httpx request lifecycle hooks, which fire in the
+// server's connection-machine clock callbacks: under the deterministic
+// teardown pipeline every increment and decrement lands at a
+// deterministic emulated instant, so totals (and the Aborted
 // disposition) are exact per seed once the cluster has drained.
 type serverLoad struct {
 	mu       sync.Mutex
@@ -196,7 +189,6 @@ func Deploy(n *netem.Network, cfg ClusterConfig) (*Cluster, error) {
 		byNet:    make(map[string][]string),
 		handlers: make(map[string]http.Handler),
 		networks: make(map[string]string),
-		evented:  make(map[string]bool),
 	}
 	for i := range c.shards {
 		c.shards[i] = &clusterShard{servers: make(map[string]*serverInstance)}
@@ -212,14 +204,14 @@ func Deploy(n *netem.Network, cfg ClusterConfig) (*Cluster, error) {
 
 		network := network // capture
 		proxy := NewWebProxy(network, cfg.Catalog, func() []string { return c.liveReplicas(network) },
-			cfg.Secret, cfg.TokenTTL, n.Clock(), cfg.WatchDelay)
-		if err := c.start(proxyAddr, network, proxy.Handler(), cfg.EventLoop && cfg.WatchDelay == 0); err != nil {
+			cfg.Secret, cfg.TokenTTL, n.Clock())
+		if err := c.start(proxyAddr, network, proxy.Handler()); err != nil {
 			c.Close()
 			return nil, err
 		}
 		for _, addr := range replicas {
 			vs := NewVideoServer(addr, network, cfg.Catalog, cfg.Secret, n.Clock(), cfg.Throttle)
-			if err := c.start(addr, network, vs.Handler(), cfg.EventLoop && cfg.Throttle == nil); err != nil {
+			if err := c.start(addr, network, vs.Handler()); err != nil {
 				c.Close()
 				return nil, err
 			}
@@ -258,7 +250,7 @@ func (c *Cluster) snapshot() []*serverInstance {
 	return insts
 }
 
-func (c *Cluster) start(addr, network string, h http.Handler, evented bool) error {
+func (c *Cluster) start(addr, network string, h http.Handler) error {
 	inner, err := c.net.Listen(addr, c.cfg.ServerDelay)
 	if err != nil {
 		return fmt.Errorf("origin: listen %s: %w", addr, err)
@@ -268,21 +260,16 @@ func (c *Cluster) start(addr, network string, h http.Handler, evented bool) erro
 	c.deployed++
 	c.handlers[addr] = h
 	c.networks[addr] = network
-	c.evented[addr] = evented
 	c.deployMu.Unlock()
 	// httpx.Serve runs the whole server side — handshake processing,
-	// request reads, response writes — on clock-registered goroutines,
-	// keeping the virtual clock's waiter accounting exact. The request
-	// lifecycle hooks feed the instance's load accounting (including
-	// the Aborted disposition and body byte attribution), so per-server
-	// utilisation is observable (Cluster.Loads) and exact under
-	// population-scale concurrent fleets. With evented, the same server
-	// side runs as per-connection state machines on the event loop.
-	opts := []httpx.ServerOption{httpx.WithRequestHooks(inst.load.start, inst.load.done)}
-	if evented {
-		opts = append(opts, httpx.WithEventLoop())
-	}
-	inst.srv = httpx.Serve(c.net.Clock(), inner, h, c.cfg.Handshake, opts...)
+	// request reads, response writes, Trickle pauses — as clock-driven
+	// connection machines, keeping the virtual clock's accounting exact.
+	// The request lifecycle hooks feed the instance's load accounting
+	// (including the Aborted disposition and body byte attribution), so
+	// per-server utilisation is observable (Cluster.Loads) and exact
+	// under population-scale concurrent fleets.
+	inst.srv = httpx.Serve(c.net.Clock(), inner, h, c.cfg.Handshake,
+		httpx.WithRequestHooks(inst.load.start, inst.load.done))
 	sh := c.shardFor(addr)
 	sh.mu.Lock()
 	sh.servers[addr] = inst
@@ -313,8 +300,8 @@ func (c *Cluster) Loads() []ServerLoad {
 	return out
 }
 
-// Drain parks the caller until every server's per-connection loops have
-// unwound, joining them on the emulation clock (p may be nil to park as
+// Drain parks the caller until every server's connection machines have
+// finished, joining them on the emulation clock (p may be nil to park as
 // a transient). Call it after every client is gone or shut down — e.g.
 // after a fleet's sessions have torn down their transports — and before
 // sampling Loads: a true return guarantees InFlight is zero everywhere
@@ -406,7 +393,6 @@ func (c *Cluster) Restart(addr string) error {
 	c.deployMu.Lock()
 	h, ok := c.handlers[addr]
 	network := c.networks[addr]
-	evented := c.evented[addr]
 	c.deployMu.Unlock()
 	if !ok {
 		return fmt.Errorf("origin: server %q was never deployed", addr)
@@ -418,7 +404,7 @@ func (c *Cluster) Restart(addr string) error {
 	if live {
 		return fmt.Errorf("origin: server %q is already running", addr)
 	}
-	return c.start(addr, network, h, evented)
+	return c.start(addr, network, h)
 }
 
 // Alive reports whether the server at addr is currently live (deployed

@@ -82,7 +82,6 @@ func (s *VideoServer) handlePlayback(w http.ResponseWriter, r *http.Request) {
 	content := v.Content(f)
 	if s.throttle != nil {
 		w = &pacedWriter{ResponseWriter: w, clock: s.clock,
-			part:  httpx.ConnParticipant(w),
 			burst: s.throttle.BurstBytes,
 			rate:  s.throttle.RateFactor * f.BytesPerSecond()}
 	}
@@ -204,16 +203,19 @@ func parsePlainRange(s string) (from, to int64, ok bool) {
 	return from, to, true
 }
 
-// pacedWriter implements the Trickle pacing on top of a ResponseWriter.
-// Pacing sleeps run on the server's per-connection goroutine and park
-// through its clock handle when one is available.
+// pacedWriter implements the Trickle pacing on top of an httpx
+// ResponseWriter. A write past the burst goes out d after everything
+// written before it is on the wire — the pause a pacing server sleeps —
+// through an httpx.After continuation that a netem.Timer resumes; the
+// handler itself keeps writing synchronously.
 type pacedWriter struct {
 	http.ResponseWriter
-	clock *netem.Clock
-	part  *netem.Participant
-	burst int64
-	rate  float64 // bytes/sec after the burst
-	sent  int64
+	clock  *netem.Clock
+	burst  int64
+	rate   float64 // bytes/sec after the burst
+	sent   int64
+	timer  *netem.Timer // ends the pending pause
+	resume func()       // the pending pause's continuation
 }
 
 func (p *pacedWriter) Write(b []byte) (int, error) {
@@ -239,12 +241,19 @@ func (p *pacedWriter) WriteStable(b []byte) (int, error) {
 }
 
 func (p *pacedWriter) pace(n int) {
-	if p.sent >= p.burst && p.rate > 0 {
-		d := time.Duration(float64(n) / p.rate * float64(time.Second))
-		if p.part != nil {
-			p.part.Sleep(d)
-		} else {
-			p.clock.Sleep(d)
-		}
+	if p.sent < p.burst || p.rate <= 0 {
+		return
 	}
+	d := time.Duration(float64(n) / p.rate * float64(time.Second))
+	httpx.After(p.ResponseWriter, func(_ int64, err error, resume func()) {
+		if err != nil {
+			resume() // the connection failed: nothing left to pace
+			return
+		}
+		if p.timer == nil {
+			p.timer = p.clock.NewTimer(func() { p.resume() })
+		}
+		p.resume = resume
+		p.timer.Schedule(p.clock.Now().Add(d))
+	})
 }

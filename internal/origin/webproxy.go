@@ -13,7 +13,6 @@ import (
 	"net/url"
 	"time"
 
-	"repro/internal/httpx"
 	"repro/internal/netem"
 	"repro/internal/videostore"
 )
@@ -57,22 +56,18 @@ type WebProxy struct {
 	secret   []byte
 	tokenTTL time.Duration
 	clock    *netem.Clock
-	// ProcessDelay is extra request-handling time charged per watch
-	// request (JSON assembly, signature encoding), separate from the
-	// handshake Δ terms.
-	processDelay time.Duration
 }
 
 // NewWebProxy builds a web proxy for one access network. servers must
 // return the current replica list (first entry preferred).
 func NewWebProxy(network string, catalog *videostore.Catalog, servers func() []string,
-	secret []byte, ttl time.Duration, clock *netem.Clock, processDelay time.Duration) *WebProxy {
+	secret []byte, ttl time.Duration, clock *netem.Clock) *WebProxy {
 	if ttl <= 0 {
 		ttl = TokenTTL
 	}
 	return &WebProxy{
 		network: network, catalog: catalog, servers: servers,
-		secret: secret, tokenTTL: ttl, clock: clock, processDelay: processDelay,
+		secret: secret, tokenTTL: ttl, clock: clock,
 	}
 }
 
@@ -90,15 +85,6 @@ func (p *WebProxy) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
-	}
-	if p.processDelay > 0 {
-		// Handlers run on the server's per-connection goroutine; charge
-		// the think time through its clock handle when available.
-		if cp := httpx.ConnParticipant(w); cp != nil {
-			cp.Sleep(p.processDelay)
-		} else {
-			p.clock.Sleep(p.processDelay)
-		}
 	}
 	expire := p.clock.Now().Add(p.tokenTTL)
 	info := VideoInfo{

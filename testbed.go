@@ -73,11 +73,9 @@ type Profile struct {
 	// Real-time runs sleep for wall-clock time (divided by the scale)
 	// and are therefore subject to OS timer granularity.
 	RealTimeScale float64
-	// EventLoop serves the origin cluster's eligible servers as
-	// event-loop state machines instead of parked per-connection
-	// goroutines (see origin.ClusterConfig.EventLoop). Wire-identical to
-	// goroutine-served origins; fleet runs set it to keep the whole
-	// world O(cores) in goroutines.
+	// EventLoop has no effect.
+	//
+	// Deprecated: every server runs on the event loop.
 	EventLoop bool
 }
 
@@ -168,7 +166,6 @@ func NewTestbed(p Profile) (*Testbed, error) {
 		Handshake:          p.Handshake,
 		ServerDelay:        p.ServerDelay,
 		Throttle:           p.Throttle,
-		EventLoop:          p.EventLoop,
 	})
 	if err != nil {
 		clock.Stop()
@@ -299,8 +296,8 @@ func (tb *Testbed) sessionStarted() {
 	}
 }
 
-// Drain parks the caller until the origin cluster's per-connection
-// loops have unwound, joining them on the emulation clock (p may be nil
+// Drain parks the caller until the origin cluster's connection
+// machines have finished, joining them on the emulation clock (p may be nil
 // to park as a transient). Call it after every session has completed —
 // session teardown aborts its connections at deterministic virtual
 // instants, so the server side unwinds on the clock too — and before
