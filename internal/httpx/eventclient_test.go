@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	neturl "net/url"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -364,17 +366,24 @@ func clientEngineTrace(t *testing.T, evented bool) []string {
 // cross-engine contract: the event-loop transport must reproduce the
 // blocking Transport's observable timeline byte for byte — response
 // sums, pooling reuse, retry-once, deadline aborts, shutdown aborts —
-// under slow-start, jitter, loss and send-buffer backpressure.
+// under slow-start, jitter, loss and send-buffer backpressure. The
+// reference is testdata/client_timeline.txt, recorded from the blocking
+// Transport.
 func TestEventClientMatchesBlockingTimeline(t *testing.T) {
-	blocking := clientEngineTrace(t, false)
-	eventloop := clientEngineTrace(t, true)
-	if len(blocking) != len(eventloop) {
-		t.Fatalf("trace lengths differ: blocking %d, eventloop %d\nblocking: %v\neventloop: %v",
-			len(blocking), len(eventloop), blocking, eventloop)
+	golden, err := os.ReadFile(filepath.Join("testdata", "client_timeline.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range blocking {
-		if blocking[i] != eventloop[i] {
-			t.Errorf("trace[%d]:\n  blocking:  %s\n  eventloop: %s", i, blocking[i], eventloop[i])
+	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	for _, evented := range []bool{false, true} {
+		got := clientEngineTrace(t, evented)
+		if len(got) != len(want) {
+			t.Fatalf("evented=%v: trace length %d, pinned %d\ngot: %v", evented, len(got), len(want), got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("evented=%v trace[%d]:\n  pinned: %s\n  got:    %s", evented, i, want[i], got[i])
+			}
 		}
 	}
 }
