@@ -8,7 +8,9 @@
 //
 // Unlike the emulated deployment, this binary serves both roles from
 // one listener and uses plain HTTP (no handshake emulation) — it exists
-// to make the wire protocol inspectable, not to measure timing.
+// to make the wire protocol inspectable, not to measure timing. Its
+// clock is a virtual clock that never advances, so every token is
+// stamped at, and verified against, the emulation epoch.
 package main
 
 import (
@@ -28,7 +30,7 @@ func main() {
 	network := flag.String("network", "local", "network name embedded in tokens")
 	flag.Parse()
 
-	clock := netem.NewScaledClock(1) // real time
+	clock := netem.NewVirtualClock()
 	defer clock.Stop()
 	catalog := videostore.DefaultCatalog()
 	secret := []byte("msplayer-local-origin")

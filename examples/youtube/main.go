@@ -8,12 +8,12 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
+	"sync"
 
 	"repro"
 	"repro/internal/httpx"
@@ -33,6 +33,45 @@ func main() {
 		fmt.Printf("[%8.3fs] %s\n", clock.Now().Sub(t0).Seconds(), fmt.Sprintf(format, args...))
 	}
 
+	// This goroutine is the walkthrough's driver, registered with the
+	// emulation clock the way Player.Run registers a session's: each
+	// request runs as a step of a private event loop while the driver
+	// parks on a Cond, so virtual time advances only while it waits.
+	driver := clock.Register()
+	defer driver.Unregister()
+	loop := netem.NewLoop()
+	var mu sync.Mutex
+	cond := netem.NewCond(clock, &mu)
+	await := func(issue func(done func())) {
+		finished := false
+		loop.Do(func() {
+			issue(func() {
+				mu.Lock()
+				finished = true
+				cond.Broadcast()
+				mu.Unlock()
+			})
+		})
+		mu.Lock()
+		for !finished && cond.Wait(driver) {
+		}
+		mu.Unlock()
+	}
+	getRange := func(et *httpx.EventTransport, url string, from, to int64) (n int, err error) {
+		await(func(done func()) {
+			et.GetRangeViews(url, from, to, func(views [][]byte, release func(), rerr error) {
+				for _, v := range views {
+					n += len(v)
+				}
+				if err = rerr; err == nil {
+					release()
+				}
+				done()
+			})
+		})
+		return n, err
+	}
+
 	for _, iface := range []*netem.Interface{tb.WiFi(), tb.LTE()} {
 		network := iface.Name()
 		stamp("--- path %q ---", network)
@@ -45,27 +84,38 @@ func main() {
 		stamp("dns(%s) %s -> %v", network, origin.WebProxyName, proxies)
 
 		// 2. Secure watch request: TCP + emulated TLS + GET /watch.
-		client := httpx.NewClient(iface)
-		resp, err := client.Get(fmt.Sprintf("http://%s/watch?v=qjT4T2gU9sM", proxies[0]))
+		et := httpx.NewEventTransport(iface, clock, loop)
+		var (
+			status int
+			body   []byte
+		)
+		await(func(done func()) {
+			et.Get(fmt.Sprintf("http://%s/watch?v=qjT4T2gU9sM", proxies[0]), func(s int, b []byte, gerr error) {
+				status, body, err = s, b, gerr
+				done()
+			})
+		})
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("watch: status %d", status)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
 		var info origin.VideoInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		if err := json.Unmarshal(body, &info); err != nil {
 			log.Fatal(err)
 		}
-		resp.Body.Close()
 		stamp("JSON decoded: %q by %s, %ds long, %d formats, servers %v, token %.16s...",
 			info.Title, info.Author, info.LengthSeconds, len(info.Formats),
 			info.VideoServers, info.Token)
 
 		// 3. Synthesize the videoplayback URL and fetch the first chunk.
 		url := info.PlaybackURL(info.VideoServers[0], 22)
-		body, err := httpx.GetRange(context.Background(), client, url, 0, 256<<10-1)
+		n, err := getRange(et, url, 0, 256<<10-1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		stamp("first 256 KB chunk fetched (%d bytes) from %s", len(body), info.VideoServers[0])
+		stamp("first 256 KB chunk fetched (%d bytes) from %s", n, info.VideoServers[0])
 
 		// 4. Tokens are network-bound: replaying this one on the other
 		// network's replica is rejected.
@@ -75,7 +125,8 @@ func main() {
 		}
 		otherServers, _ := tb.Cluster().Resolver().Lookup(other.Name(), origin.VideoServersName)
 		crossURL := info.PlaybackURL(otherServers[0], 22)
-		_, err = httpx.GetRange(context.Background(), httpx.NewClient(other), crossURL, 0, 1023)
+		cross := httpx.NewEventTransport(other, clock, loop)
+		_, err = getRange(cross, crossURL, 0, 1023)
 		var se *httpx.StatusError
 		if errors.As(err, &se) && se.Code == http.StatusForbidden {
 			stamp("cross-network token replay correctly rejected (403)")
@@ -84,7 +135,10 @@ func main() {
 		} else {
 			stamp("WARNING: cross-network token replay was accepted")
 		}
-		client.CloseIdleConnections()
+		loop.Do(func() {
+			et.Shutdown(nil)
+			cross.Shutdown(nil)
+		})
 	}
 	fmt.Println("\nthe per-path bootstrap above is exactly what the player automates;")
 	fmt.Println("note the WiFi path finishing every step ahead of LTE (the head start).")

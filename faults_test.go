@@ -49,7 +49,9 @@ func TestServerKillRestartReprobed(t *testing.T) {
 	if wifi.Rebootstraps == 0 {
 		t.Error("expected at least one rebootstrap after exhausting the replica list")
 	}
-	if !tb.Drain(nil) {
+	drv := tb.Clock().Register()
+	defer drv.Unregister()
+	if !tb.Drain(drv) {
 		t.Fatal("origin books did not settle")
 	}
 	var rows, restartedReqs int

@@ -13,8 +13,9 @@ import (
 // at a later instant than the same-seed run where the scheduler was
 // faster.
 //
-// _test.go files are exempt: test goroutines ride the transient
-// participant shims, which doc.go explicitly permits for casual use.
+// _test.go files are exempt: tests spawn helpers around the emulation
+// (watchdogs, late registrations, result collectors) whose scheduling
+// is not part of any pinned result.
 // The handful of intentional bare spawns (Clock.Go's own implementation,
 // event relays that originate outside emulated time) carry
 // //detlint:allow baredgo directives.

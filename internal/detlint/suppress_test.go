@@ -55,7 +55,12 @@ func TestParseDirective(t *testing.T) {
 // chunk-manager tests needed. 60 → 57 when the goroutine server went:
 // the stage's stable-view alias lost its WriteStable name (borrowck),
 // and two clock tests wait for parked waiters instead of sleeping.
-const wantSuppressions = 57
+// 57 → 32 when the blocking client, the transient clock parks and
+// scaled real time went: the client's context watcher and map ranges,
+// the scaled clock's wall anchors, timers and goroutine, the scaled
+// clock tests, and the real sleeps that let unregistered goroutines
+// park (registered tests wait for parked waiters instead).
+const wantSuppressions = 32
 
 // TestTreeCleanAndSuppressionCount runs the full suite over the whole
 // module, exactly as the CI detlint step does: zero unsuppressed

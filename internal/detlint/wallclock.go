@@ -25,8 +25,8 @@ var wallclockForbidden = map[string]bool{
 // netem.Clock (Participant.Sleep/SleepUntil, Clock.Now, netem.Timer).
 // One time.Sleep in a registered goroutine wedges the waiter accounting;
 // one time.Now leaks machine time into reports. Code that measures wall
-// time on purpose (benchmark harnesses, the scaled-real-time clock mode
-// itself) carries a //detlint:allow wallclock directive naming why.
+// time on purpose (benchmark harnesses, test watchdogs) carries a
+// //detlint:allow wallclock directive naming why.
 var WallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
 	Doc:  "forbid wall-clock time functions; emulation timing must go through netem.Clock (netem/doc.go rule 1)",

@@ -280,7 +280,7 @@ func (e *Cache) Stats() Stats {
 }
 
 // Drain parks the caller until the edge's connection machines have
-// finished (p may be nil to park as a transient), in deploy order.
+// finished, parking the registered caller p, in deploy order.
 // After a true return the books are final.
 func (e *Cache) Drain(p *netem.Participant) bool {
 	e.mu.Lock()

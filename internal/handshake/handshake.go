@@ -54,8 +54,9 @@ var msgSize = map[byte]int{
 	msgFinished:          260,
 }
 
-// Sleeper is the subset of the netem clock used by the server side to
-// charge processing delays.
+// Sleeper is the serving goroutine's clock handle (a
+// *netem.Participant), used by the server side to charge processing
+// delays.
 type Sleeper interface {
 	Sleep(d time.Duration)
 }
@@ -164,8 +165,8 @@ func Client(conn net.Conn) error {
 }
 
 // Server runs the server side of the exchange on conn, charging Δ₁ and
-// Δ₂ of processing time through clock.
-func Server(conn net.Conn, clock Sleeper, p Params) error {
+// Δ₂ of processing time through sp.
+func Server(conn net.Conn, sp Sleeper, p Params) error {
 	if err := readMsg(conn, msgClientHello); err != nil {
 		return err
 	}
@@ -175,14 +176,14 @@ func Server(conn net.Conn, clock Sleeper, p Params) error {
 	if err := readMsg(conn, msgCertificateReq); err != nil {
 		return err
 	}
-	clock.Sleep(p.Delta1)
+	sp.Sleep(p.Delta1)
 	if err := writeMsg(conn, msgCertificate); err != nil {
 		return err
 	}
 	if err := readMsg(conn, msgClientKeyExchange); err != nil {
 		return err
 	}
-	clock.Sleep(p.Delta2)
+	sp.Sleep(p.Delta2)
 	return writeMsg(conn, msgFinished)
 }
 

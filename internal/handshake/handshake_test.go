@@ -42,14 +42,17 @@ func TestMeasuredEtaMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	drv := clock.Register()
+	defer drv.Unregister()
 	p := Params{Delta1: 4 * time.Millisecond, Delta2: 3 * time.Millisecond}
-	go func() {
-		c, err := inner.Accept()
+	clock.Go(func(sp *netem.Participant) {
+		c, err := inner.AcceptP(sp)
 		if err != nil {
 			return
 		}
-		Server(c, clock, p)
-	}()
+		c.(*netem.Conn).Bind(sp)
+		Server(c, sp, p)
+	})
 
 	delay := 25 * time.Millisecond // one-way; RTT = 50 ms
 	iface := n.NewInterface("wifi",
@@ -57,7 +60,7 @@ func TestMeasuredEtaMatchesClosedForm(t *testing.T) {
 		netem.LinkParams{Rate: netem.Mbps(20), Delay: delay})
 
 	start := clock.Now()
-	conn, err := iface.DialContext(context.Background(), "tcp", "proxy.test:443")
+	conn, err := iface.Dial(context.Background(), "proxy.test:443", drv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +86,14 @@ func TestServerRejectsGarbage(t *testing.T) {
 		netem.LinkParams{Rate: netem.Mbps(10), Delay: time.Millisecond},
 		"c", "s")
 	errCh := make(chan error, 1)
-	go func() { errCh <- Server(server, clock, Params{}) }()
-	client.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
+	clock.Go(func(sp *netem.Participant) {
+		server.Bind(sp)
+		errCh <- Server(server, sp, Params{})
+	})
+	clock.Go(func(cp *netem.Participant) {
+		client.Bind(cp)
+		client.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
+	})
 	select {
 	case err := <-errCh:
 		if err == nil {

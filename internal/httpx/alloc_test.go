@@ -1,57 +1,48 @@
 package httpx
 
 import (
-	"context"
-	"net/http"
+	"fmt"
 	"testing"
-	"time"
-
-	"repro/internal/netem"
 )
 
 // TestKeepAliveRequestAllocs guards the keep-alive request path: with
-// pooled connection readers, per-connection response-writer reuse
-// (header map, write buffer) and pooled chunk body buffers, a steady
-// keep-alive range request must stay within a bounded allocation
-// budget. The bound covers the irreducible net/http request/response
-// parsing allocations plus slack; regressions that reintroduce
-// per-request buffer allocations (bufio readers, header maps, body
-// copies) blow well past it.
+// pooled head buffers, request staging buffers and borrowed body views,
+// a steady keep-alive range request — client machine and server
+// machine together — must stay within a bounded allocation budget.
+// Regressions that reintroduce per-request copies (body buffers, head
+// maps, per-wake closures) blow well past it.
 func TestKeepAliveRequestAllocs(t *testing.T) {
 	blob := make([]byte, 256<<10)
 	iface := testServer(t, blobHandler(blob))
-	clock := iface.Network().Clock()
-
-	result := make(chan float64, 1)
-	clock.Go(func(cp *netem.Participant) {
-		tr := NewTransport(iface)
-		tr.Bind(cp)
-		client := &http.Client{Transport: tr}
-		defer client.CloseIdleConnections()
-		buf := make([]byte, 64<<10)
+	var avg float64
+	runDriver(t, iface, func(d *driver) error {
+		const size = 64 << 10
+		var ferr error
 		fetch := func() {
-			body, err := GetRangeBuf(context.Background(), client,
-				"http://srv.test:443/blob", 0, int64(len(buf))-1, buf)
-			if err != nil {
-				t.Errorf("range: %v", err)
-				return
-			}
-			if len(body) != len(buf) {
-				t.Errorf("got %d bytes", len(body))
-			}
+			d.await(func(finish func()) {
+				d.et.GetRangeViews("http://srv.test:443/blob", 0, size-1, func(views [][]byte, release func(), err error) {
+					n := 0
+					for _, v := range views {
+						n += len(v)
+					}
+					if err == nil {
+						release()
+						if n != size {
+							err = fmt.Errorf("got %d bytes", n)
+						}
+					}
+					ferr = err
+					finish()
+				})
+			})
 		}
 		fetch() // dial + handshake + warm pools outside the measurement
-		result <- testing.AllocsPerRun(20, fetch)
+		avg = testing.AllocsPerRun(20, fetch)
+		return ferr
 	})
-	select {
-	case avg := <-result:
-		// net/http's ReadResponse/Request.Write machinery costs ~60
-		// allocations per round trip and is outside our control; the
-		// emulation layers on top must add almost nothing.
-		if avg > 150 {
-			t.Fatalf("keep-alive request allocates %.0f times per request, want <= 150", avg)
-		}
-	case <-time.After(30 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("request loop did not finish")
+	// Measured at 44 allocations per request (Go 1.24, linux/amd64),
+	// client and server machines together, http.ServeContent included.
+	if avg > 60 {
+		t.Fatalf("keep-alive request allocates %.0f times per request, want <= 60", avg)
 	}
 }

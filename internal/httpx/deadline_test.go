@@ -1,8 +1,8 @@
 package httpx
 
 import (
-	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -28,22 +28,6 @@ func blackholeHarness(t *testing.T, h http.Handler) (*netem.Clock, *netem.Interf
 	return clock, n.NewInterface("wifi", lp, lp), srv
 }
 
-// runOnClock runs fn on a clock-registered goroutine and waits for it,
-// with a wall-clock watchdog against emulator deadlock.
-func runOnClock(t *testing.T, clock *netem.Clock, fn func(*netem.Participant) error) {
-	t.Helper()
-	done := make(chan error, 1)
-	clock.Go(func(p *netem.Participant) { done <- fn(p) })
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("clock goroutine did not finish (wedged session?)")
-	}
-}
-
 // TestDeadlineCutsBlackholedFreshDial pins the deadline instant for the
 // worst blackhole case: the server accepts the fresh dial and then
 // never answers the handshake, so without the deadline the client would
@@ -54,14 +38,10 @@ func TestDeadlineCutsBlackholedFreshDial(t *testing.T) {
 	clock, iface, srv := blackholeHarness(t, blobHandler(blob))
 	srv.SetBlackhole(true)
 
-	tr := NewTransport(iface)
-	tr.SetRequestTimeout(time.Second)
-	client := &http.Client{Transport: tr}
-
-	runOnClock(t, clock, func(p *netem.Participant) error {
-		tr.Bind(p)
+	runDriver(t, iface, func(d *driver) error {
+		d.et.SetRequestTimeout(time.Second)
 		start := clock.Now()
-		_, err := GetRange(context.Background(), client, "http://srv.test:443/blob", 0, 1023)
+		_, err := d.getRange("http://srv.test:443/blob", 0, 1023)
 		if !errors.Is(err, ErrRequestTimeout) {
 			t.Errorf("err = %v, want ErrRequestTimeout", err)
 		}
@@ -71,7 +51,7 @@ func TestDeadlineCutsBlackholedFreshDial(t *testing.T) {
 
 		// Recovery: un-blackhole and the same transport serves again.
 		srv.SetBlackhole(false)
-		if _, err := GetRange(context.Background(), client, "http://srv.test:443/blob", 0, 1023); err != nil {
+		if _, err := d.getRange("http://srv.test:443/blob", 0, 1023); err != nil {
 			t.Errorf("request after recovery failed: %v", err)
 		}
 		return nil
@@ -81,25 +61,21 @@ func TestDeadlineCutsBlackholedFreshDial(t *testing.T) {
 // TestDeadlineCutsBlackholedReusedConn pins the instant for the
 // mid-stream blackhole: the first request warms a pooled conn, then the
 // server wedges. The reused-conn attempt times out after one budget,
-// RoundTrip retries once on a fresh dial (as for any reused-conn
+// the transport retries once on a fresh dial (as for any reused-conn
 // failure) under a fresh deadline, and that dial is blackholed too — so
 // the call fails at exactly 2 × timeout, deterministically.
 func TestDeadlineCutsBlackholedReusedConn(t *testing.T) {
 	blob := make([]byte, 256<<10)
 	clock, iface, srv := blackholeHarness(t, blobHandler(blob))
 
-	tr := NewTransport(iface)
-	tr.SetRequestTimeout(time.Second)
-	client := &http.Client{Transport: tr}
-
-	runOnClock(t, clock, func(p *netem.Participant) error {
-		tr.Bind(p)
-		if _, err := GetRange(context.Background(), client, "http://srv.test:443/blob", 0, 1023); err != nil {
+	runDriver(t, iface, func(d *driver) error {
+		d.et.SetRequestTimeout(time.Second)
+		if _, err := d.getRange("http://srv.test:443/blob", 0, 1023); err != nil {
 			return err
 		}
 		srv.SetBlackhole(true)
 		start := clock.Now()
-		_, err := GetRange(context.Background(), client, "http://srv.test:443/blob", 1024, 2047)
+		_, err := d.getRange("http://srv.test:443/blob", 1024, 2047)
 		if !errors.Is(err, ErrRequestTimeout) {
 			t.Errorf("err = %v, want ErrRequestTimeout", err)
 		}
@@ -118,26 +94,30 @@ func TestDeadlineLeavesFastRequestsAlone(t *testing.T) {
 	for i := range blob {
 		blob[i] = byte(i * 13)
 	}
-	clock, iface, _ := blackholeHarness(t, blobHandler(blob))
+	remotes := map[string]bool{}
+	h := blobHandler(blob)
+	_, iface, _ := blackholeHarness(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		remotes[r.RemoteAddr] = true
+		h.ServeHTTP(w, r)
+	}))
 
-	tr := NewTransport(iface)
-	tr.SetRequestTimeout(10 * time.Second)
-	client := &http.Client{Transport: tr}
-
-	runOnClock(t, clock, func(p *netem.Participant) error {
-		tr.Bind(p)
+	runDriver(t, iface, func(d *driver) error {
+		d.et.SetRequestTimeout(10 * time.Second)
 		for i := 0; i < 20; i++ {
 			from := int64(i * 1024)
-			got, err := GetRange(context.Background(), client, "http://srv.test:443/blob", from, from+1023)
+			got, err := d.getRange("http://srv.test:443/blob", from, from+1023)
 			if err != nil {
 				return err
 			}
 			for j, b := range got {
 				if b != blob[from+int64(j)] {
-					t.Fatalf("request %d byte %d mismatch", i, j)
+					return fmt.Errorf("request %d byte %d mismatch", i, j)
 				}
 			}
 		}
 		return nil
 	})
+	if len(remotes) != 1 {
+		t.Fatalf("requests used %d connections, want 1 (the pooled conn)", len(remotes))
+	}
 }

@@ -15,28 +15,30 @@ import (
 
 // Event-loop client engine.
 //
-// The blocking Transport parks one goroutine per in-flight request;
 // EventTransport runs each request as a netem completion-API state
 // machine on the session's event loop, so a fleet-scale population
-// holds O(cores) goroutines instead of O(sessions). The machine
-// replays exactly the blocking round trip's connection-level
-// behaviour — the handshake script's message boundaries, the single
-// rendered request write, the demand-driven response reads at their
-// arrival instants — so the two transports produce byte-identical
-// timelines (eventclient_test.go pins it). Range bodies are delivered as borrowed segment
-// views (Conn.ReadBuf) instead of copies; the consumer hands them
-// back through the release callback, and a per-connection FIFO ledger
-// reconciles held body views with the immediately-releasable protocol
-// bytes around them (Conn.Release is strictly FIFO per direction).
+// holds O(cores) goroutines instead of O(sessions). Each machine plays
+// the connection-level script of an HTTP/1.1 client over a secure
+// connection — the handshake script's message boundaries, one rendered
+// request write (byte-equal to net/http's Request.Write), response
+// reads at their arrival instants — and its observable timeline is
+// pinned in testdata/client_timeline.txt, recorded from the blocking
+// client this engine replaced. Range bodies are delivered as borrowed
+// segment views (Conn.ReadBuf) instead of copies; the consumer hands
+// them back through the release callback, and a per-connection FIFO
+// ledger reconciles held body views with the immediately-releasable
+// protocol bytes around them (Conn.Release is strictly FIFO per
+// direction).
 //
 // Every method and callback runs as a step on the transport's Loop:
 // callers must invoke Get/GetRangeViews/Shutdown from loop steps (or
 // before any machine exists), and completion callbacks fire on the
 // loop. Nothing here parks, and no internal locking is needed.
 
-// EventTransport is the event-loop counterpart of Transport: one per
-// (session, interface), sharing the session's Loop with the machines
-// of every other path so their steps serialize without locks.
+// EventTransport is the emulation's HTTP client: one per (session,
+// interface), sharing the session's Loop with the machines of every
+// other path so their steps serialize without locks. Idle connections
+// are pooled per server address (keep-alive), up to maxIdlePerHost.
 type EventTransport struct {
 	iface *netem.Interface
 	clock *netem.Clock
@@ -65,10 +67,14 @@ func NewEventTransport(iface *netem.Interface, clock *netem.Clock, loop *netem.L
 // Loop returns the event loop the transport's machines run on.
 func (t *EventTransport) Loop() *netem.Loop { return t.loop }
 
-// SetRequestTimeout mirrors Transport.SetRequestTimeout: every
-// subsequent request attempt that has not delivered its full body
-// within d of starting is aborted with ErrRequestTimeout at exactly
-// that virtual instant. Zero disables the deadline.
+// SetRequestTimeout arms a per-request deadline: every subsequent
+// request attempt that has not delivered its full body within d of
+// starting is aborted with ErrRequestTimeout at exactly that virtual
+// instant, converting a blackholed server (accepts connections, never
+// responds) into a retryable error instead of an eternal wait. The
+// deadline covers the whole attempt — dial, handshake, request write,
+// response head and body; the retry-once on a reused connection runs
+// under a fresh deadline. Zero disables it.
 func (t *EventTransport) SetRequestTimeout(d time.Duration) { t.reqTimeout = d }
 
 // SetHedge arms a hedge budget alongside the request deadline: every
@@ -79,10 +85,11 @@ func (t *EventTransport) SetRequestTimeout(d time.Duration) { t.reqTimeout = d }
 // useful; zero disables it.
 func (t *EventTransport) SetHedge(d time.Duration) { t.hedge = d }
 
-// Shutdown mirrors Transport.Shutdown at the caller's instant: new
-// requests fail with err, idle connections close gracefully, and
-// in-use connections are aborted with err (their machines observe the
-// failure at exactly this instant). Idempotent.
+// Shutdown retires the transport at the caller's instant: new
+// requests fail with err (nil means a generic shut-down error), idle
+// connections close gracefully, and in-use connections are aborted
+// with err, so their machines — and the server machines serving them —
+// observe the failure at exactly this instant. Idempotent.
 func (t *EventTransport) Shutdown(err error) {
 	if err == nil {
 		err = errTransportClosed
@@ -117,10 +124,9 @@ func (t *EventTransport) Shutdown(err error) {
 
 // Get issues a bodyless GET and collects the response. A 200 response
 // delivers its full body at the instant the last framing byte is
-// consumed; any other status delivers (status, nil, nil) with the
-// connection retired exactly as the blocking client's unread-body
-// close would have (fetchInfo never reads non-200 bodies). Transport
-// errors arrive unwrapped, as RoundTrip returns them.
+// consumed; any other status delivers (status, nil, nil) at its first
+// body byte and retires the connection (the body is never read).
+// Transport errors arrive unwrapped.
 func (t *EventTransport) Get(url string, cb func(status int, body []byte, err error)) {
 	rq := &evReq{done: func(res *evResult, err error) {
 		if err != nil {
@@ -136,13 +142,13 @@ func (t *EventTransport) Get(url string, cb func(status int, body []byte, err er
 	t.startRequest(rq)
 }
 
-// GetRangeViews is the evented GetRangeBuf: it fetches the inclusive
-// byte range [from, to] of url and delivers the 206 body as borrowed
-// views of the connection's arrived segments. The views are valid
-// until release is called (from a loop step); releasing returns the
-// bytes to the pipe's segment pool, completing the zero-copy read
-// path. Failure modes, error wrapping and connection pooling follow
-// GetRangeBuf exactly.
+// GetRangeViews fetches the inclusive byte range [from, to] of url and
+// delivers the 206 body as borrowed views of the connection's arrived
+// segments. The views are valid until release is called (from a loop
+// step); releasing returns the bytes to the pipe's segment pool,
+// completing the zero-copy read path. Any status but 206 fails with a
+// *StatusError carrying up to 512 bytes of the error body; a 206 of
+// the wrong length fails too.
 func (t *EventTransport) GetRangeViews(url string, from, to int64, cb func(views [][]byte, release func(), err error)) {
 	if to < from {
 		cb(nil, nil, fmt.Errorf("httpx: invalid range %d-%d", from, to))
@@ -160,7 +166,7 @@ func (t *EventTransport) GetRangeViews(url string, from, to int64, cb func(views
 		}
 		if res.status != 206 {
 			// Non-206: the collected (≤512-byte) prefix becomes the
-			// StatusError message, exactly as the blocking ladder reads it.
+			// StatusError message.
 			cb(nil, nil, &StatusError{Code: res.status,
 				Msg: fmt.Sprintf("range %d-%d of %s: %.80s", from, to, url, res.body)})
 			return
@@ -196,7 +202,7 @@ type evResult struct {
 }
 
 // evClientConn is one client connection shared by successive request
-// machines (keep-alive pooling mirrors the blocking persistConn).
+// machines (keep-alive pooling).
 type evClientConn struct {
 	t      *EventTransport
 	c      *netem.Conn
@@ -249,8 +255,7 @@ func (pc *evClientConn) drainRel() {
 }
 
 // step is the conn's readable/writable callback target; pooled idle
-// conns ignore events (an abort while pooled is discovered on reuse,
-// exactly as the blocking pool discovers it).
+// conns ignore events (an abort while pooled is discovered on reuse).
 func (pc *evClientConn) step() {
 	if pc.rq != nil {
 		pc.rq.advance()
@@ -274,8 +279,8 @@ func (t *EventTransport) putIdle(pc *evClientConn) {
 	t.retire(pc)
 }
 
-// dropIdle discards every pooled connection to addr (the blocking
-// retry-once flush: a pooled conn's siblings are likely dead too).
+// dropIdle discards every pooled connection to addr (the retry-once
+// flush: a pooled conn's siblings are likely dead too).
 func (t *EventTransport) dropIdle(addr string) {
 	pcs := t.idle[addr]
 	delete(t.idle, addr)
@@ -307,9 +312,10 @@ const (
 	ckTrailer                // consuming the final CRLF after the 0 chunk
 )
 
-// evReq is one GET exchange as a state machine. It mirrors the
-// blocking RoundTrip attempt for attempt, including the retry-once on
-// a reused connection and the per-attempt request deadline.
+// evReq is one GET exchange as a state machine, attempt by attempt:
+// a failure to write the request or read the response head on a reused
+// connection is retried once on a fresh dial, and every attempt runs
+// under its own request deadline.
 type evReq struct {
 	t    *EventTransport
 	done func(*evResult, error)
@@ -361,7 +367,7 @@ type evReq struct {
 }
 
 // target parses the request URL into dial address, Host header and
-// request URI, mirroring what http.NewRequest + writeRequest render.
+// request URI, as http.NewRequest + Request.Write render them.
 func (rq *evReq) target(url string) bool {
 	u, err := neturl.Parse(url)
 	if err != nil || u.Host == "" {
@@ -384,11 +390,11 @@ func (t *EventTransport) startRequest(rq *evReq) {
 	rq.getConn()
 }
 
-// armDeadline starts the per-attempt deadline and hedge budget, the
-// evented deadlineGuard: each attempt — including the retry — gets the
-// full budgets, and firing aborts whatever conn the attempt holds. The
-// deadline timer is created before the hedge timer, matching the
-// blocking guard's creation order.
+// armDeadline starts the per-attempt deadline and hedge budget: each
+// attempt — including the retry — gets the full budgets, and firing
+// aborts whatever conn the attempt holds. The deadline timer is
+// created before the hedge timer, so at a shared instant the deadline
+// fires first.
 func (rq *evReq) armDeadline() {
 	t := rq.t
 	if t.reqTimeout <= 0 && t.hedge <= 0 {
@@ -429,7 +435,7 @@ func (rq *evReq) onDeadline() {
 	rq.dlErr = ErrRequestTimeout
 	if rq.pc != nil {
 		// The machine's next read or write observes ErrRequestTimeout
-		// once queued data drains, exactly as the blocking reader does.
+		// once queued data drains (the delivered-before-abort rule).
 		rq.pc.c.Abort(ErrRequestTimeout)
 	}
 }
@@ -468,8 +474,8 @@ func (rq *evReq) getConn() {
 		t.loop.Do(func() { rq.onDial(c, derr) })
 	})
 	if err != nil {
-		// Immediate dial failures (interface down, connection refused)
-		// surface exactly as the blocking Dial returns them.
+		// Immediate dial failures (interface down, connection refused,
+		// partition) surface synchronously.
 		rq.fail(err, false)
 	}
 }
@@ -487,9 +493,9 @@ func (rq *evReq) onDial(c *netem.Conn, err error) {
 	rq.bind(pc)
 	if rq.dlFired {
 		// A budget elapsed while the dial was in flight: abort the
-		// conn the moment it materialises (deadlineGuard.setConn). The
-		// handshake still runs and fails on the aborted conn, wrapping
-		// the timeout exactly as the blocking handshake error does.
+		// conn the moment it materialises. The handshake still runs and
+		// fails on the aborted conn, wrapping the timeout in the
+		// handshake error.
 		c.Abort(rq.dlErr)
 	}
 	rq.flight = 0
@@ -512,7 +518,8 @@ func (rq *evReq) beginSend() {
 	rq.state = evcSend
 	bp := reqBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
-	// Byte-for-byte the blocking writeRequest fast path.
+	// Byte-for-byte what net/http's Request.Write puts on the wire for
+	// this request (TestWriteRequestMatchesNetHTTP pins it).
 	b = append(b, "GET "...)
 	b = append(b, rq.uri...)
 	b = append(b, " HTTP/1.1\r\nHost: "...)
@@ -640,10 +647,10 @@ func (rq *evReq) readStep() bool {
 	return true
 }
 
-// readFail maps a read error to the failing stage's wrapped error,
-// mirroring exactly where the blocking round trip would have observed
-// it (handshake.readMsg's header/body wraps, io.ReadFull's partial-EOF
-// promotion, lengthBody's early-EOF promotion).
+// readFail maps a read error to the failing stage's wrapped error: the
+// handshake's header/body wraps (a partial header promotes EOF to
+// ErrUnexpectedEOF), the response-head wrap, and a body cut short of
+// its framing promoted to ErrUnexpectedEOF.
 func (rq *evReq) readFail(err error) {
 	switch rq.state {
 	case evcHsRecv:
@@ -707,8 +714,8 @@ func (rq *evReq) feedHandshake(b []byte) int {
 
 // secured finishes the connection handshake: the conn joins the live
 // set and the request proceeds — unless the transport shut down while
-// the dial or handshake was in flight, which retires the conn here
-// exactly as the blocking getConn's re-check does.
+// the dial or handshake was in flight (Shutdown's sweep could not see
+// the conn), which retires it here.
 func (rq *evReq) secured() {
 	t := rq.t
 	rq.pc.secure = true
@@ -781,8 +788,10 @@ func indexCrlfCrlf(b []byte, from int) int {
 	return -1
 }
 
-// parseHead extracts what the machine needs from the accumulated head,
-// applying readResponse's checks to the headers it interprets.
+// parseHead extracts what the machine needs from the accumulated head —
+// status, Content-Length, chunked framing and Connection: close —
+// rejecting malformed values of the headers it interprets
+// (TestReadResponseMatchesNetHTTP holds it to http.ReadResponse).
 func (rq *evReq) parseHead() error {
 	head := rq.acc
 	rq.status = 0
@@ -904,8 +913,10 @@ func trimSpace(b []byte) []byte {
 	return b
 }
 
-// beginBody selects the body mode from the parsed head, mirroring
-// readResponse's framing switch plus the callers' read patterns.
+// beginBody selects the body mode from the parsed head: the framing
+// (none, Content-Length, chunked or close-delimited) and what is kept
+// of it (borrowed views, a collected copy, a ≤512-byte error prefix,
+// or nothing).
 func (rq *evReq) beginBody() {
 	rq.state = evcBody
 	rq.body = nil
@@ -922,13 +933,13 @@ func (rq *evReq) beginBody() {
 	}
 	switch {
 	case rq.hasRange && rq.status != 206:
-		// The blocking ladder reads at most 512 bytes of an error body
-		// for the StatusError message; past that the close probe retires
-		// the conn at the arrival of byte 513.
+		// At most 512 bytes of an error body are kept for the
+		// StatusError message; the conn is retired at the arrival of
+		// byte 513.
 		rq.bodyLimit = 512
 	case !rq.hasRange && rq.status != 200:
-		// fetchInfo closes a non-200 body unread: the pooling probe's
-		// single-byte read retires the conn at the first body byte.
+		// A non-200 body is never read: the conn is retired at its
+		// first byte.
 		rq.discard = true
 	case rq.hasRange && rq.status == 206 && !rq.chunked &&
 		rq.contentLength == rq.rangeTo-rq.rangeFrom+1:
@@ -1085,9 +1096,8 @@ func (rq *evReq) feedChunked(b []byte) int {
 }
 
 // complete delivers the exchange's result at the current instant and
-// decides the connection's fate, mirroring bodyGuard.Close: a fully
-// consumed body on a healthy keep-alive conn pools it, anything else
-// retires it.
+// decides the connection's fate: a fully consumed body on a healthy
+// keep-alive conn pools it, anything else retires it.
 func (rq *evReq) complete() {
 	rq.state = evcDone
 	rq.stopTimers()
@@ -1111,9 +1121,9 @@ func (rq *evReq) complete() {
 	rq.done(res, nil)
 }
 
-// fail ends the attempt with err. Mirroring RoundTrip: a reused
-// connection whose request or head read failed is retried exactly
-// once on a fresh dial (the pooled siblings are flushed), every other
+// fail ends the attempt with err. A reused connection whose request
+// write or head read failed is retried exactly once on a fresh dial
+// (the pooled siblings are flushed), as net/http does; every other
 // failure surfaces to the caller. retryStage marks the failure as
 // having occurred inside the retryable window (request write or
 // response-head read).
@@ -1126,8 +1136,7 @@ func (rq *evReq) fail(err error, retryStage bool) {
 		rq.pc = nil
 	}
 	// A hedged-out attempt is never retried here: the caller cancelled
-	// it on purpose and will reissue elsewhere (Transport.RoundTrip
-	// suppresses its retry-once identically).
+	// it on purpose and will reissue elsewhere.
 	if retryStage && rq.reused && rq.attempt == 0 && rq.t.closed == nil &&
 		!errors.Is(err, ErrHedged) {
 		rq.t.dropIdle(rq.addr)

@@ -1,12 +1,9 @@
 package httpx
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	neturl "net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,20 +16,6 @@ import (
 	"repro/internal/handshake"
 	"repro/internal/netem"
 )
-
-// clientDriver abstracts the two client engines behind one
-// continuation-passing workload so the cross-engine test runs the
-// identical step sequence on both. The blocking driver executes each
-// step synchronously on a participant goroutine; the evented driver
-// chains the steps through completion callbacks on the loop.
-type clientDriver interface {
-	sleepUntil(at time.Time, then func())
-	get(url string, then func())
-	rangeGet(url string, from, to int64, then func())
-	setTimeout(d time.Duration)
-	shutdown(err error)
-	do(step func(), then func()) // run an arbitrary non-parking step
-}
 
 func byteSum(bs ...[]byte) (int, uint64) {
 	n := 0
@@ -51,7 +34,7 @@ func byteSum(bs ...[]byte) (int, uint64) {
 // oversized non-206 error body, a request deadline against a
 // blackholed server, a dead-pooled-conn retry against a closed
 // server, and a mid-transfer shutdown.
-func clientWorkload(d clientDriver, epoch time.Time, srv2 *Server, setBlackhole func(bool), done func()) {
+func clientWorkload(d *clientDriver, epoch time.Time, srv2 *Server, setBlackhole func(bool), done func()) {
 	origin := "http://origin.test:443"
 	flaky := "http://flaky.test:443"
 	at := func(off time.Duration) time.Time { return epoch.Add(off) }
@@ -119,97 +102,26 @@ func clientWorkload(d clientDriver, epoch time.Time, srv2 *Server, setBlackhole 
 	})
 }
 
-// blockingClientDriver runs the workload on the blocking Transport.
-type blockingClientDriver struct {
-	p      *netem.Participant
+// clientDriver runs the workload on an EventTransport: every step is a
+// loop step, sleeps are clock timers, and the chained continuations
+// fire from completion callbacks.
+type clientDriver struct {
 	clock  *netem.Clock
-	tr     *Transport
-	client *http.Client
-	record func(format string, args ...any)
-}
-
-// unwrapURL strips http.Client's *url.Error wrapper so recorded
-// errors compare against the evented engine's raw transport errors.
-func unwrapURL(err error) error {
-	var ue *neturl.Error
-	if errors.As(err, &ue) {
-		return ue.Err
-	}
-	return err
-}
-
-func (d *blockingClientDriver) sleepUntil(at time.Time, then func()) {
-	d.p.SleepUntil(at)
-	then()
-}
-
-func (d *blockingClientDriver) do(step func(), then func()) { step(); then() }
-
-func (d *blockingClientDriver) setTimeout(t time.Duration) { d.tr.SetRequestTimeout(t) }
-
-func (d *blockingClientDriver) shutdown(err error) { d.tr.Shutdown(err) }
-
-func (d *blockingClientDriver) get(url string, then func()) {
-	defer then()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		d.record("get %s err=%v", url, err)
-		return
-	}
-	resp, err := d.tr.RoundTrip(req)
-	if err != nil {
-		d.record("get %s err=%v", url, err)
-		return
-	}
-	if resp.StatusCode != http.StatusOK {
-		// Mirror core's fetchInfo: a non-200 body is closed unread.
-		resp.Body.Close()
-		d.record("get %s status=%d", url, resp.StatusCode)
-		return
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
-		d.record("get %s err=%v", url, rerr)
-		return
-	}
-	n, sum := byteSum(body)
-	d.record("get %s status=200 len=%d sum=%d", url, n, sum)
-}
-
-func (d *blockingClientDriver) rangeGet(url string, from, to int64, then func()) {
-	defer then()
-	buf := make([]byte, to-from+1)
-	data, err := GetRangeBuf(context.Background(), d.client, url, from, to, buf)
-	if err != nil {
-		d.record("range %s %d-%d err=%v", url, from, to, unwrapURL(err))
-		return
-	}
-	n, sum := byteSum(data)
-	d.record("range %s %d-%d len=%d sum=%d", url, from, to, n, sum)
-}
-
-// eventClientDriver runs the workload on the EventTransport: every
-// step is a loop step, sleeps are clock timers, and the chained
-// continuations fire from completion callbacks.
-type eventClientDriver struct {
-	clock  *netem.Clock
-	loop   *netem.Loop
 	et     *EventTransport
 	record func(format string, args ...any)
 }
 
-func (d *eventClientDriver) sleepUntil(at time.Time, then func()) {
-	d.clock.NewTimer(func() { d.loop.Do(then) }).Schedule(at)
+func (d *clientDriver) sleepUntil(at time.Time, then func()) {
+	d.clock.NewTimer(func() { d.et.Loop().Do(then) }).Schedule(at)
 }
 
-func (d *eventClientDriver) do(step func(), then func()) { step(); then() }
+func (d *clientDriver) do(step func(), then func()) { step(); then() }
 
-func (d *eventClientDriver) setTimeout(t time.Duration) { d.et.SetRequestTimeout(t) }
+func (d *clientDriver) setTimeout(t time.Duration) { d.et.SetRequestTimeout(t) }
 
-func (d *eventClientDriver) shutdown(err error) { d.et.Shutdown(err) }
+func (d *clientDriver) shutdown(err error) { d.et.Shutdown(err) }
 
-func (d *eventClientDriver) get(url string, then func()) {
+func (d *clientDriver) get(url string, then func()) {
 	d.et.Get(url, func(status int, body []byte, err error) {
 		defer then()
 		if err != nil {
@@ -225,7 +137,7 @@ func (d *eventClientDriver) get(url string, then func()) {
 	})
 }
 
-func (d *eventClientDriver) rangeGet(url string, from, to int64, then func()) {
+func (d *clientDriver) rangeGet(url string, from, to int64, then func()) {
 	d.et.GetRangeViews(url, from, to, func(views [][]byte, release func(), err error) {
 		defer then()
 		if err != nil {
@@ -238,10 +150,10 @@ func (d *eventClientDriver) rangeGet(url string, from, to int64, then func()) {
 	})
 }
 
-// clientEngineTrace runs the shared workload on one client engine
-// against the same pair of servers and returns the sorted trace of
-// response bytes, statuses, errors and their virtual instants.
-func clientEngineTrace(t *testing.T, evented bool) []string {
+// clientTrace runs the workload against a pair of servers and returns
+// the sorted trace of response bytes, statuses, errors and their
+// virtual instants.
+func clientTrace(t *testing.T) []string {
 	t.Helper()
 	clock := netem.NewVirtualClock()
 	defer clock.Stop()
@@ -307,52 +219,18 @@ func clientEngineTrace(t *testing.T, evented bool) []string {
 
 	errSession := errors.New("session over")
 	done := make(chan struct{})
-	if evented {
-		loop := netem.NewLoop()
-		et := NewEventTransport(iface, clock, loop)
-		d := &eventClientDriver{clock: clock, loop: loop, et: et, record: record}
-		clock.Go(func(p *netem.Participant) {
-			// Armed by the registered driver: from the unregistered test
-			// goroutine, with every server loop already parked, the
-			// clock would be free to jump straight to the shutdown.
-			clock.NewTimer(func() { loop.Do(func() { et.Shutdown(errSession) }) }).
-				Schedule(epoch.Add(16*time.Second + 200*time.Millisecond))
-			var wmu sync.Mutex
-			cond := netem.NewCond(clock, &wmu)
-			finished := false
-			loop.Do(func() {
-				clientWorkload(d, epoch, srv2, srv.SetBlackhole, func() {
-					wmu.Lock()
-					finished = true
-					wmu.Unlock()
-					cond.Broadcast()
-				})
-			})
-			wmu.Lock()
-			for !finished {
-				if !cond.Wait(p) {
-					break
-				}
-			}
-			wmu.Unlock()
-			close(done)
-		})
-	} else {
-		clock.Go(func(p *netem.Participant) {
-			tr := NewTransport(iface)
-			tr.Bind(p)
-			d := &blockingClientDriver{
-				p: p, clock: clock, tr: tr,
-				client: &http.Client{Transport: tr},
-				record: record,
-			}
-			clock.Go(func(ab *netem.Participant) {
-				ab.SleepUntil(epoch.Add(16*time.Second + 200*time.Millisecond))
-				tr.Shutdown(errSession)
-			})
-			clientWorkload(d, epoch, srv2, srv.SetBlackhole, func() { close(done) })
-		})
-	}
+	clock.Go(func(p *netem.Participant) {
+		defer close(done)
+		d := newDriver(p, iface)
+		et, loop := d.et, d.et.Loop()
+		// Armed by the registered driver: from the unregistered test
+		// goroutine, with every server loop already parked, the clock
+		// would be free to jump straight to the shutdown.
+		clock.NewTimer(func() { loop.Do(func() { et.Shutdown(errSession) }) }).
+			Schedule(epoch.Add(16*time.Second + 200*time.Millisecond))
+		cd := &clientDriver{clock: clock, et: et, record: record}
+		d.await(func(finish func()) { clientWorkload(cd, epoch, srv2, srv.SetBlackhole, finish) })
+	})
 	<-done
 
 	mu.Lock()
@@ -362,28 +240,26 @@ func clientEngineTrace(t *testing.T, evented bool) []string {
 	return out
 }
 
-// TestEventClientMatchesBlockingTimeline is the client-side
-// cross-engine contract: the event-loop transport must reproduce the
-// blocking Transport's observable timeline byte for byte — response
+// TestEventClientMatchesBlockingTimeline is the client's timeline
+// contract: the event-loop transport must reproduce, byte for byte, the
+// observable timeline pinned in testdata/client_timeline.txt — response
 // sums, pooling reuse, retry-once, deadline aborts, shutdown aborts —
-// under slow-start, jitter, loss and send-buffer backpressure. The
-// reference is testdata/client_timeline.txt, recorded from the blocking
-// Transport.
+// under slow-start, jitter, loss and send-buffer backpressure. The file
+// was recorded from the blocking net/http-style Transport this engine
+// replaced, so the evented client still answers to that reference.
 func TestEventClientMatchesBlockingTimeline(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "client_timeline.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
-	for _, evented := range []bool{false, true} {
-		got := clientEngineTrace(t, evented)
-		if len(got) != len(want) {
-			t.Fatalf("evented=%v: trace length %d, pinned %d\ngot: %v", evented, len(got), len(want), got)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("evented=%v trace[%d]:\n  pinned: %s\n  got:    %s", evented, i, want[i], got[i])
-			}
+	got := clientTrace(t)
+	if len(got) != len(want) {
+		t.Fatalf("trace length %d, pinned %d\ngot: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("trace[%d]:\n  pinned: %s\n  got:    %s", i, want[i], got[i])
 		}
 	}
 }

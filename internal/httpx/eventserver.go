@@ -288,7 +288,7 @@ func (ec *eventConn) advance() {
 			ec.consume(ec.hsNeed)
 			ec.hsNeed, ec.hsHdrOK = 0, false
 			// Processing delay before the response flight: the timer fires
-			// at the instant a blocking server's clock.Sleep would end
+			// at the instant handshake.Server's Sleep would end
 			// (synchronously when the delay is zero).
 			ec.state = evDelay
 			ec.delayDone = false

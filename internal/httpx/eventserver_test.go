@@ -1,6 +1,7 @@
 package httpx
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -18,6 +19,86 @@ import (
 	"repro/internal/handshake"
 	"repro/internal/netem"
 )
+
+// refClient is the server trace's reference client: net/http's own
+// request writer and response parser over one keep-alive connection
+// bound to the participant p, after the emulated secure handshake. A
+// nonzero timeout arms a clock timer per request that aborts the
+// connection with ErrRequestTimeout.
+type refClient struct {
+	p       *netem.Participant
+	iface   *netem.Interface
+	addr    string
+	timeout time.Duration
+
+	conn *netem.Conn
+	br   *bufio.Reader
+	dl   *netem.Timer
+}
+
+// do sends a bodyless request and reads the response head; the caller
+// reads the body and hands the response to finish.
+func (c *refClient) do(method, url string) (*http.Response, error) {
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	if c.timeout > 0 {
+		c.dl = c.p.NewTimer(func() {
+			if c.conn != nil {
+				c.conn.Abort(ErrRequestTimeout)
+			}
+		})
+		c.dl.Schedule(c.p.Clock().Now().Add(c.timeout))
+	}
+	if c.conn == nil {
+		conn, err := c.iface.Dial(context.Background(), c.addr, c.p)
+		if err != nil {
+			return nil, c.fail(err)
+		}
+		c.conn, c.br = conn, bufio.NewReaderSize(conn, 16<<10)
+		if err := handshake.Client(conn); err != nil {
+			return nil, c.fail(fmt.Errorf("httpx: secure handshake with %s: %w", c.addr, err))
+		}
+	}
+	if err := req.Write(c.conn); err != nil {
+		return nil, c.fail(fmt.Errorf("httpx: writing request: %w", err))
+	}
+	resp, err := http.ReadResponse(c.br, req)
+	if err != nil {
+		return nil, c.fail(fmt.Errorf("httpx: reading response: %w", err))
+	}
+	return resp, nil
+}
+
+// finish ends an exchange: a cleanly read keep-alive response leaves
+// the connection pooled; anything else retires it.
+func (c *refClient) finish(resp *http.Response, err error) {
+	if err != nil || resp.Close {
+		c.fail(err)
+		return
+	}
+	c.stopDeadline()
+}
+
+func (c *refClient) fail(err error) error {
+	c.stopDeadline()
+	if c.conn != nil {
+		c.conn.Close()
+		c.conn = nil
+	}
+	return err
+}
+
+func (c *refClient) stopDeadline() {
+	if c.dl != nil {
+		c.dl.Stop()
+		c.dl = nil
+	}
+}
+
+// close closes the pooled connection.
+func (c *refClient) close() { c.fail(nil) }
 
 // serverTrace runs a fixed client workload against a server and returns
 // a trace of everything observable: client-side response content and
@@ -126,17 +207,16 @@ func serverTrace(t *testing.T) []string {
 	done := make(chan struct{})
 	clock.Go(func(p *netem.Participant) {
 		defer close(done)
-		tr := NewTransport(iface)
-		tr.Bind(p)
-		client := &http.Client{Transport: tr}
+		c := &refClient{p: p, iface: iface, addr: "srv.test:443"}
 		get := func(path string) {
-			resp, err := client.Get("http://srv.test:443" + path)
+			url := "http://srv.test:443" + path
+			resp, err := c.do(http.MethodGet, url)
 			if err != nil {
-				record("GET %s err=%v", path, err)
+				record("GET %s err=Get %q: %v", path, url, err)
 				return
 			}
 			body, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
+			c.finish(resp, rerr)
 			var sum uint64
 			for _, b := range body {
 				sum = sum*131 + uint64(b)
@@ -146,8 +226,9 @@ func serverTrace(t *testing.T) []string {
 		get("/stable")
 		get("/stable") // keep-alive reuse
 		get("/chunked")
-		if n, err := Head(context.Background(), client, "http://srv.test:443/stable"); true {
-			record("HEAD /stable len=%d err=%v", n, err)
+		if resp, err := c.do(http.MethodHead, "http://srv.test:443/stable"); err == nil {
+			c.finish(resp, nil)
+			record("HEAD /stable len=%d err=%v", resp.ContentLength, err)
 		}
 		p.SleepUntil(epoch.Add(10 * time.Second))
 		get("/big") // aborted mid-body by the interface loss at 10.5s
@@ -156,13 +237,13 @@ func serverTrace(t *testing.T) []string {
 		// Blackholed server: the request deadline is the only way out.
 		p.SleepUntil(epoch.Add(12 * time.Second))
 		srv.SetBlackhole(true)
-		tr.SetRequestTimeout(2 * time.Second)
+		c.timeout = 2 * time.Second
 		get("/stable")
 		srv.SetBlackhole(false)
-		tr.SetRequestTimeout(0)
+		c.timeout = 0
 		get("/stable") // fresh conn, healthy again
 
-		tr.Shutdown(errors.New("workload over"))
+		c.close()
 		if !srv.Drain(p) {
 			record("drain failed")
 			return
@@ -228,14 +309,7 @@ func TestEventServerGoroutineFootprint(t *testing.T) {
 	for i := 0; i < conns; i++ {
 		iface := n.NewInterface(fmt.Sprintf("cli%d", i), lp, lp)
 		clock.Go(func(p *netem.Participant) {
-			tr := NewTransport(iface)
-			tr.Bind(p)
-			client := &http.Client{Transport: tr}
-			resp, err := client.Get("http://srv.test:443/")
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
+			_, _, err := newDriver(p, iface).get("http://srv.test:443/")
 			done <- err
 			// Keep the pooled conn open; the server side must not hold a
 			// goroutine for it. The transport is abandoned, not shut

@@ -1,14 +1,13 @@
 package httpx
 
 import (
-	"context"
 	"errors"
 	"io"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/handshake"
 	"repro/internal/netem"
 )
 
@@ -16,17 +15,8 @@ import (
 // network and returns an interface to reach it.
 func testServer(t *testing.T, h http.Handler) *netem.Interface {
 	t.Helper()
-	clock := netem.NewVirtualClock()
-	t.Cleanup(clock.Stop)
-	n := netem.NewNetwork(clock)
-	inner, err := n.Listen("srv.test:443", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(clock, inner, h, handshake.Params{})
-	t.Cleanup(func() { srv.Close() })
-	lp := netem.LinkParams{Rate: netem.Mbps(20), Delay: 5 * time.Millisecond}
-	return n.NewInterface("wifi", lp, lp)
+	_, iface, _ := blackholeHarness(t, h)
+	return iface
 }
 
 func blobHandler(blob []byte) http.Handler {
@@ -60,9 +50,117 @@ func (r readerAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// driver issues requests on an EventTransport from a registered
+// goroutine, the way Player.Run drives a session: each request starts
+// as a step on the transport's loop and the participant parks on a
+// clock Cond until the completion callback fires.
+type driver struct {
+	p        *netem.Participant
+	et       *EventTransport
+	mu       sync.Mutex
+	cond     *netem.Cond
+	finished bool
+}
+
+// newDriver returns a driver for p over a fresh EventTransport on
+// iface with a private loop.
+func newDriver(p *netem.Participant, iface *netem.Interface) *driver {
+	d := &driver{p: p, et: NewEventTransport(iface, p.Clock(), netem.NewLoop())}
+	d.cond = netem.NewCond(p.Clock(), &d.mu)
+	return d
+}
+
+// runDriver runs fn on a clock-registered goroutine with a driver over
+// a fresh EventTransport on iface, shuts the transport down when fn
+// returns, and waits with a wall-clock watchdog against emulator
+// deadlock. fn reports failures through its error.
+func runDriver(t *testing.T, iface *netem.Interface, fn func(d *driver) error) {
+	t.Helper()
+	clock := iface.Network().Clock()
+	done := make(chan error, 1)
+	clock.Go(func(p *netem.Participant) {
+		d := newDriver(p, iface)
+		err := fn(d)
+		d.et.Loop().Do(func() { d.et.Shutdown(nil) })
+		done <- err
+	})
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
+		t.Fatal("clock goroutine did not finish (wedged session?)")
+	}
+}
+
+// await runs issue as a loop step and parks until it calls finish.
+func (d *driver) await(issue func(finish func())) {
+	d.mu.Lock()
+	d.finished = false
+	d.mu.Unlock()
+	d.et.Loop().Do(func() {
+		issue(func() {
+			d.mu.Lock()
+			d.finished = true
+			d.cond.Broadcast()
+			d.mu.Unlock()
+		})
+	})
+	d.mu.Lock()
+	for !d.finished && d.cond.Wait(d.p) {
+	}
+	d.mu.Unlock()
+}
+
+// getRange fetches the inclusive range [from, to] of url, copying the
+// borrowed views out before releasing them.
+func (d *driver) getRange(url string, from, to int64) (body []byte, err error) {
+	d.await(func(finish func()) {
+		d.et.GetRangeViews(url, from, to, func(views [][]byte, release func(), rerr error) {
+			if err = rerr; err == nil {
+				for _, v := range views {
+					body = append(body, v...)
+				}
+				release()
+			}
+			finish()
+		})
+	})
+	return body, err
+}
+
+// get issues a bodyless GET.
+func (d *driver) get(url string) (status int, body []byte, err error) {
+	d.await(func(finish func()) {
+		d.et.Get(url, func(s int, b []byte, gerr error) {
+			status, body, err = s, b, gerr
+			finish()
+		})
+	})
+	return status, body, err
+}
+
+// TestRangeHeader checks the request a range fetch puts on the wire
+// carries the inclusive Range header the server parses.
 func TestRangeHeader(t *testing.T) {
-	if got := RangeHeader(0, 1023); got != "bytes=0-1023" {
-		t.Fatalf("RangeHeader = %q", got)
+	var got []string
+	mux := http.NewServeMux()
+	mux.HandleFunc("/blob", func(w http.ResponseWriter, r *http.Request) {
+		got = append(got, r.Header.Get("Range"))
+		http.ServeContent(w, r, "blob", time.Unix(0, 0), readSeeker(make([]byte, 4096)))
+	})
+	iface := testServer(t, mux)
+	runDriver(t, iface, func(d *driver) error {
+		for _, r := range [][2]int64{{0, 1023}, {4095, 4095}} {
+			if _, err := d.getRange("http://srv.test:443/blob", r[0], r[1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if want := []string{"bytes=0-1023", "bytes=4095-4095"}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("Range headers = %q, want %q", got, want)
 	}
 }
 
@@ -72,123 +170,113 @@ func TestGetRangeHappyPath(t *testing.T) {
 		blob[i] = byte(i * 7)
 	}
 	iface := testServer(t, blobHandler(blob))
-	client := NewClient(iface)
-	got, err := GetRange(context.Background(), client, "http://srv.test:443/blob", 100, 299)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 200 {
-		t.Fatalf("length = %d", len(got))
-	}
-	for i, b := range got {
-		if b != blob[100+i] {
-			t.Fatalf("byte %d mismatch", i)
+	runDriver(t, iface, func(d *driver) error {
+		got, err := d.getRange("http://srv.test:443/blob", 100, 299)
+		if err != nil {
+			return err
 		}
-	}
+		if len(got) != 200 {
+			t.Errorf("length = %d", len(got))
+		}
+		for i, b := range got {
+			if b != blob[100+i] {
+				t.Errorf("byte %d mismatch", i)
+				break
+			}
+		}
+		return nil
+	})
 }
 
 func TestGetRangeRejectsNon206(t *testing.T) {
 	blob := make([]byte, 1024)
 	iface := testServer(t, blobHandler(blob))
-	client := NewClient(iface)
-	_, err := GetRange(context.Background(), client, "http://srv.test:443/noranges", 0, 99)
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusOK {
-		t.Fatalf("err = %v, want StatusError{200}", err)
-	}
+	runDriver(t, iface, func(d *driver) error {
+		_, err := d.getRange("http://srv.test:443/noranges", 0, 99)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusOK {
+			t.Errorf("err = %v, want StatusError{200}", err)
+		}
+		return nil
+	})
 }
 
 func TestGetRangeStatusErrorCode(t *testing.T) {
 	iface := testServer(t, blobHandler(nil))
-	client := NewClient(iface)
-	_, err := GetRange(context.Background(), client, "http://srv.test:443/forbidden", 0, 99)
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusForbidden {
-		t.Fatalf("err = %v, want StatusError{403}", err)
-	}
-	if se.Error() == "" {
-		t.Fatal("empty error string")
-	}
+	runDriver(t, iface, func(d *driver) error {
+		_, err := d.getRange("http://srv.test:443/forbidden", 0, 99)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusForbidden {
+			t.Errorf("err = %v, want StatusError{403}", err)
+		} else if se.Error() == "" {
+			t.Error("empty error string")
+		}
+		// A bodyless GET reports the status instead of failing.
+		if status, _, err := d.get("http://srv.test:443/forbidden"); err != nil || status != http.StatusForbidden {
+			t.Errorf("get = %d, %v; want 403, nil", status, err)
+		}
+		return nil
+	})
 }
 
 func TestGetRangeInvalidRange(t *testing.T) {
 	iface := testServer(t, blobHandler(nil))
-	client := NewClient(iface)
-	if _, err := GetRange(context.Background(), client, "http://srv.test:443/blob", 10, 5); err == nil {
-		t.Fatal("inverted range accepted")
-	}
+	runDriver(t, iface, func(d *driver) error {
+		if _, err := d.getRange("http://srv.test:443/blob", 10, 5); err == nil {
+			t.Error("inverted range accepted")
+		}
+		return nil
+	})
 }
 
-func TestGetRangeContextCancel(t *testing.T) {
-	// A handler that never responds — its continuation never resumes —
-	// so the fetch can only end through cancellation. (With the
-	// deterministic virtual clock any finite emulated transfer completes
-	// in microseconds of wall time, so a wall-clock cancel can no longer
-	// race a normal download.)
+// TestGetRangeShutdownCancel: a handler that never responds — its
+// continuation never resumes — so the fetch can only end through the
+// transport's Shutdown, which must fail it with the shutdown error at
+// the shutdown instant.
+func TestGetRangeShutdownCancel(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/hang", func(w http.ResponseWriter, r *http.Request) {
 		After(w, func(int64, error, func()) {})
 	})
 	iface := testServer(t, mux)
-	client := NewClient(iface)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := GetRange(ctx, client, "http://srv.test:443/hang", 0, 1<<20-1)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond) //detlint:allow wallclock -- real sleep lets goroutines park before asserting waiter accounting
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("cancelled fetch succeeded")
+	clock := iface.Network().Clock()
+	errCancel := errors.New("cancelled")
+	runDriver(t, iface, func(d *driver) error {
+		cancelAt := clock.Now().Add(5 * time.Second)
+		clock.NewTimer(func() { d.et.Loop().Do(func() { d.et.Shutdown(errCancel) }) }).Schedule(cancelAt)
+		_, err := d.getRange("http://srv.test:443/hang", 0, 1<<20-1)
+		if !errors.Is(err, errCancel) {
+			t.Errorf("err = %v, want the shutdown error", err)
 		}
-	case <-time.After(5 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("cancel did not interrupt fetch")
-	}
-}
-
-func TestHead(t *testing.T) {
-	blob := make([]byte, 12345)
-	iface := testServer(t, blobHandler(blob))
-	client := NewClient(iface)
-	n, err := Head(context.Background(), client, "http://srv.test:443/blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 12345 {
-		t.Fatalf("content length = %d", n)
-	}
-	if _, err := Head(context.Background(), client, "http://srv.test:443/forbidden"); err == nil {
-		t.Fatal("HEAD on 403 should error")
-	}
+		if !clock.Now().Equal(cancelAt) {
+			t.Errorf("fetch ended at %v, want the shutdown instant %v", clock.Now(), cancelAt)
+		}
+		return nil
+	})
 }
 
 func TestClientReusesConnections(t *testing.T) {
-	var conns int
+	conns := map[string]bool{}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ping", func(w http.ResponseWriter, r *http.Request) {
+		conns[r.RemoteAddr] = true
 		io.WriteString(w, "pong")
 	})
-	wrapped := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mux.ServeHTTP(w, r)
+	iface := testServer(t, mux)
+	runDriver(t, iface, func(d *driver) error {
+		for i := 0; i < 5; i++ {
+			status, body, err := d.get("http://srv.test:443/ping")
+			if err != nil {
+				return err
+			}
+			if status != http.StatusOK || string(body) != "pong" {
+				t.Errorf("get = %d %q", status, body)
+			}
+		}
+		return nil
 	})
-	iface := testServer(t, wrapped)
-	client := NewClient(iface)
-	_ = conns
-	// Issue several requests; with keep-alive they share one conn, so
-	// total time is dominated by a single handshake. We assert
-	// correctness here (timing covered in netem tests).
-	for i := 0; i < 5; i++ {
-		resp, err := client.Get("http://srv.test:443/ping")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if string(body) != "pong" {
-			t.Fatalf("body = %q", body)
-		}
+	// Keep-alive: all five requests share one connection.
+	if len(conns) != 1 {
+		t.Fatalf("requests arrived on %d connections, want 1", len(conns))
 	}
 }

@@ -104,9 +104,8 @@ func (s *Server) Close() error { return s.l.Close() }
 // Safe to call from a netem.Timer callback: it only flips a flag.
 func (s *Server) SetBlackhole(on bool) { s.blackhole.Store(on) }
 
-// Drain parks the caller until every connection machine has finished,
-// waiting on the emulation clock (p may be nil for an unregistered
-// caller, which parks as a transient). The caller must guarantee no new
+// Drain parks the registered caller p until every connection machine
+// has finished, waiting on the emulation clock. The caller must guarantee no new
 // connections will arrive — every client is gone or shut down —
 // otherwise the drain chases a moving target. It returns false when the
 // clock stopped before the machines finished. After a true return, all

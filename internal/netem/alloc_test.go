@@ -17,9 +17,9 @@ func TestIdleConnReleasesDeliveredMemory(t *testing.T) {
 	client, server := Pipe(clock, p, p, "c", "s")
 
 	const total = 4 << 20
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	var got int
+	goAll(clock, func(p *Participant) {
+		server.Bind(p)
 		buf := make([]byte, 64<<10)
 		for sent := 0; sent < total; sent += len(buf) {
 			if _, err := server.Write(buf); err != nil {
@@ -27,17 +27,21 @@ func TestIdleConnReleasesDeliveredMemory(t *testing.T) {
 				return
 			}
 		}
-	}()
-	var got int
-	buf := make([]byte, 64<<10)
-	for got < total {
-		n, err := client.Read(buf)
-		if err != nil {
-			t.Fatalf("read after %d bytes: %v", got, err)
+	}, func(p *Participant) {
+		client.Bind(p)
+		buf := make([]byte, 64<<10)
+		for got < total {
+			n, err := client.Read(buf)
+			if err != nil {
+				t.Errorf("read after %d bytes: %v", got, err)
+				return
+			}
+			got += n
 		}
-		got += n
+	})()
+	if t.Failed() {
+		return
 	}
-	<-done
 
 	// The conn is now idle with every segment delivered. The down
 	// direction's queue must reference zero payload bytes: popped ring

@@ -8,12 +8,11 @@ import (
 )
 
 // Clock is the time source for an emulated network. All emulated delays
-// (propagation, pacing, server think time, playout draining) must be
-// expressed through a Clock so that virtual and scaled-real-time modes
-// behave identically apart from wall-clock duration.
+// (propagation, pacing, server think time, playout draining) are
+// expressed through a Clock.
 //
-// In virtual mode the Clock is a deterministic discrete-event scheduler
-// driven by waiter accounting: every emulation participant registers
+// The Clock is a deterministic discrete-event scheduler driven by
+// waiter accounting: every emulation participant registers
 // (Register / Go), receiving a *Participant handle, and parks only
 // through clock-visible primitives (Participant.Sleep / SleepUntil,
 // Cond.Wait). The moment every registered participant is parked the
@@ -43,21 +42,17 @@ import (
 // one clock carry tens of thousands of concurrently parked session
 // goroutines without serialising them on a single lock.
 //
-// Goroutines that never registered (tests, example main functions) may
-// still call the clock-level blocking primitives (Clock.Sleep,
-// Clock.SleepUntil, Cond.Wait with a nil participant): they are
-// accounted as transient participants for the duration of the park, so
-// casual use "just works", at the cost of the determinism guarantee
-// that full registration gives. Registered goroutines must always park
-// through their Participant — parking a registered goroutine through
-// the transient shims would double-count it and wedge the clock.
+// Only registered goroutines park: every blocking primitive takes the
+// caller's Participant. A goroutine that never registered (a test, an
+// example's main) registers first or drives the emulation entirely
+// through Timers and Loops.
 type Clock struct {
-	// parts counts registered participants plus holds plus parked
-	// transients; idle counts participants currently parked in
-	// clock-visible waits. The clock may jump exactly when idle ==
-	// parts. Every operation that can make the condition become true
-	// (parking, releasing a hold, unregistering, waking a transient)
-	// calls tryAdvance afterwards, so no advance is ever missed.
+	// parts counts registered participants plus holds; idle counts
+	// participants currently parked in clock-visible waits. The clock
+	// may jump exactly when idle == parts. Every operation that can make
+	// the condition become true (parking, releasing a hold,
+	// unregistering) calls tryAdvance afterwards, so no advance is ever
+	// missed.
 	parts atomic.Int64
 	idle  atomic.Int64
 
@@ -77,17 +72,6 @@ type Clock struct {
 
 	done chan struct{} // closed by Stop; wakes every parked waiter
 
-	// frozen/frozenAt pin Now() at the stop instant: once Stop has run,
-	// every Now() call returns the same value in both clock modes, so
-	// post-teardown accessors (metrics, buffer levels) read a stable
-	// emulated time instead of a wall clock that keeps running.
-	frozen   atomic.Bool
-	frozenAt atomic.Int64 // emulated offset from base at Stop, in ns
-
-	// realtime mode
-	realtime  bool
-	scale     float64
-	realStart time.Time
 }
 
 // Participant is one registered emulation participant: a handle minted
@@ -122,37 +106,18 @@ func NewVirtualClock() *Clock {
 	return c
 }
 
-// NewScaledClock returns a real-time clock compressed by scale: an
-// emulated duration d is slept for d/scale of wall time. scale = 1 gives
-// plain real time.
-func NewScaledClock(scale float64) *Clock {
-	if scale <= 0 {
-		scale = 1
-	}
-	return &Clock{
-		base:      time.Now(), //detlint:allow wallclock -- scaled-real-time mode anchors the clock to the wall by definition
-		realtime:  true,
-		scale:     scale,
-		realStart: time.Now(), //detlint:allow wallclock -- scaled-real-time mode anchors the clock to the wall by definition
-		done:      make(chan struct{}),
-	}
-}
-
 // Register marks the calling goroutine as an emulation participant and
 // returns its handle: the virtual clock refuses to jump while any
 // participant is running, so everything the goroutine does between
 // parks happens at a frozen virtual instant. Park only through the
-// returned handle, and pair every Register with Unregister. In realtime
-// mode the handle's primitives degrade to scaled wall-clock sleeps.
+// returned handle, and pair every Register with Unregister.
 func (c *Clock) Register() *Participant {
 	p := &Participant{
 		c:     c,
 		wake:  make(chan struct{}, 1),
 		shard: c.nextShard.Add(1) & (numShards - 1),
 	}
-	if !c.realtime {
-		c.parts.Add(1)
-	}
+	c.parts.Add(1)
 	return p
 }
 
@@ -163,9 +128,6 @@ func (p *Participant) Clock() *Clock { return p.c }
 // idempotent; a handle must not be used to park after unregistering.
 func (p *Participant) Unregister() {
 	c := p.c
-	if c.realtime {
-		return
-	}
 	if !p.gone.Swap(true) {
 		c.parts.Add(-1)
 		c.tryAdvance()
@@ -179,7 +141,7 @@ func (p *Participant) Unregister() {
 // jumps. The participant must not park while suspended.
 func (p *Participant) Suspend() {
 	c := p.c
-	if c.realtime || p.gone.Load() {
+	if p.gone.Load() {
 		return
 	}
 	c.parts.Add(-1)
@@ -188,28 +150,19 @@ func (p *Participant) Suspend() {
 
 // Resume restores a registration removed by Suspend.
 func (p *Participant) Resume() {
-	c := p.c
-	if c.realtime || p.gone.Load() {
+	if p.gone.Load() {
 		return
 	}
-	c.parts.Add(1)
+	p.c.parts.Add(1)
 }
 
 // Hold blocks virtual-time jumps until Release, without registering a
 // goroutine. It covers handoff windows where work has been scheduled but
 // the goroutine that will perform it has not started executing yet.
-func (c *Clock) Hold() {
-	if c.realtime {
-		return
-	}
-	c.parts.Add(1)
-}
+func (c *Clock) Hold() { c.parts.Add(1) }
 
 // Release undoes one Hold.
 func (c *Clock) Release() {
-	if c.realtime {
-		return
-	}
 	c.parts.Add(-1)
 	c.tryAdvance()
 }
@@ -228,23 +181,17 @@ func (c *Clock) Go(fn func(*Participant)) {
 	}()
 }
 
-// Stop terminates the clock. Parked waiters are woken immediately (in
-// both clock modes) through the done channel; the emulation is expected
-// to be torn down afterwards. Now() is frozen at the stop instant: a
-// stopped clock reports the same emulated time forever, in both modes,
-// so teardown-path reads (session metrics, buffer levels) are stable.
+// Stop terminates the clock. Parked waiters are woken immediately
+// through the done channel; the emulation is expected to be torn down
+// afterwards. A stopped clock never jumps again, so Now stays at the
+// stop instant and teardown-path reads (session metrics, buffer
+// levels) are stable.
 func (c *Clock) Stop() {
 	c.jumpMu.Lock()
 	if c.stopped.Load() {
 		c.jumpMu.Unlock()
 		return
 	}
-	if c.realtime {
-		c.frozenAt.Store(int64(float64(time.Since(c.realStart)) * c.scale)) //detlint:allow wallclock -- realtime pacing converts wall progress into emulated time
-	} else {
-		c.frozenAt.Store(c.virt.Load())
-	}
-	c.frozen.Store(true)
 	c.stopped.Store(true)
 	close(c.done)
 	for i := range c.shards {
@@ -265,19 +212,11 @@ func (c *Clock) Stopped() bool {
 	}
 }
 
-// Now returns the current emulated time. In virtual mode this is a
-// lock-free atomic read: registered participants can only observe the
-// clock between jumps (jumps require them all parked), and transient
-// observers tolerate the relaxed ordering by construction. After Stop,
-// Now is frozen at the stop instant in both modes.
+// Now returns the current emulated time: a lock-free atomic read.
+// Registered participants can only observe the clock between jumps
+// (jumps require them all parked). After Stop, Now is frozen at the
+// stop instant.
 func (c *Clock) Now() time.Time {
-	if c.realtime {
-		if c.frozen.Load() {
-			return c.base.Add(time.Duration(c.frozenAt.Load()))
-		}
-		real := time.Since(c.realStart) //detlint:allow wallclock -- realtime pacing converts wall progress into emulated time
-		return c.base.Add(time.Duration(float64(real) * c.scale))
-	}
 	return c.base.Add(time.Duration(c.virt.Load()))
 }
 
@@ -295,10 +234,6 @@ func (p *Participant) Sleep(d time.Duration) {
 // contends with no other shard.
 func (p *Participant) SleepUntil(t time.Time) {
 	c := p.c
-	if c.realtime {
-		c.SleepUntil(t)
-		return
-	}
 	sh := &c.shards[p.shard]
 	deadline := int64(t.Sub(c.base))
 	sh.mu.Lock()
@@ -321,59 +256,10 @@ func (p *Participant) SleepUntil(t time.Time) {
 	}
 }
 
-// Sleep blocks for an emulated duration d. This is the transient shim:
-// the caller is accounted as a participant only for the duration of the
-// park. Registered goroutines must use Participant.Sleep instead.
-func (c *Clock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	c.SleepUntil(c.Now().Add(d))
-}
-
-// SleepUntil blocks until the emulated instant t. In virtual mode the
-// caller becomes a transient parked waiter with a deadline (see
-// Clock.Sleep); in realtime mode it sleeps for the scaled wall
-// duration, interruptibly by Stop.
-func (c *Clock) SleepUntil(t time.Time) {
-	if c.realtime {
-		emuLeft := t.Sub(c.Now())
-		if emuLeft <= 0 {
-			return
-		}
-		timer := time.NewTimer(time.Duration(float64(emuLeft) / c.scale)) //detlint:allow wallclock -- realtime SleepUntil waits out the scaled interval on a real timer
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-c.done:
-		}
-		return
-	}
-	sh := &c.shards[c.nextShard.Add(1)&(numShards-1)]
-	sh.mu.Lock()
-	deadline := int64(t.Sub(c.base))
-	if c.stopped.Load() || deadline <= c.virt.Load() {
-		sh.mu.Unlock()
-		return
-	}
-	s := &sleeper{deadline: deadline, seq: c.seq.Add(1), ch: make(chan struct{}, 1), transient: true}
-	sh.push(s)
-	sh.mu.Unlock()
-	c.parts.Add(1)
-	if c.idle.Add(1) == c.parts.Load() {
-		c.tryAdvance()
-	}
-	select {
-	case <-s.ch:
-	case <-c.done:
-	}
-}
-
 // tryAdvance jumps virtual time to the earliest pending deadline when
 // every participant is parked, waking every sleeper that becomes due.
-// Waking a registered sleeper leaves idle < parts, ending the loop
-// until that goroutine parks again; a woken transient sleeper vanishes
-// from the accounting entirely (it may never touch the clock again), so
+// Waking a sleeper leaves idle < parts, ending the loop until that
+// goroutine parks again; a fired timer callback releases its hold, so
 // the condition is re-evaluated and further jumps may fire immediately.
 //
 // The idle == parts check is a pair of atomic loads, re-evaluated under
@@ -381,24 +267,18 @@ func (c *Clock) SleepUntil(t time.Time) {
 // equality at instants where the condition genuinely held (every
 // counter transition toward equality triggers its own tryAdvance, and
 // transitions away from it mean the affected goroutine is runnable and
-// will re-check when it parks), so jumps stay deterministic for fully
-// registered emulations.
+// will re-check when it parks), so jumps stay deterministic.
 func (c *Clock) tryAdvance() {
-	if c.realtime {
-		return
-	}
 	// Due sleepers are collected into one batch under the jump mutex
 	// (taking each shard lock exactly once per jump) but their wake
 	// tokens are fanned out after every lock is released: a channel
 	// send can wake a goroutine (a futex syscall under contention), and
 	// doing that inside the critical section convoys other advance
-	// attempts behind it. Popping a registered sleeper decrements idle,
-	// so no further jump can fire until it parks again — sending its
-	// token late is indistinguishable from the goroutine being slow to
-	// run. A popped transient reopens the condition (it vanishes from
-	// the accounting), and a popped timer closes it (the pending
-	// callback holds the clock) until the callback has run; the outer
-	// loop re-checks both.
+	// attempts behind it. Popping a sleeper decrements idle, so no
+	// further jump can fire until it parks again — sending its token
+	// late is indistinguishable from the goroutine being slow to run. A
+	// popped timer closes the condition too (the pending callback holds
+	// the clock) until the callback has run; the outer loop re-checks.
 	for {
 		c.jumpMu.Lock()
 		fire := c.collectDue()
@@ -438,8 +318,10 @@ type wakeItem struct {
 // collecting every due sleeper across shards into one (deadline, seq)
 // sorted batch and snapshotting its wake actions. The caller holds
 // jumpMu; the returned slice is the clock's reusable scratch, valid
-// until the next collectDue call (a private copy when the batch holds a
-// transient, see below).
+// until the next collectDue call. No next jump can start before this
+// batch's fan-out ends: every popped sleeper is off the idle count
+// until its token arrives and parks it again, and every popped timer
+// holds the clock until its callback has run.
 func (c *Clock) collectDue() []wakeItem {
 	batch := c.batch[:0]
 	for !c.stopped.Load() && c.idle.Load() == c.parts.Load() {
@@ -462,9 +344,7 @@ func (c *Clock) collectDue() []wakeItem {
 		// Pop only shards whose summary says they have due work: in the
 		// common case one shard owns the next instant and the other
 		// locks are never touched. The summary is exact while every
-		// participant is parked (nothing can push); the transient-shim
-		// race can at worst delay an unregistered sleeper to the next
-		// jump, which pop's <= comparison absorbs.
+		// participant is parked (nothing can push).
 		n0 := len(batch)
 		for i := range c.shards {
 			if c.shards[i].earliest.Load() <= virt {
@@ -472,17 +352,14 @@ func (c *Clock) collectDue() []wakeItem {
 			}
 		}
 		// Account the batch before re-checking the loop condition:
-		// registered sleepers return to the running state (idle--),
-		// transients vanish (parts-- too), and timers take a hold
-		// (parts++) released by tryAdvance after their callback runs.
+		// sleepers return to the running state (idle--), and timers
+		// take a hold (parts++) released by tryAdvance after their
+		// callback runs.
 		for _, s := range batch[n0:] {
 			if s.fn != nil {
 				c.parts.Add(1)
-				continue
-			}
-			c.idle.Add(-1)
-			if s.transient {
-				c.parts.Add(-1)
+			} else {
+				c.idle.Add(-1)
 			}
 		}
 	}
@@ -495,20 +372,10 @@ func (c *Clock) collectDue() []wakeItem {
 		sort.Sort(&c.batch)
 	}
 	fire := c.fire[:0]
-	transient := false
 	for _, s := range batch {
 		fire = append(fire, wakeItem{ch: s.ch, fn: s.fn})
-		transient = transient || s.transient
 	}
 	c.fire = fire
-	if transient {
-		// A popped transient has already left the accounting, so once
-		// the rest of the batch is running again the next jump — and
-		// its reuse of the scratch — may start before this batch's
-		// fan-out has reached the transient's token. Hand such batches
-		// out as a private copy.
-		return append([]wakeItem(nil), fire...)
-	}
 	return fire
 }
 
@@ -521,8 +388,7 @@ func (c *Clock) collectDue() []wakeItem {
 // The callback runs on the jump goroutine at the exact scheduled
 // instant, while the clock is mid-jump: it must not park (no Sleep, no
 // Cond.Wait) — broadcasting a Cond, signalling, or scheduling further
-// timers is the intended use. In realtime mode the callback runs on a
-// private goroutine after the scaled wall delay.
+// timers is the intended use.
 //
 // Schedule and Stop may be called from any running goroutine. A timer
 // holds at most one pending schedule: Schedule replaces the previous
@@ -536,11 +402,6 @@ type Timer struct {
 
 	mu sync.Mutex // orders Schedule/Stop against each other
 	s  *sleeper   // current node; recycled unless abandoned to overflow
-	rt *rtTimer   // realtime mode
-}
-
-type rtTimer struct {
-	stop atomic.Bool
 }
 
 // NewTimer returns an unscheduled timer firing fn, pinned to the next
@@ -564,22 +425,6 @@ func (p *Participant) NewTimer(fn func()) *Timer {
 func (t *Timer) Schedule(at time.Time) {
 	c := t.c
 	if c.Stopped() {
-		return
-	}
-	if c.realtime {
-		t.mu.Lock()
-		if t.rt != nil {
-			t.rt.stop.Store(true)
-		}
-		rt := &rtTimer{}
-		t.rt = rt
-		t.mu.Unlock()
-		go func() { //detlint:allow baredgo -- realtime timers fire on an OS timer goroutine; virtual mode never runs this path
-			c.SleepUntil(at)
-			if !rt.stop.Load() && !c.Stopped() {
-				t.fn()
-			}
-		}()
 		return
 	}
 	// The hold pins virtual time across the push for unregistered
@@ -618,15 +463,6 @@ func (t *Timer) Schedule(at time.Time) {
 // callback that is already firing.
 func (t *Timer) Stop() {
 	c := t.c
-	if c.realtime {
-		t.mu.Lock()
-		if t.rt != nil {
-			t.rt.stop.Store(true)
-			t.rt = nil
-		}
-		t.mu.Unlock()
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.s == nil {
@@ -648,10 +484,7 @@ func (t *Timer) Stop() {
 //
 // Usage mirrors sync.Cond, with one extra rule: Signal and Broadcast
 // must also be called with L held. Wait takes the caller's Participant
-// handle; a nil participant accounts the caller as transient for the
-// duration of the park (registered goroutines must pass their handle).
-// A nil clock degrades to plain condition-variable behaviour (used by
-// unit tests that exercise data structures without an emulation clock).
+// handle.
 //
 // Neither Wait nor wake touches any clock lock: parking is one atomic
 // increment (plus an advance attempt when the caller was the last
@@ -659,58 +492,31 @@ func (t *Timer) Stop() {
 type Cond struct {
 	clock   *Clock
 	L       sync.Locker
-	waiters []condWaiter
-}
-
-type condWaiter struct {
-	ch        chan struct{}
-	transient bool
-	accounted bool
+	waiters []chan struct{}
 }
 
 // NewCond returns a Cond bound to clock whose Wait/Signal/Broadcast are
-// guarded by l. clock may be nil.
+// guarded by l.
 func NewCond(clock *Clock, l sync.Locker) *Cond {
 	return &Cond{clock: clock, L: l}
 }
 
-// Wait atomically unlocks L and parks until woken by Signal or
-// Broadcast, then relocks L before returning. p is the caller's
-// Participant handle (nil for unregistered goroutines, which park as
-// transients). Unlike sync.Cond there are no spurious wakeups, but
-// callers should still re-check their predicate in a loop.
+// Wait atomically unlocks L and parks the participant p until woken by
+// Signal or Broadcast, then relocks L before returning. Unlike
+// sync.Cond there are no spurious wakeups, but callers should still
+// re-check their predicate in a loop.
 //
 // Wait returns false when the clock has been stopped (at entry, or
 // while parked): the wait's wake-up condition may never be signalled
 // once the emulation is torn down, so callers must treat false as an
 // abort rather than re-checking and waiting again.
 func (cv *Cond) Wait(p *Participant) bool {
-	w := condWaiter{}
-	var stopCh <-chan struct{}
-	advance := false
 	c := cv.clock
-	if c != nil {
-		stopCh = c.done
-		if c.Stopped() {
-			return false
-		}
-		if c.realtime {
-			w.ch = make(chan struct{}, 1)
-		} else {
-			if p != nil {
-				w.ch = p.wake
-			} else {
-				w.ch = make(chan struct{}, 1)
-				w.transient = true
-				c.parts.Add(1)
-			}
-			w.accounted = true
-			advance = c.idle.Add(1) == c.parts.Load()
-		}
-	} else {
-		w.ch = make(chan struct{}, 1)
+	if c.Stopped() {
+		return false
 	}
-	cv.waiters = append(cv.waiters, w)
+	cv.waiters = append(cv.waiters, p.wake)
+	advance := c.idle.Add(1) == c.parts.Load()
 	cv.L.Unlock()
 	// The advance runs only after L is released: tryAdvance fires due
 	// timer callbacks inline on this goroutine, and a callback may need
@@ -725,8 +531,8 @@ func (cv *Cond) Wait(p *Participant) bool {
 	}
 	ok := true
 	select {
-	case <-w.ch:
-	case <-stopCh: // nil (blocks forever) when no clock is attached
+	case <-p.wake:
+	case <-c.done:
 		ok = false
 	}
 	cv.L.Lock()
@@ -740,7 +546,7 @@ func (cv *Cond) Signal() {
 	}
 	w := cv.waiters[0]
 	n := copy(cv.waiters, cv.waiters[1:])
-	cv.waiters[n] = condWaiter{}
+	cv.waiters[n] = nil
 	cv.waiters = cv.waiters[:n]
 	cv.wake(w)
 }
@@ -748,7 +554,7 @@ func (cv *Cond) Signal() {
 // Broadcast wakes every waiter. L must be held.
 func (cv *Cond) Broadcast() {
 	for i, w := range cv.waiters {
-		cv.waiters[i] = condWaiter{}
+		cv.waiters[i] = nil
 		cv.wake(w)
 	}
 	cv.waiters = cv.waiters[:0]
@@ -756,17 +562,10 @@ func (cv *Cond) Broadcast() {
 
 // wake returns the waiter to the running state before releasing it, so
 // the clock sees it as active from the instant of the signal.
-func (cv *Cond) wake(w condWaiter) {
-	if w.accounted {
-		c := cv.clock
-		c.idle.Add(-1)
-		if w.transient {
-			c.parts.Add(-1)
-			c.tryAdvance()
-		}
-	}
+func (cv *Cond) wake(ch chan struct{}) {
+	cv.clock.idle.Add(-1)
 	select {
-	case w.ch <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }

@@ -41,9 +41,11 @@ func TestVirtualClockAdvancesToDeadline(t *testing.T) {
 	c := NewVirtualClock()
 	defer c.Stop()
 
+	drv := c.Register()
+	defer drv.Unregister()
 	start := c.Now()
 	real := time.Now()                                  //detlint:allow wallclock -- asserts the virtual run needs negligible wall time
-	c.Sleep(10 * time.Second)                           // emulated
+	drv.Sleep(10 * time.Second)                         // emulated
 	if wall := time.Since(real); wall > 2*time.Second { //detlint:allow wallclock -- asserts the virtual run needs negligible wall time
 		t.Fatalf("virtual 10s sleep took %v of wall time", wall)
 	}
@@ -82,28 +84,16 @@ func TestVirtualClockOrdersConcurrentSleepers(t *testing.T) {
 func TestVirtualClockNowMonotonic(t *testing.T) {
 	c := NewVirtualClock()
 	defer c.Stop()
+	drv := c.Register()
+	defer drv.Unregister()
 	prev := c.Now()
 	for i := 0; i < 50; i++ {
-		c.Sleep(time.Duration(i%7+1) * time.Millisecond)
+		drv.Sleep(time.Duration(i%7+1) * time.Millisecond)
 		now := c.Now()
 		if now.Before(prev) {
 			t.Fatalf("clock went backwards: %v -> %v", prev, now)
 		}
 		prev = now
-	}
-}
-
-func TestScaledClockCompressesSleep(t *testing.T) {
-	c := NewScaledClock(100)
-	defer c.Stop()
-	real := time.Now()       //detlint:allow wallclock -- test measures wall-clock elapsed time on purpose
-	c.Sleep(time.Second)     // emulated 1s -> ~10ms real
-	wall := time.Since(real) //detlint:allow wallclock -- test measures wall-clock elapsed time on purpose
-	if wall < 5*time.Millisecond || wall > 500*time.Millisecond {
-		t.Fatalf("scaled sleep wall time = %v, want ~10ms", wall)
-	}
-	if got := c.Now().Sub(c.base); got < time.Second {
-		t.Fatalf("emulated elapsed = %v, want >= 1s", got)
 	}
 }
 
@@ -127,37 +117,14 @@ func TestClockStopWakesSleepers(t *testing.T) {
 	}
 }
 
-// TestScaledClockStopInterruptsSleep checks the realtime mode: Stop must
-// wake goroutines parked in scaled wall-clock sleeps, or Testbed.Close
-// on a RealTimeScale run would leak goroutines stuck in time.Sleep.
-func TestScaledClockStopInterruptsSleep(t *testing.T) {
-	c := NewScaledClock(1) // plain real time
-	done := make(chan struct{})
-	go func() {
-		c.Sleep(time.Hour)
-		close(done)
-	}()
-	time.Sleep(5 * time.Millisecond) //detlint:allow wallclock -- real sleep lets goroutines park before asserting waiter accounting
-	real := time.Now()               //detlint:allow wallclock -- test measures wall-clock elapsed time on purpose
-	c.Stop()
-	select {
-	case <-done:
-		if wall := time.Since(real); wall > time.Second { //detlint:allow wallclock -- test measures wall-clock elapsed time on purpose
-			t.Fatalf("Stop took %v to interrupt a realtime sleep", wall)
-		}
-	case <-time.After(2 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("realtime sleeper not released by Stop")
-	}
-}
-
 func TestSleepUntilPastReturnsImmediately(t *testing.T) {
 	c := NewVirtualClock()
 	defer c.Stop()
 	done := make(chan struct{})
-	go func() {
-		c.SleepUntil(c.Now().Add(-time.Minute))
+	c.Go(func(p *Participant) {
+		p.SleepUntil(c.Now().Add(-time.Minute))
 		close(done)
-	}()
+	})
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
@@ -183,8 +150,8 @@ func TestVirtualClockWaitsForActiveParticipants(t *testing.T) {
 		<-release // deliberately invisible: holds the clock still
 	})
 	<-parked
-	//detlint:allow wallclock -- real sleep in real-time mode: no virtual jump may happen
-	time.Sleep(20 * time.Millisecond) // real time: no jump may happen
+	//detlint:allow wallclock -- wall-clock wait: no virtual jump may happen meanwhile
+	time.Sleep(20 * time.Millisecond)
 	if got := c.Now().Sub(c.base); got != 0 {
 		t.Fatalf("clock advanced %v while a participant was runnable", got)
 	}
@@ -260,13 +227,15 @@ func TestClockConcurrentRegisterSleepStop(t *testing.T) {
 					p.Sleep(time.Duration(g*7+i%5+1) * time.Millisecond)
 				}
 			})
-			// Unregistered transient sleepers racing with the registered
-			// ones and with Stop.
+			// Late registrations racing with the running participants'
+			// jumps and with Stop.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				p := c.Register()
+				defer p.Unregister()
 				for i := 0; i < 20; i++ {
-					c.Sleep(time.Duration(i%3+1) * time.Millisecond)
+					p.Sleep(time.Duration(i%3+1) * time.Millisecond)
 				}
 			}()
 		}
@@ -284,6 +253,10 @@ func TestClockConcurrentRegisterSleepStop(t *testing.T) {
 // torn down, so Wait must return false instead of parking forever.
 func TestCondWaitReleasedByStop(t *testing.T) {
 	c := NewVirtualClock()
+	// The registered driver pins virtual time; only Stop can release
+	// the waiter.
+	drv := c.Register()
+	defer drv.Unregister()
 	var mu sync.Mutex
 	cond := NewCond(c, &mu)
 	done := make(chan bool, 1)
@@ -305,7 +278,7 @@ func TestCondWaitReleasedByStop(t *testing.T) {
 	}
 	// Waiting on an already-stopped clock must not park at all.
 	mu.Lock()
-	ok := cond.Wait(nil)
+	ok := cond.Wait(drv)
 	mu.Unlock()
 	if ok {
 		t.Fatal("Cond.Wait on a stopped clock returned true")
@@ -352,25 +325,21 @@ func TestCondSignalTransfersCredit(t *testing.T) {
 }
 
 // TestStopFreezesNow pins the post-teardown time contract: once Stop
-// has run, Now returns the stop instant forever, in both clock modes —
-// so accessors consulted after teardown (player buffer levels, metrics
-// of cancelled sessions) read one stable emulated time instead of a
-// wall clock that keeps running.
+// has run, Now returns the stop instant forever, so accessors consulted
+// after teardown (player buffer levels, metrics of cancelled sessions)
+// read one stable emulated time.
 func TestStopFreezesNow(t *testing.T) {
-	c := NewScaledClock(1000)        // 1 ms wall ≈ 1 s emulated: drift is obvious
-	time.Sleep(2 * time.Millisecond) //detlint:allow wallclock -- real sleep lets goroutines park before asserting waiter accounting
-	c.Stop()
-	frozen := c.Now()
-	time.Sleep(5 * time.Millisecond) //detlint:allow wallclock -- real sleep lets goroutines park before asserting waiter accounting
-	if !c.Now().Equal(frozen) {
-		t.Fatalf("scaled clock advanced after Stop: %v -> %v", frozen, c.Now())
-	}
-
 	v := NewVirtualClock()
+	drv := v.Register()
+	defer drv.Unregister()
 	v.Go(func(p *Participant) { p.Sleep(3 * time.Second) })
-	v.Sleep(time.Second)
+	drv.Sleep(time.Second)
 	v.Stop()
 	vf := v.Now()
+	if got := vf.Sub(v.base); got != time.Second {
+		t.Fatalf("stopped at +%v, want +1s", got)
+	}
+	drv.Sleep(time.Hour) // returns at once on a stopped clock
 	if got := v.Now(); !got.Equal(vf) {
 		t.Fatalf("virtual clock moved after Stop: %v -> %v", vf, got)
 	}

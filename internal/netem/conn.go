@@ -44,10 +44,10 @@ type Conn struct {
 }
 
 // Bind attaches the clock Participant of the goroutine that owns this
-// endpoint. Reads and writes park through the bound handle (O(1),
-// allocation-free); an unbound endpoint parks as a transient clock
-// participant, which still works but costs determinism and a per-park
-// allocation. Each endpoint of an emulated connection is owned by
+// endpoint. Blocking reads and writes park through the bound handle
+// (O(1), allocation-free), so an endpoint must be bound before its
+// first Read or Write; event-driven endpoints (ReadBuf, TryWrite)
+// never park and need no binding. Each endpoint of an emulated connection is owned by
 // exactly one goroutine in this codebase (the dialing fetch loop on the
 // client side, the per-connection server loop on the other), so binding
 // happens once at dial/accept time.

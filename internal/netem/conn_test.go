@@ -49,6 +49,9 @@ func TestConnAbortDeliveredVsDropped(t *testing.T) {
 		}
 	})
 	<-done
+	drv := clock.Register()
+	defer drv.Unregister()
+	client.Bind(drv)
 
 	// The reader runs long after the abort instant: segment A arrived
 	// before T and must still be delivered; segment B must not; then the
@@ -92,6 +95,9 @@ func TestConnImmediateAbortDrainsArrivedData(t *testing.T) {
 		client.Abort(errDown)           // t=50ms: arrived data survives
 	})
 	<-done
+	drv := clock.Register()
+	defer drv.Unregister()
+	client.Bind(drv)
 
 	got, err := io.ReadAll(client)
 	if err != errDown {

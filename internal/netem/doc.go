@@ -1,32 +1,27 @@
 // Package netem is a userspace network emulator used as the testbed
 // substrate for MSPlayer experiments.
 //
-// It provides net.Conn / net.Listener implementations whose byte streams
-// are subject to per-direction bandwidth pacing, propagation delay,
-// jitter, random loss (modelled as head-of-line retransmission penalty),
-// time-varying rate traces, and an optional TCP-like slow-start ramp.
-// HTTP clients and servers run on top of it unmodified, so the full
-// range-request machinery of MSPlayer is exercised end to end.
+// It provides emulated connections (Conn implements net.Conn) whose
+// byte streams are subject to per-direction bandwidth pacing,
+// propagation delay, jitter, random loss (modelled as head-of-line
+// retransmission penalty), time-varying rate traces, and an optional
+// TCP-like slow-start ramp. The emulation's HTTP client and server
+// (package httpx) run on top of it, so the full range-request machinery
+// of MSPlayer is exercised end to end.
 //
-// All emulated waiting goes through a Clock. The Clock has two modes:
-//
-//   - Virtual (the default): a deterministic discrete-event clock driven
-//     by waiter accounting. Every emulation participant — pipe readers
-//     and writers, HTTP fetch loops, origin request handlers, playout
-//     drain timers — registers with the clock (Clock.Register or
-//     Clock.Go), receiving a *Participant handle, and parks only
-//     through clock-visible primitives: Participant.Sleep/SleepUntil
-//     for deadline waits and Cond.Wait for emulated-I/O waits. The
-//     instant every registered participant is parked, the clock jumps
-//     to the earliest pending deadline and wakes the sleepers that
-//     become due. There are no wall-clock sleeps and no quiescence
-//     polling, so hours of emulated streaming complete as fast as the
-//     CPU allows and the event order is bit-for-bit reproducible across
-//     machines and load conditions.
-//
-//   - Scaled real time: emulated durations are divided by a constant
-//     factor and slept for real (interruptibly by Clock.Stop). Useful
-//     for interactive demos.
+// All emulated waiting goes through a Clock: a deterministic
+// discrete-event clock driven by waiter accounting. Every emulation
+// participant — pipe readers and writers, session machines, origin
+// request handlers, playout drain timers — registers with the clock
+// (Clock.Register or Clock.Go), receiving a *Participant handle, and
+// parks only through clock-visible primitives: Participant.Sleep/
+// SleepUntil for deadline waits and Cond.Wait for emulated-I/O waits.
+// The instant every registered participant is parked, the clock jumps
+// to the earliest pending deadline and wakes the sleepers that become
+// due. There are no wall-clock sleeps and no quiescence polling, so
+// hours of emulated streaming complete as fast as the CPU allows and
+// the event order is bit-for-bit reproducible across machines and load
+// conditions.
 //
 // # Participant handles
 //
@@ -53,17 +48,14 @@
 //  4. A Participant belongs to one goroutine at a time, and a
 //     registered goroutine holds exactly one: code called on behalf of
 //     an already-registered caller takes the caller's handle (see
-//     Interface.Dial, Listener.AcceptP, Conn.Bind, httpx.Transport.Bind)
-//     instead of registering again — a second registration for the
-//     same goroutine would deadlock the accounting.
+//     Interface.Dial, Listener.AcceptP, Conn.Bind, Cond.Wait) instead
+//     of registering again — a second registration for the same
+//     goroutine would deadlock the accounting.
 //
-// Unregistered goroutines may still use the clock-level blocking
-// shims (Clock.Sleep, Clock.SleepUntil, Cond.Wait with nil, Accept,
-// DialContext): they are accounted as transient participants while
-// parked. This keeps casual use (tests, example main functions)
-// working, at reduced determinism while such a goroutine is runnable.
-// Registered goroutines must not call the transient shims: the clock
-// would count them twice and wedge.
+// Only registered goroutines park: every blocking primitive takes the
+// caller's Participant. A goroutine outside the emulation (a test, an
+// example's main) registers first and parks through its handle, or
+// drives the emulation entirely through Timers and Loops.
 //
 // # Shutdown and draining
 //
@@ -270,8 +262,10 @@
 // session (bootstrap, multi-path fetch loops, failover backoff, playout
 // gate) is one such machine, and so is every server connection —
 // origin, throttled origin and edge alike, with an edge's backhaul fills
-// on httpx.EventTransport. The blocking API remains for the blocking
-// httpx.Transport (examples/youtube) and the reference tests.
+// on httpx.EventTransport. The participant-bound blocking API
+// (Interface.Dial, Listener.AcceptP, Conn.Read/Write) remains for the
+// Fig. 1 handshake probe and the tests that hold the machines to
+// net/http and to the pinned timelines.
 //
 // Internally the participant/idle counters are atomics and the jump
 // mutex guards only the jump loop itself; wake tokens are delivered
@@ -305,7 +299,7 @@
 //     only for a second. A direction reads many values, so it seeds.
 //
 // Consumers keep their own pools layered on the same idea: httpx pools
-// connection bufio.Readers and response-body scratch, and core recycles
+// response-head and request staging buffers, and core recycles
 // chunk bodies between range requests and in-order delivery. In every
 // case the invariant is the same: a buffer returns to its pool only
 // after the last reader of its bytes has finished, and pooled buffers

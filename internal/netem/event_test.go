@@ -74,9 +74,11 @@ func TestEventReadMatchesBlockingRead(t *testing.T) {
 			}
 			return buf.Bytes(), end.Sub(start)
 		}
+		drv := clock.Register()
+		defer drv.Unregister()
 		clock.Go(writer)
 		received, termErr, doneAt := drainEvented(client)
-		clock.SleepUntil(start.Add(time.Hour))
+		drv.SleepUntil(start.Add(time.Hour))
 		if !errors.Is(*termErr, io.EOF) {
 			t.Fatalf("evented terminal error = %v, want EOF", *termErr)
 		}
@@ -99,6 +101,8 @@ func TestEventReadMatchesBlockingRead(t *testing.T) {
 func TestReadBufBorrowRelease(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	params := LinkParams{Rate: Mbps(80), Delay: 10 * time.Millisecond}
 	client, server := Pipe(clock, params, params, "c", "s")
 
@@ -121,7 +125,7 @@ func TestReadBufBorrowRelease(t *testing.T) {
 			total += len(view)
 		}
 	})
-	clock.SleepUntil(clock.Now().Add(time.Hour))
+	drv.SleepUntil(clock.Now().Add(time.Hour))
 
 	if total != len(payload) {
 		t.Fatalf("consumed %d bytes, want %d", total, len(payload))
@@ -155,6 +159,8 @@ func TestReadBufBorrowRelease(t *testing.T) {
 func TestTryWriteBackpressure(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	params := LinkParams{Rate: Mbps(20), Delay: 5 * time.Millisecond, SendBuf: 16 << 10}
 	client, server := Pipe(clock, params, params, "c", "s")
 
@@ -192,7 +198,7 @@ func TestTryWriteBackpressure(t *testing.T) {
 		_, err := io.Copy(&received, client)
 		done <- err
 	})
-	clock.SleepUntil(clock.Now().Add(time.Hour))
+	drv.SleepUntil(clock.Now().Add(time.Hour))
 	if err := <-done; err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -210,6 +216,8 @@ func TestTryWriteBackpressure(t *testing.T) {
 func TestEventAbortSurfacesAtInstant(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	params := LinkParams{Rate: Mbps(8), Delay: 20 * time.Millisecond}
 	client, server := Pipe(clock, params, params, "c", "s")
 
@@ -222,7 +230,7 @@ func TestEventAbortSurfacesAtInstant(t *testing.T) {
 	client.AbortAt(abortAt, abortErr)
 
 	received, termErr, doneAt := drainEvented(client)
-	clock.SleepUntil(clock.Now().Add(time.Hour))
+	drv.SleepUntil(clock.Now().Add(time.Hour))
 
 	if !errors.Is(*termErr, abortErr) {
 		t.Fatalf("terminal error = %v, want %v", *termErr, abortErr)
@@ -241,6 +249,8 @@ func TestEventAbortSurfacesAtInstant(t *testing.T) {
 func TestDialEventMatchesDialTiming(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	n := NewNetwork(clock)
 	params := LinkParams{Rate: Mbps(10), Delay: 30 * time.Millisecond}
 	cli := n.NewInterface("cli", params, params)
@@ -278,7 +288,7 @@ func TestDialEventMatchesDialTiming(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	clock.SleepUntil(start.Add(time.Hour))
+	drv.SleepUntil(start.Add(time.Hour))
 
 	if conn == nil {
 		t.Fatalf("DialEvent callback never fired")
@@ -294,7 +304,7 @@ func TestDialEventMatchesDialTiming(t *testing.T) {
 		t.Fatalf("TryWrite: %v", err)
 	}
 	conn.out.close() // half-close our write side so the echo drains
-	clock.SleepUntil(clock.Now().Add(time.Hour))
+	drv.SleepUntil(clock.Now().Add(time.Hour))
 	if !bytes.Equal(received.Bytes(), msg) {
 		t.Fatalf("echo = %q, want %q (err %v)", received.Bytes(), msg, *termErr)
 	}

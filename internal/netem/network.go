@@ -155,19 +155,10 @@ func (i *Interface) SetAlive(alive bool) {
 	}
 }
 
-// DialContext establishes an emulated connection to addr through this
-// interface, charging one round trip for the TCP three-way handshake.
-// It is shaped to plug into http.Transport.DialContext. The caller
-// parks as a transient clock participant during the handshake;
-// registered goroutines should use Dial with their handle instead.
-func (i *Interface) DialContext(ctx context.Context, _ string, addr string) (net.Conn, error) {
-	return i.Dial(ctx, addr, nil)
-}
-
 // Dial establishes an emulated connection to addr through this
-// interface on behalf of the registered participant p (nil dials as a
-// transient). The returned conn is bound to p: its reads and writes
-// park through the handle.
+// interface on behalf of the registered participant p, charging one
+// round trip for the TCP three-way handshake. The returned conn is
+// bound to p: its reads and writes park through the handle.
 func (i *Interface) Dial(ctx context.Context, addr string, p *Participant) (*Conn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -204,11 +195,7 @@ func (i *Interface) Dial(ctx context.Context, addr string, p *Participant) (*Con
 	down.Seed = down.Seed*1000003 + int64(seq)*7
 
 	// TCP 3WHS: one full round trip before the connection is usable.
-	if p != nil {
-		p.Sleep(2 * up.Delay)
-	} else {
-		n.clock.Sleep(2 * up.Delay)
-	}
+	p.Sleep(2 * up.Delay)
 
 	local := Addr(fmt.Sprintf("%s:%d", i.name, 40000+seq))
 	client, server := Pipe(n.clock, up, down, local, Addr(addr))
@@ -237,9 +224,8 @@ func (i *Interface) forget(c *Conn) {
 	i.mu.Unlock()
 }
 
-// Listener accepts emulated connections. It implements net.Listener, so
-// an http.Server can Serve on it directly. Accept waits are
-// clock-visible: a goroutine parked in Accept does not hold up virtual
+// Listener accepts emulated connections. Accept waits are
+// clock-visible: a goroutine parked in AcceptP does not hold up virtual
 // time, and a dialing goroutine hands the connection over before it can
 // park again, keeping delivery deterministic.
 type Listener struct {
@@ -287,12 +273,8 @@ func (l *Listener) abortFrom(prefix string, err error) {
 	}
 }
 
-// Accept implements net.Listener. The caller parks as a transient
-// clock participant; registered accept loops should use AcceptP.
-func (l *Listener) Accept() (net.Conn, error) { return l.AcceptP(nil) }
-
 // AcceptP accepts the next connection on behalf of the registered
-// participant p (nil accepts as a transient).
+// participant p, parking through its handle until one arrives.
 func (l *Listener) AcceptP(p *Participant) (net.Conn, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -313,7 +295,7 @@ func (l *Listener) AcceptP(p *Participant) (net.Conn, error) {
 	}
 }
 
-// Close implements net.Listener. It also aborts established connections
+// Close stops accepting. It also aborts established connections
 // with ErrServerDown, emulating a server crash, and deregisters the
 // address so it can be reused.
 func (l *Listener) Close() error {
@@ -339,5 +321,5 @@ func (l *Listener) Close() error {
 	return nil
 }
 
-// Addr implements net.Listener.
+// Addr returns the listener's address.
 func (l *Listener) Addr() net.Addr { return l.addr }

@@ -244,8 +244,7 @@ func (d *direction) ssRate(t time.Time) float64 {
 
 // write paces p onto the link, blocking while the send buffer is full.
 // It returns the number of bytes accepted and the abort error, if any.
-// part is the writing goroutine's clock handle (nil parks as
-// transient).
+// part is the writing goroutine's clock handle.
 //
 // stable marks p as immutable and immortal for the purposes of this
 // write (a borrowed view of the origin's content page cache): instead
@@ -389,7 +388,7 @@ func (d *direction) lastSegment() *segment {
 // read copies delivered bytes into p, blocking until data is available
 // (waiting out the arrival time of the head segment when necessary).
 // Fully consumed segments return their pooled buffers. part is the
-// reading goroutine's clock handle (nil parks as transient).
+// reading goroutine's clock handle.
 func (d *direction) read(p []byte, part *Participant) (int, error) {
 	for {
 		d.mu.Lock()
@@ -425,11 +424,7 @@ func (d *direction) read(p []byte, part *Participant) (int, error) {
 			}
 			arrival := head.arrival
 			d.mu.Unlock()
-			if part != nil {
-				part.SleepUntil(arrival)
-			} else {
-				d.clock.SleepUntil(arrival)
-			}
+			part.SleepUntil(arrival)
 			continue
 		}
 		// Drain as many arrived segments as fit into p.

@@ -99,7 +99,10 @@ func TestPipeDataIntegrity(t *testing.T) {
 
 	payload := make([]byte, 300<<10)
 	rand.New(rand.NewSource(1)).Read(payload)
-	go func() {
+	var got []byte
+	var err error
+	goAll(clock, func(p *Participant) {
+		server.Bind(p)
 		// Write in odd-sized slabs to exercise segmentation.
 		for off := 0; off < len(payload); {
 			n := 777
@@ -113,8 +116,10 @@ func TestPipeDataIntegrity(t *testing.T) {
 			off += n
 		}
 		server.Close()
-	}()
-	got, err := io.ReadAll(client)
+	}, func(p *Participant) {
+		client.Bind(p)
+		got, err = io.ReadAll(client)
+	})()
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -129,7 +134,10 @@ func TestPipeBidirectional(t *testing.T) {
 	p := LinkParams{Rate: Mbps(10), Delay: 10 * time.Millisecond}
 	client, server := Pipe(clock, p, p, "c", "s")
 
-	go func() {
+	var got []byte
+	var err error
+	goAll(clock, func(p *Participant) {
+		server.Bind(p)
 		buf := make([]byte, 5)
 		if _, err := io.ReadFull(server, buf); err != nil {
 			t.Errorf("server read: %v", err)
@@ -137,9 +145,11 @@ func TestPipeBidirectional(t *testing.T) {
 		}
 		server.Write(append([]byte("re:"), buf...))
 		server.Close()
-	}()
-	client.Write([]byte("hello"))
-	got, err := io.ReadAll(client)
+	}, func(p *Participant) {
+		client.Bind(p)
+		client.Write([]byte("hello"))
+		got, err = io.ReadAll(client)
+	})()
 	if err != nil {
 		t.Fatalf("client read: %v", err)
 	}
@@ -153,6 +163,10 @@ func TestPipeCloseDrainsThenEOF(t *testing.T) {
 	defer clock.Stop()
 	p := LinkParams{Rate: Mbps(8), Delay: 20 * time.Millisecond}
 	client, server := Pipe(clock, p, p, "c", "s")
+	drv := clock.Register()
+	defer drv.Unregister()
+	client.Bind(drv)
+	server.Bind(drv)
 	server.Write([]byte("tail data"))
 	server.Close()
 	got, err := io.ReadAll(client)
@@ -170,12 +184,13 @@ func TestPipeAbortSurfacesError(t *testing.T) {
 	p := LinkParams{Rate: Mbps(8), Delay: 20 * time.Millisecond}
 	client, server := Pipe(clock, p, p, "c", "s")
 	errCh := make(chan error, 1)
-	go func() {
+	clock.Go(func(p *Participant) {
+		client.Bind(p)
 		buf := make([]byte, 10)
 		_, err := client.Read(buf)
 		errCh <- err
-	}()
-	time.Sleep(5 * time.Millisecond) //detlint:allow wallclock -- real sleep lets goroutines park before asserting waiter accounting
+	})
+	waitParked(clock, 1)
 	server.Abort(ErrServerDown)
 	select {
 	case err := <-errCh:
@@ -194,17 +209,21 @@ func TestPipeSendBufferBlocksWriter(t *testing.T) {
 	client, server := Pipe(clock, p, p, "c", "s")
 
 	wrote := make(chan struct{})
-	go func() {
+	clock.Go(func(p *Participant) {
+		server.Bind(p)
 		buf := make([]byte, 512<<10) // far larger than SendBuf
 		server.Write(buf)
 		close(wrote)
-	}()
+	})
 	select {
 	case <-wrote:
 		t.Fatal("writer did not block on full send buffer")
 	case <-time.After(50 * time.Millisecond): //detlint:allow wallclock -- short real wait proves the write stays blocked
 	}
-	go io.Copy(io.Discard, client)
+	clock.Go(func(p *Participant) {
+		client.Bind(p)
+		io.Copy(io.Discard, client)
+	})
 	select {
 	case <-wrote:
 	case <-time.After(5 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
@@ -226,7 +245,14 @@ func TestPipeArrivalsFIFO(t *testing.T) {
 		}
 		client, server := Pipe(clock, p, p, "c", "s")
 		var want []byte
-		go func() {
+		var got []byte
+		var err error
+		read := func(p *Participant) {
+			client.Bind(p)
+			got, err = io.ReadAll(client)
+		}
+		goAll(clock, func(p *Participant) {
+			server.Bind(p)
 			b := byte(0)
 			for _, s := range sizes {
 				n := int(s)%4096 + 1
@@ -235,14 +261,13 @@ func TestPipeArrivalsFIFO(t *testing.T) {
 				b++
 			}
 			server.Close()
-		}()
+		}, read)()
 		b := byte(0)
 		for _, s := range sizes {
 			n := int(s)%4096 + 1
 			want = append(want, bytes.Repeat([]byte{b}, n)...)
 			b++
 		}
-		got, err := io.ReadAll(client)
 		return err == nil && bytes.Equal(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
@@ -259,12 +284,17 @@ func TestTraceOutageStallsTransfer(t *testing.T) {
 		Delay: 10 * time.Millisecond,
 	}
 	client, server := Pipe(clock, p, p, "c", "s")
-	go func() {
+	var end time.Time
+	goAll(clock, func(p *Participant) {
+		server.Bind(p)
 		server.Write(make([]byte, 1<<20))
 		server.Close()
-	}()
-	io.Copy(io.Discard, client)
-	elapsed := clock.Now().Sub(start)
+	}, func(p *Participant) {
+		client.Bind(p)
+		io.Copy(io.Discard, client)
+		end = clock.Now()
+	})()
+	elapsed := end.Sub(start)
 	if elapsed < 2*time.Second {
 		t.Fatalf("transfer finished in %v despite a 2s outage", elapsed)
 	}

@@ -82,7 +82,6 @@ type sleeper struct {
 	seq       int64 // global tiebreaker; preserves retired-heap firing order
 	ch        chan struct{}
 	fn        func() // timer callback, run on the jump goroutine
-	transient bool   // auto-registered for the duration of this sleep
 	cancelled bool   // timers only; a cancelled entry never fires
 	// queued distinguishes "in a bucket" (removable in place) from "in
 	// the overflow heap" (cancelled lazily; the node is abandoned and a
@@ -173,14 +172,9 @@ type clockShard struct {
 }
 
 // push enqueues s; the caller holds sh.mu and guarantees s.deadline is
-// in the future of the deadlines already popped (modulo the transient
-// race documented in Clock.SleepUntil, which pop's <= comparison
-// absorbs).
+// in the future of the deadlines already popped.
 func (sh *clockShard) push(s *sleeper) {
 	idx := s.deadline >> granShift
-	if idx < sh.base {
-		idx = sh.base // stale transient push: due at the next jump
-	}
 	if idx < sh.base+wheelBuckets {
 		slot := int(idx & bucketMask)
 		sh.buckets[slot] = append(sh.buckets[slot], s)

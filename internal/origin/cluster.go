@@ -301,8 +301,8 @@ func (c *Cluster) Loads() []ServerLoad {
 }
 
 // Drain parks the caller until every server's connection machines have
-// finished, joining them on the emulation clock (p may be nil to park as
-// a transient). Call it after every client is gone or shut down — e.g.
+// finished, parking the registered caller p on the emulation clock.
+// Call it after every client is gone or shut down — e.g.
 // after a fleet's sessions have torn down their transports — and before
 // sampling Loads: a true return guarantees InFlight is zero everywhere
 // and every request's disposition has been recorded, so one Loads call

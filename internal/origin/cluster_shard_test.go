@@ -1,13 +1,9 @@
 package origin
 
 import (
-	"context"
 	"fmt"
-	"net/http"
-	"sync"
 	"testing"
 
-	"repro/internal/httpx"
 	"repro/internal/netem"
 )
 
@@ -16,42 +12,30 @@ import (
 func loadTable(t *testing.T, shards int) string {
 	t.Helper()
 	cluster, n, wifi, lte := testDeployment(t, ClusterConfig{ReplicasPerNetwork: 3, Shards: shards})
-	var wg sync.WaitGroup
-	var werr error
-	wg.Add(1)
-	n.Clock().Go(func(p *netem.Participant) {
-		defer wg.Done()
-		werr = func() error {
-			for _, side := range []struct {
-				iface   *netem.Interface
-				network string
-			}{{wifi, "wifi"}, {lte, "lte"}} {
-				tr := httpx.NewTransport(side.iface)
-				tr.Bind(p)
-				client := &http.Client{Transport: tr}
-				info, err := fetchInfoErr(cluster, side.iface, side.network, "shortclip01", p)
-				if err != nil {
-					return fmt.Errorf("%s: %w", side.network, err)
-				}
-				for i, s := range info.VideoServers {
-					// Uneven per-replica traffic, so a mis-merged table
-					// can't pass by symmetry.
-					if _, err := httpx.GetRange(context.Background(), client, info.PlaybackURL(s, 22), 0, int64(1000*(i+1))-1); err != nil {
-						return fmt.Errorf("%s replica %s: %w", side.network, s, err)
-					}
-				}
-				client.CloseIdleConnections()
+	onClock(t, n.Clock(), func(p *netem.Participant) error {
+		for _, side := range []struct {
+			iface   *netem.Interface
+			network string
+		}{{wifi, "wifi"}, {lte, "lte"}} {
+			c := newClient(p, side.iface)
+			info, err := c.watch(cluster, side.network, "shortclip01")
+			if err != nil {
+				return fmt.Errorf("shards=%d %s: %w", shards, side.network, err)
 			}
-			return nil
-		}()
+			for i, s := range info.VideoServers {
+				// Uneven per-replica traffic, so a mis-merged table
+				// can't pass by symmetry.
+				if _, err := c.getRange(info.PlaybackURL(s, 22), 0, int64(1000*(i+1))-1); err != nil {
+					return fmt.Errorf("shards=%d %s replica %s: %w", shards, side.network, s, err)
+				}
+			}
+			c.close()
+		}
+		if !cluster.Drain(p) {
+			return fmt.Errorf("shards=%d: cluster drain did not settle", shards)
+		}
+		return nil
 	})
-	wg.Wait()
-	if werr != nil {
-		t.Fatalf("shards=%d: %v", shards, werr)
-	}
-	if !cluster.Drain(nil) {
-		t.Fatalf("shards=%d: cluster drain did not settle", shards)
-	}
 	var out string
 	for _, l := range cluster.Loads() {
 		out += fmt.Sprintf("%s %s %d %d %d %d\n", l.Addr, l.Network, l.Total, l.Bytes, l.Aborted, l.InFlight)

@@ -1,51 +1,14 @@
 package origin
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/httpx"
 	"repro/internal/netem"
 	"repro/internal/videostore"
 )
-
-// decodeJSONBody decodes resp's JSON body into v, closing the body.
-func decodeJSONBody(resp *http.Response, v any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("status %d: %s", resp.StatusCode, body)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// fetchInfoErr is fetchInfo with error return instead of t.Fatal, for
-// use off the test goroutine.
-func fetchInfoErr(cluster *Cluster, iface *netem.Interface, network, videoID string, cp *netem.Participant) (*VideoInfo, error) {
-	tr := httpx.NewTransport(iface)
-	tr.Bind(cp)
-	client := &http.Client{Transport: tr}
-	defer client.CloseIdleConnections()
-	proxy, err := cluster.ProxyAddr(network)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Get("http://" + proxy + "/watch?v=" + videoID)
-	if err != nil {
-		return nil, err
-	}
-	var info VideoInfo
-	if err := decodeJSONBody(resp, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
-}
 
 // TestConcurrentWatchAndRange drives many concurrent clients — each with
 // its own interface, as a fleet run does — against one shared Cluster:
@@ -83,22 +46,11 @@ func TestConcurrentWatchAndRange(t *testing.T) {
 		clock.Go(func(cp *netem.Participant) {
 			defer wg.Done()
 			errs[i] = func() error {
-				tr := httpx.NewTransport(iface)
-				tr.Bind(cp)
-				client := &http.Client{Transport: tr}
-				defer client.CloseIdleConnections()
-				proxy, err := cluster.ProxyAddr(network)
+				c := newClient(cp, iface)
+				defer c.close()
+				info, err := c.watch(cluster, network, "shortclip01")
 				if err != nil {
 					return err
-				}
-				resp, err := client.Get("http://" + proxy + "/watch?v=shortclip01")
-				if err != nil {
-					return fmt.Errorf("watch: %w", err)
-				}
-				var info VideoInfo
-				err = decodeJSONBody(resp, &info)
-				if err != nil {
-					return fmt.Errorf("decode: %w", err)
 				}
 				if info.Network != network {
 					return fmt.Errorf("network = %q, want %q", info.Network, network)
@@ -112,8 +64,7 @@ func TestConcurrentWatchAndRange(t *testing.T) {
 					server := info.VideoServers[r%len(info.VideoServers)]
 					lo := int64(i*1000 + r*100)
 					hi := lo + 499
-					body, err := httpx.GetRange(context.Background(), client,
-						info.PlaybackURL(server, 22), lo, hi)
+					body, err := c.getRange(info.PlaybackURL(server, 22), lo, hi)
 					if err != nil {
 						return fmt.Errorf("range %s [%d-%d]: %w", server, lo, hi, err)
 					}
@@ -140,10 +91,12 @@ func TestConcurrentWatchAndRange(t *testing.T) {
 	}
 
 	// Load accounting: every request must have been counted. Each client
-	// closed its idle connections before returning, so the cluster's
-	// drain barrier closes the books on the clock — no wall-clock
-	// settle polling.
-	if !cluster.Drain(nil) {
+	// shut its transport down before returning, so the cluster's drain
+	// barrier closes the books on the clock — no wall-clock settle
+	// polling.
+	drv := clock.Register()
+	defer drv.Unregister()
+	if !cluster.Drain(drv) {
 		t.Fatal("cluster drain did not settle")
 	}
 	loads := cluster.Loads()
@@ -182,7 +135,9 @@ func TestConcurrentTokenIssuanceDistinct(t *testing.T) {
 		wg.Add(1)
 		cluster.net.Clock().Go(func(cp *netem.Participant) {
 			defer wg.Done()
-			info, err := fetchInfoErr(cluster, iface, network, "shortclip01", cp)
+			c := newClient(cp, iface)
+			defer c.close()
+			info, err := c.watch(cluster, network, "shortclip01")
 			results[i] = out{info, err}
 		})
 	}
@@ -194,17 +149,16 @@ func TestConcurrentTokenIssuanceDistinct(t *testing.T) {
 	}
 	// Cross-network replay must still fail even when both tokens were
 	// minted in the same virtual instant.
-	client := httpx.NewClient(wifi)
-	defer client.CloseIdleConnections()
 	wifiInfo, lteInfo := results[0].info, results[1].info
 	cross := *lteInfo
 	cross.Token = wifiInfo.Token
-	if _, err := httpx.GetRange(context.Background(), client,
-		cross.PlaybackURL(lteInfo.VideoServers[0], 22), 0, 99); err == nil {
-		t.Fatal("cross-network token accepted")
-	}
-	if _, err := httpx.GetRange(context.Background(), client,
-		wifiInfo.PlaybackURL(wifiInfo.VideoServers[0], 22), 0, 99); err != nil {
-		t.Fatalf("legitimate token rejected: %v", err)
-	}
+	withClient(t, wifi, func(c *client) error {
+		if _, err := c.getRange(cross.PlaybackURL(lteInfo.VideoServers[0], 22), 0, 99); err == nil {
+			return fmt.Errorf("cross-network token accepted")
+		}
+		if _, err := c.getRange(wifiInfo.PlaybackURL(wifiInfo.VideoServers[0], 22), 0, 99); err != nil {
+			return fmt.Errorf("legitimate token rejected: %w", err)
+		}
+		return nil
+	})
 }

@@ -1,17 +1,16 @@
 package origin
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
-	"io"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/handshake"
 	"repro/internal/httpx"
 	"repro/internal/netem"
 	"repro/internal/videostore"
@@ -37,27 +36,123 @@ func testDeployment(t *testing.T, cfg ClusterConfig) (*Cluster, *netem.Network, 
 	return c, n, wifi, lte
 }
 
-func fetchInfo(t *testing.T, cluster *Cluster, iface *netem.Interface, network, videoID string) *VideoInfo {
-	t.Helper()
-	client := httpx.NewClient(iface)
+// client issues requests on an EventTransport from a registered
+// goroutine, the way Player.Run drives a session: each request starts
+// as a step on the transport's loop and the participant parks on a
+// clock Cond until the completion callback fires.
+type client struct {
+	p        *netem.Participant
+	et       *httpx.EventTransport
+	mu       sync.Mutex
+	cond     *netem.Cond
+	finished bool
+}
+
+func newClient(p *netem.Participant, iface *netem.Interface) *client {
+	c := &client{p: p, et: httpx.NewEventTransport(iface, p.Clock(), netem.NewLoop())}
+	c.cond = netem.NewCond(p.Clock(), &c.mu)
+	return c
+}
+
+// await runs issue as a loop step and parks until it calls finish.
+func (c *client) await(issue func(finish func())) {
+	c.mu.Lock()
+	c.finished = false
+	c.mu.Unlock()
+	c.et.Loop().Do(func() {
+		issue(func() {
+			c.mu.Lock()
+			c.finished = true
+			c.cond.Broadcast()
+			c.mu.Unlock()
+		})
+	})
+	c.mu.Lock()
+	for !c.finished && c.cond.Wait(c.p) {
+	}
+	c.mu.Unlock()
+}
+
+// get issues a bodyless GET.
+func (c *client) get(url string) (status int, body []byte, err error) {
+	c.await(func(finish func()) {
+		c.et.Get(url, func(s int, b []byte, gerr error) {
+			status, body, err = s, b, gerr
+			finish()
+		})
+	})
+	return status, body, err
+}
+
+// getRange fetches the inclusive range [from, to] of url, copying the
+// borrowed views out before releasing them.
+func (c *client) getRange(url string, from, to int64) (body []byte, err error) {
+	c.await(func(finish func()) {
+		c.et.GetRangeViews(url, from, to, func(views [][]byte, release func(), rerr error) {
+			if err = rerr; err == nil {
+				for _, v := range views {
+					body = append(body, v...)
+				}
+				release()
+			}
+			finish()
+		})
+	})
+	return body, err
+}
+
+// watch fetches and decodes videoID's metadata from network's proxy.
+func (c *client) watch(cluster *Cluster, network, videoID string) (*VideoInfo, error) {
 	proxy, err := cluster.ProxyAddr(network)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	resp, err := client.Get("http://" + proxy + "/watch?v=" + videoID)
+	status, body, err := c.get("http://" + proxy + "/watch?v=" + videoID)
 	if err != nil {
-		t.Fatal(err)
+		return nil, fmt.Errorf("watch: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("watch status %d: %s", resp.StatusCode, body)
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("watch status %d", status)
 	}
 	var info VideoInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+	if err := json.Unmarshal(body, &info); err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
+	}
+	return &info, nil
+}
+
+// close shuts the client's transport down.
+func (c *client) close() { c.et.Loop().Do(func() { c.et.Shutdown(nil) }) }
+
+// onClock runs fn on a clock-registered goroutine and waits for it.
+func onClock(t *testing.T, clock *netem.Clock, fn func(p *netem.Participant) error) {
+	t.Helper()
+	done := make(chan error, 1)
+	clock.Go(func(p *netem.Participant) { done <- fn(p) })
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	return &info
+}
+
+// withClient runs fn with a client over iface on a clock-registered
+// goroutine and shuts the client down afterwards.
+func withClient(t *testing.T, iface *netem.Interface, fn func(c *client) error) {
+	t.Helper()
+	onClock(t, iface.Network().Clock(), func(p *netem.Participant) error {
+		c := newClient(p, iface)
+		defer c.close()
+		return fn(c)
+	})
+}
+
+func fetchInfo(t *testing.T, cluster *Cluster, iface *netem.Interface, network, videoID string) *VideoInfo {
+	t.Helper()
+	var info *VideoInfo
+	withClient(t, iface, func(c *client) (err error) {
+		info, err = c.watch(cluster, network, videoID)
+		return err
+	})
+	return info
 }
 
 func TestWatchReturnsPerNetworkMetadata(t *testing.T) {
@@ -92,28 +187,28 @@ func TestWatchReturnsPerNetworkMetadata(t *testing.T) {
 
 func TestWatchUnknownVideo404(t *testing.T) {
 	cluster, _, wifi, _ := testDeployment(t, ClusterConfig{})
-	client := httpx.NewClient(wifi)
 	proxy, _ := cluster.ProxyAddr("wifi")
-	resp, err := client.Get("http://" + proxy + "/watch?v=nosuchvideo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status = %d, want 404", resp.StatusCode)
-	}
+	withClient(t, wifi, func(c *client) error {
+		status, _, err := c.get("http://" + proxy + "/watch?v=nosuchvideo")
+		if err != nil {
+			return err
+		}
+		if status != http.StatusNotFound {
+			return fmt.Errorf("status = %d, want 404", status)
+		}
+		return nil
+	})
 }
 
 func TestVideoPlaybackRangeAndContent(t *testing.T) {
 	cluster, _, wifi, _ := testDeployment(t, ClusterConfig{})
 	info := fetchInfo(t, cluster, wifi, "wifi", "shortclip01")
 	url := info.PlaybackURL(info.VideoServers[0], 22)
-	client := httpx.NewClient(wifi)
-
-	body, err := httpx.GetRange(context.Background(), client, url, 1000, 4999)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var body []byte
+	withClient(t, wifi, func(c *client) (err error) {
+		body, err = c.getRange(url, 1000, 4999)
+		return err
+	})
 	if len(body) != 4000 {
 		t.Fatalf("range length = %d, want 4000", len(body))
 	}
@@ -131,15 +226,17 @@ func TestVideoPlaybackRangeAndContent(t *testing.T) {
 func TestReplicasServeIdenticalBytes(t *testing.T) {
 	cluster, _, wifi, _ := testDeployment(t, ClusterConfig{})
 	info := fetchInfo(t, cluster, wifi, "wifi", "shortclip01")
-	client := httpx.NewClient(wifi)
 	var bodies [][]byte
-	for _, s := range info.VideoServers {
-		b, err := httpx.GetRange(context.Background(), client, info.PlaybackURL(s, 22), 500, 1499)
-		if err != nil {
-			t.Fatalf("replica %s: %v", s, err)
+	withClient(t, wifi, func(c *client) error {
+		for _, s := range info.VideoServers {
+			b, err := c.getRange(info.PlaybackURL(s, 22), 500, 1499)
+			if err != nil {
+				return fmt.Errorf("replica %s: %w", s, err)
+			}
+			bodies = append(bodies, b)
 		}
-		bodies = append(bodies, b)
-	}
+		return nil
+	})
 	for i := range bodies[0] {
 		if bodies[0][i] != bodies[1][i] {
 			t.Fatal("replicas disagree on bytes")
@@ -151,25 +248,26 @@ func TestTokenEnforcement(t *testing.T) {
 	cluster, _, wifi, lte := testDeployment(t, ClusterConfig{})
 	wifiInfo := fetchInfo(t, cluster, wifi, "wifi", "shortclip01")
 	lteInfo := fetchInfo(t, cluster, lte, "lte", "shortclip01")
-	client := httpx.NewClient(wifi)
-
-	// A wifi-network token replayed against an LTE replica is rejected.
-	cross := *lteInfo
-	cross.Token = wifiInfo.Token
-	cross.Network = "lte"
-	if _, err := httpx.GetRange(context.Background(), client, cross.PlaybackURL(lteInfo.VideoServers[0], 22), 0, 99); err == nil {
-		t.Fatal("cross-network token accepted")
-	}
-	// A forged token is rejected.
-	forged := *wifiInfo
-	forged.Token = strings.Repeat("ab", 32)
-	if _, err := httpx.GetRange(context.Background(), client, forged.PlaybackURL(wifiInfo.VideoServers[0], 22), 0, 99); err == nil {
-		t.Fatal("forged token accepted")
-	}
-	// The legitimate token works on its own network.
-	if _, err := httpx.GetRange(context.Background(), client, wifiInfo.PlaybackURL(wifiInfo.VideoServers[0], 22), 0, 99); err != nil {
-		t.Fatalf("legitimate token rejected: %v", err)
-	}
+	withClient(t, wifi, func(c *client) error {
+		// A wifi-network token replayed against an LTE replica is rejected.
+		cross := *lteInfo
+		cross.Token = wifiInfo.Token
+		cross.Network = "lte"
+		if _, err := c.getRange(cross.PlaybackURL(lteInfo.VideoServers[0], 22), 0, 99); err == nil {
+			return errors.New("cross-network token accepted")
+		}
+		// A forged token is rejected.
+		forged := *wifiInfo
+		forged.Token = strings.Repeat("ab", 32)
+		if _, err := c.getRange(forged.PlaybackURL(wifiInfo.VideoServers[0], 22), 0, 99); err == nil {
+			return errors.New("forged token accepted")
+		}
+		// The legitimate token works on its own network.
+		if _, err := c.getRange(wifiInfo.PlaybackURL(wifiInfo.VideoServers[0], 22), 0, 99); err != nil {
+			return fmt.Errorf("legitimate token rejected: %w", err)
+		}
+		return nil
+	})
 }
 
 func TestTokenExpiry(t *testing.T) {
@@ -267,5 +365,3 @@ func TestDNSViews(t *testing.T) {
 		t.Fatal("unknown name should fail")
 	}
 }
-
-var _ = handshake.Params{} // keep import for doc cross-reference

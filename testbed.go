@@ -62,17 +62,12 @@ type Profile struct {
 	Throttle *origin.ThrottleConfig
 	// Catalog overrides the served videos (default: reference catalog).
 	Catalog *videostore.Catalog
-	// Seed varies the stochastic components between repetitions. In
-	// virtual-clock mode a profile is fully deterministic per seed:
+	// Seed varies the stochastic components between repetitions. A
+	// profile is fully deterministic per seed:
 	// repeated runs produce bit-identical metrics regardless of machine
 	// or load, because virtual time only advances when every registered
 	// emulation participant is parked.
 	Seed int64
-	// RealTimeScale, when > 0, runs the testbed against a scaled
-	// real-time clock instead of the virtual discrete-event clock.
-	// Real-time runs sleep for wall-clock time (divided by the scale)
-	// and are therefore subject to OS timer granularity.
-	RealTimeScale float64
 	// EventLoop has no effect.
 	//
 	// Deprecated: every server runs on the event loop.
@@ -152,12 +147,7 @@ func NewTestbed(p Profile) (*Testbed, error) {
 	if p.Video == "" {
 		p.Video = "qjT4T2gU9sM"
 	}
-	var clock *netem.Clock
-	if p.RealTimeScale > 0 {
-		clock = netem.NewScaledClock(p.RealTimeScale)
-	} else {
-		clock = netem.NewVirtualClock()
-	}
+	clock := netem.NewVirtualClock()
 	network := netem.NewNetwork(clock)
 	cluster, err := origin.Deploy(network, origin.ClusterConfig{
 		Catalog:            p.Catalog,
@@ -297,8 +287,8 @@ func (tb *Testbed) sessionStarted() {
 }
 
 // Drain parks the caller until the origin cluster's connection
-// machines have finished, joining them on the emulation clock (p may be nil
-// to park as a transient). Call it after every session has completed —
+// machines have finished, parking the registered caller p on the
+// emulation clock. Call it after every session has completed —
 // session teardown aborts its connections at deterministic virtual
 // instants, so the server side unwinds on the clock too — and before
 // sampling Cluster().Loads(): a true return guarantees the per-server
