@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -303,8 +304,7 @@ func Run(_ context.Context, sc Scenario) (*Report, error) {
 	}
 
 	results := make([][]SessionResult, len(sc.Cohorts))
-	ev := &eventedRun{loop: netem.NewLoop()}
-	ev.cond = netem.NewCond(clock, &ev.mu)
+	ev := newEventedRun(clock)
 	for ci := range sc.Cohorts {
 		co := &sc.Cohorts[ci]
 		var servers map[string][]string
@@ -390,15 +390,48 @@ func overlayLossWindows(lp *msplayer.LinkProfile, wins map[string][]netem.LossWi
 // eventedRun drives a scenario's sessions as event-loop state machines:
 // one shared netem.Loop for every session's machines, one arrival timer
 // per session, and a completion count the driver parks on. The whole
-// run needs O(cores) goroutines regardless of the session count.
+// run needs O(cores) goroutines regardless of the session count, and
+// it references a session's player graph only while the session runs:
+// live holds the handles of the sessions in flight, so what a run keeps
+// of a finished session is its SessionResult.
 type eventedRun struct {
 	loop *netem.Loop
 
 	mu        sync.Mutex
 	cond      *netem.Cond
 	remaining int
-	handles   []*msplayer.EventedSession
+	live      []*flight // unordered; wait sorts by seq
+	spawned   int
 	slots     []*SessionResult
+}
+
+// flight is one session's entry in eventedRun.live: its handle, its
+// spawn order and its index in live (-1 while not in live: before the
+// spawn, after a failed one and once finished).
+type flight struct {
+	es  *msplayer.EventedSession
+	seq int
+	pos int
+}
+
+func newEventedRun(clock *netem.Clock) *eventedRun {
+	ev := &eventedRun{loop: netem.NewLoop()}
+	ev.cond = netem.NewCond(clock, &ev.mu)
+	return ev
+}
+
+// land removes f from live by swapping the last entry into its place.
+// Callers hold ev.mu.
+func (ev *eventedRun) land(f *flight) {
+	if f.pos < 0 {
+		return
+	}
+	last := len(ev.live) - 1
+	ev.live[f.pos] = ev.live[last]
+	ev.live[f.pos].pos = f.pos
+	ev.live[last] = nil
+	ev.live = ev.live[:last]
+	f.es, f.pos = nil, -1
 }
 
 // errClockStopped fills the slots of sessions whose arrival timer never
@@ -415,11 +448,17 @@ func (ev *eventedRun) arm(tb *msplayer.Testbed, profile *msplayer.Profile, co *C
 	ev.remaining++
 	ev.slots = append(ev.slots, slot)
 	clock := tb.Clock()
+	f := &flight{pos: -1}
 	finish := func(m *msplayer.Metrics, err error) {
 		slot.Metrics, slot.Err = m, err
 		ev.mu.Lock()
+		ev.land(f)
 		ev.remaining--
-		ev.cond.Broadcast()
+		if ev.remaining == 0 {
+			// Only the last completion wakes the driver: it has nothing
+			// to do before then.
+			ev.cond.Broadcast()
+		}
 		ev.mu.Unlock()
 	}
 	spawn := func() {
@@ -496,8 +535,12 @@ func (ev *eventedRun) arm(tb *msplayer.Testbed, profile *msplayer.Profile, co *C
 			finish(nil, err)
 			return
 		}
+		// finish cannot have run yet: the session's first step is queued
+		// behind this one on the loop.
 		ev.mu.Lock()
-		ev.handles = append(ev.handles, es)
+		f.es, f.seq, f.pos = es, ev.spawned, len(ev.live)
+		ev.spawned++
+		ev.live = append(ev.live, f)
 		ev.mu.Unlock()
 	}
 	clock.NewTimer(func() { ev.loop.Do(spawn) }).Schedule(start.Add(arrival))
@@ -516,13 +559,21 @@ func (ev *eventedRun) wait(driver *netem.Participant) {
 			break
 		}
 	}
-	handles := append([]*msplayer.EventedSession(nil), ev.handles...)
-	ev.mu.Unlock()
 	if !stopped {
+		ev.mu.Unlock()
 		return
 	}
+	// Interrupt the survivors in spawn order. Interrupt is idempotent,
+	// and a session that completes meanwhile ignores it.
+	live := slices.Clone(ev.live)
+	slices.SortFunc(live, func(a, b *flight) int { return a.seq - b.seq })
+	handles := make([]*msplayer.EventedSession, len(live))
+	for i, f := range live {
+		handles[i] = f.es
+	}
+	ev.mu.Unlock()
 	for _, es := range handles {
-		es.Interrupt() // idempotent; completed sessions ignore it
+		es.Interrupt()
 	}
 	// Sessions whose arrival timer never fired have no handle; their
 	// slots are still empty (a finished session always has Metrics or a

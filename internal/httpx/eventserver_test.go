@@ -198,6 +198,9 @@ func serverTrace(t *testing.T) []string {
 	// The aborter kills the interface mid-/big-transfer at a fixed
 	// instant; the client quantizes the /big request start so the abort
 	// lands at the same virtual offset into the transfer on every run.
+	// Both spawn under one hold: otherwise the clock could jump to the
+	// aborter's wake before the client exists.
+	clock.Hold()
 	clock.Go(func(p *netem.Participant) {
 		p.SleepUntil(epoch.Add(10*time.Second + 500*time.Millisecond))
 		iface.SetAlive(false)
@@ -250,6 +253,7 @@ func serverTrace(t *testing.T) []string {
 		}
 		record("drained")
 	})
+	clock.Release()
 	<-done
 
 	mu.Lock()

@@ -58,9 +58,13 @@ func (c *Conn) Bind(p *Participant) { c.part = p }
 func Pipe(clock *Clock, c2s, s2c LinkParams, clientAddr, serverAddr Addr) (*Conn, *Conn) {
 	up := newDirection(clock, c2s)
 	down := newDirection(clock, s2c)
-	client := &Conn{in: down, out: up, local: clientAddr, remote: serverAddr}
-	server := &Conn{in: up, out: down, local: serverAddr, remote: clientAddr}
-	return client, server
+	// One allocation for both endpoints: they share their directions,
+	// so neither outlives the other by much anyway.
+	ends := &[2]Conn{
+		{in: down, out: up, local: clientAddr, remote: serverAddr},
+		{in: up, out: down, local: serverAddr, remote: clientAddr},
+	}
+	return &ends[0], &ends[1]
 }
 
 // Read implements net.Conn.

@@ -134,6 +134,26 @@
 // once — final, settled, and bit-identical per seed, with no wall-clock
 // quiescence polling anywhere.
 //
+// # Connection lifetime
+//
+// A connection is two Conns over two directions, and three parties
+// reference it: the dialing Interface holds the client endpoint, so
+// interface loss can abort it; the Listener holds the server endpoint,
+// so a kill (Listener.Close) or a partition onset can abort it; and the
+// machines driving each endpoint hold their own. Every holder lets go
+// at a close, not at the end of the run. The Interface forgets the
+// client endpoint when it closes. The Listener forgets the pair when
+// its second endpoint closes: each Close aborts its read side at the
+// close instant, so after both closes each direction carries an abort
+// at or before now, and under the earliest-wins rule any later abort a
+// sweep would schedule on the pair is a no-op. Forgetting it therefore
+// changes no byte and no instant. A pair with only one side closed
+// stays held — a server that has written its response and closed while
+// the client is still reading is exactly the case where a kill must
+// still drop the in-flight segments. Memory held by an emulated network
+// is thus proportional to the connections open on it, not to every
+// connection a long run ever accepted.
+//
 // # Timer wheel
 //
 // Pending deadlines live in a sharded hierarchical timer wheel rather

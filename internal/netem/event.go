@@ -317,22 +317,8 @@ func (i *Interface) DialEvent(addr string, cb func(*Conn, error)) error {
 
 	clock := n.clock
 	done := clock.NewTimer(func() {
-		local := Addr(fmt.Sprintf("%s:%d", i.name, 40000+seq))
-		client, server := Pipe(clock, up, down, local, Addr(addr))
-		client.onClose = func() { i.forget(client) }
-
-		i.mu.Lock()
-		if !i.alive {
-			i.mu.Unlock()
-			client.Abort(ErrInterfaceDown)
-			cb(nil, &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: ErrInterfaceDown})
-			return
-		}
-		i.conns[client] = struct{}{}
-		i.mu.Unlock()
-
-		if err := l.deliver(server); err != nil {
-			client.Abort(err)
+		client, err := i.connect(l, addr, seq, up, down)
+		if err != nil {
 			cb(nil, &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: err})
 			return
 		}

@@ -16,7 +16,6 @@ type Network struct {
 
 	mu        sync.Mutex
 	listeners map[string]*Listener
-	conns     map[*Conn]struct{} // live conns for teardown
 	// partitions maps an interface-group name ("wifi", "lte") to the set
 	// of listener addresses its clients cannot currently reach. Both
 	// sides stay alive — unlike a kill or an interface-down event — but
@@ -30,7 +29,6 @@ func NewNetwork(clock *Clock) *Network {
 	return &Network{
 		clock:     clock,
 		listeners: make(map[string]*Listener),
-		conns:     make(map[*Conn]struct{}),
 	}
 }
 
@@ -197,23 +195,39 @@ func (i *Interface) Dial(ctx context.Context, addr string, p *Participant) (*Con
 	// TCP 3WHS: one full round trip before the connection is usable.
 	p.Sleep(2 * up.Delay)
 
-	local := Addr(fmt.Sprintf("%s:%d", i.name, 40000+seq))
-	client, server := Pipe(n.clock, up, down, local, Addr(addr))
+	client, err := i.connect(l, addr, seq, up, down)
+	if err != nil {
+		return nil, &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: err}
+	}
 	client.Bind(p)
-	client.onClose = func() { i.forget(client) }
+	return client, nil
+}
+
+// connect completes a dial from i to l whose handshake has elapsed: it
+// builds the pair and registers the client endpoint with i, so that
+// interface loss aborts it, and the server endpoint with l. Each
+// endpoint's close hook releases what it registered (see Listener).
+func (i *Interface) connect(l *Listener, addr string, seq int, up, down LinkParams) (*Conn, error) {
+	local := Addr(fmt.Sprintf("%s:%d", i.name, 40000+seq))
+	client, server := Pipe(i.network.clock, up, down, local, Addr(addr))
+	client.onClose = func() {
+		i.forget(client)
+		l.release(server)
+	}
+	server.onClose = func() { l.release(server) }
 
 	i.mu.Lock()
 	if !i.alive {
 		i.mu.Unlock()
 		client.Abort(ErrInterfaceDown)
-		return nil, &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: ErrInterfaceDown}
+		return nil, ErrInterfaceDown
 	}
 	i.conns[client] = struct{}{}
 	i.mu.Unlock()
 
 	if err := l.deliver(server); err != nil {
 		client.Abort(err)
-		return nil, &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: err}
+		return nil, err
 	}
 	return client, nil
 }
@@ -228,6 +242,17 @@ func (i *Interface) forget(c *Conn) {
 // clock-visible: a goroutine parked in AcceptP does not hold up virtual
 // time, and a dialing goroutine hands the connection over before it can
 // park again, keeping delivery deterministic.
+//
+// A listener holds the server endpoint of every connection it delivered
+// until the connection's second endpoint closes, because until then a
+// kill (Close) or a partition sweep may still cut it. After both
+// closes each direction carries an abort at or before the later close,
+// so under AbortAt's earliest-wins rule any later sweep would be a
+// no-op: forgetting the pair is unobservable, and a listener's memory
+// follows the connections open on it, not every connection it ever
+// accepted. A server that closes while its client is still reading the
+// response keeps the pair: a kill then still drops the response's
+// in-flight segments.
 type Listener struct {
 	network    *Network
 	addr       Addr
@@ -237,7 +262,7 @@ type Listener struct {
 	cond    *Cond
 	pending []*Conn
 	closed  bool
-	conns   map[*Conn]struct{}
+	conns   map[*Conn]struct{} // server endpoints a sweep may still cut
 }
 
 func (l *Listener) deliver(c *Conn) error {
@@ -254,6 +279,18 @@ func (l *Listener) deliver(c *Conn) error {
 	l.cond.Signal()
 	l.mu.Unlock()
 	return nil
+}
+
+// release forgets the pair served by srv once both of its endpoints
+// have closed. Each endpoint's Close calls it after closing its own
+// write side, so whichever close comes second sees both sides closed.
+func (l *Listener) release(srv *Conn) {
+	if !srv.in.writerClosed() || !srv.out.writerClosed() {
+		return
+	}
+	l.mu.Lock()
+	delete(l.conns, srv)
+	l.mu.Unlock()
 }
 
 // abortFrom aborts every established connection on this listener whose

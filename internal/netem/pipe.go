@@ -479,6 +479,13 @@ func (d *direction) close() {
 	}
 }
 
+// writerClosed reports whether the writing endpoint has closed.
+func (d *direction) writerClosed() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.closed
+}
+
 // abortedBy returns the abort error when the scheduled abort has taken
 // effect by the emulated instant now. Callers must hold d.mu.
 func (d *direction) abortedBy(now time.Time) error {
