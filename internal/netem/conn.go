@@ -102,10 +102,7 @@ func (c *Conn) Close() error {
 // at the current emulated instant, modelling interface loss or a
 // crashed peer. Equivalent to AbortAt(now, err); see AbortAt for the
 // determinism rules.
-func (c *Conn) Abort(err error) {
-	c.out.abort(err)
-	c.in.abort(err)
-}
+func (c *Conn) Abort(err error) { c.AbortAt(c.out.clock.Now(), err) }
 
 // AbortAt schedules a hard failure of both directions at the emulated
 // instant t (clamped to now). The abort is a clock event, not a
@@ -113,10 +110,13 @@ func (c *Conn) Abort(err error) {
 // onward, in-flight segments arriving at or before t remain
 // deliverable, and segments arriving strictly after t are dropped. The
 // earliest scheduled abort wins, so redundant abort sources commute and
-// teardown outcomes never depend on goroutine scheduling order.
+// teardown outcomes never depend on goroutine scheduling order. Both
+// directions record the abort before either dispatches its callbacks,
+// so a peer reacting to the abort already sees it on both.
 func (c *Conn) AbortAt(t time.Time, err error) {
-	c.out.abortAt(t, err)
-	c.in.abortAt(t, err)
+	out, in := c.out.markAbort(t, err), c.in.markAbort(t, err)
+	out.dispatch()
+	in.dispatch()
 }
 
 // LocalAddr implements net.Conn.

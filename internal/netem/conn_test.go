@@ -107,3 +107,33 @@ func TestConnImmediateAbortDrainsArrivedData(t *testing.T) {
 		t.Fatalf("pre-abort data = %q, want %q", got, "tail")
 	}
 }
+
+// TestConnAbortAtomicAcrossDirections pins that an abort lands on both
+// directions before any callback runs: the peer's readable callback,
+// fired by the abort, closes the peer — which closes the aborting
+// side's inbound writer — and then reads the aborting side. The read
+// must surface the abort error, not the EOF the peer's close would
+// produce had the inbound direction not been aborted yet.
+func TestConnAbortAtomicAcrossDirections(t *testing.T) {
+	clock := NewVirtualClock()
+	defer clock.Stop()
+	p := LinkParams{Rate: Mbps(8), Delay: 20 * time.Millisecond}
+	client, server := Pipe(clock, p, p, "c", "s")
+	var readErr error
+	fired := false
+	server.OnReadable(func() {
+		if fired {
+			return
+		}
+		fired = true
+		server.Close()
+		_, readErr = client.ReadBuf()
+	})
+	client.Abort(ErrServerDown)
+	if !fired {
+		t.Fatal("abort did not fire the peer's readable callback")
+	}
+	if readErr != ErrServerDown {
+		t.Fatalf("read inside the peer's callback: err = %v, want ErrServerDown", readErr)
+	}
+}

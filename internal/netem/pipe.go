@@ -509,15 +509,31 @@ func (d *direction) abort(err error) { d.abortAt(d.clock.Now(), err) }
 // arriving at or before t remain deliverable until read. Both
 // endpoints observe the error exactly from t onward, regardless of
 // when their goroutines are scheduled.
-func (d *direction) abortAt(t time.Time, err error) {
+func (d *direction) abortAt(t time.Time, err error) { d.markAbort(t, err).dispatch() }
+
+// abortWake is what an abort recorded under d.mu still has to do once
+// the lock is released: fire the armed callbacks (immediate abort) or
+// schedule the wake timer (future abort). Conn.AbortAt records both
+// directions before dispatching either, so a callback never observes
+// one direction aborted and the other not.
+type abortWake struct {
+	d        *direction
+	t        time.Time
+	rcb, wcb func()
+	watcher  *Timer // future abort: the timer to schedule at t
+}
+
+// markAbort records the abort under d.mu and returns the wake-up to
+// dispatch outside it.
+func (d *direction) markAbort(t time.Time, err error) abortWake {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	now := d.clock.Now()
 	if t.Before(now) {
 		t = now
 	}
 	if d.abortErr != nil && !d.abortTime.After(t) {
-		d.mu.Unlock()
-		return
+		return abortWake{}
 	}
 	d.abortErr, d.abortTime = err, t
 	// Dropped-at-abort rule: in-flight segments arriving strictly after
@@ -534,8 +550,11 @@ func (d *direction) abortAt(t time.Time, err error) {
 		d.buffered -= len(s.data)
 		putSegBuf(s)
 	}
-	future := t.After(now)
-	if future && d.abortTimer == nil {
+	d.cond.Broadcast()
+	if !t.After(now) {
+		return abortWake{rcb: d.readableCb, wcb: d.writableCb}
+	}
+	if d.abortTimer == nil {
 		d.abortTimer = d.clock.NewTimer(func() {
 			d.mu.Lock()
 			d.cond.Broadcast()
@@ -552,20 +571,17 @@ func (d *direction) abortAt(t time.Time, err error) {
 			}
 		})
 	}
-	watcher := d.abortTimer
-	d.cond.Broadcast()
-	var rcb, wcb func()
-	if !future {
-		rcb, wcb = d.readableCb, d.writableCb
+	return abortWake{d: d, t: t, watcher: d.abortTimer}
+}
+
+func (w abortWake) dispatch() {
+	if w.rcb != nil {
+		w.rcb()
 	}
-	d.mu.Unlock()
-	if rcb != nil {
-		rcb()
+	if w.wcb != nil {
+		w.wcb()
 	}
-	if wcb != nil {
-		wcb()
-	}
-	if !future {
+	if w.watcher == nil {
 		return
 	}
 	// Future abort: a wheel timer re-wakes all waiters at the abort
@@ -583,8 +599,9 @@ func (d *direction) abortAt(t time.Time, err error) {
 	// timer's target matches it — abortTime only ever moves earlier,
 	// so the loop terminates, and earliest-abort-wins stays true
 	// regardless of goroutine interleaving.
+	d, t := w.d, w.t
 	for {
-		watcher.Schedule(t)
+		w.watcher.Schedule(t)
 		d.mu.Lock()
 		cur := d.abortTime
 		d.mu.Unlock()
