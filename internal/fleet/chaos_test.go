@@ -24,7 +24,7 @@ func runChaos(t *testing.T, sessions int, seed int64) *Report {
 // seeds — each a distinct splitmix64-expanded storm of replica kills,
 // blackholes, partitions, loss storms and flapping — every chaosfleet
 // run must (1) double-run byte-identically and (2) pass the structural
-// invariant checker: all sessions terminal, origin books settled and
+// invariant checker Run applies to every report: all sessions terminal, origin books settled and
 // balanced, every windowed fault recovered. The full 25-seed sweep runs
 // in long mode; CI's -short pass (which carries -race) keeps a 4-seed
 // subset so loop-confinement violations under chaos still get shaken
@@ -44,10 +44,6 @@ func TestChaosSweepDeterminism(t *testing.T) {
 			b := runChaos(t, sessions, seed)
 			if as, bs := a.String(), b.String(); as != bs {
 				diffReports(t, fmt.Sprintf("seed %d double-run", seed), as, bs)
-				return
-			}
-			if err := CheckInvariants(a); err != nil {
-				t.Errorf("seed %d: invariants violated: %v", seed, err)
 			}
 		})
 	}

@@ -58,6 +58,8 @@ func readDigests(t *testing.T) []digestRow {
 // names a builtin, a population and a seed; the run's rendered report
 // must hash to the committed SHA-256, on any core count and under
 // -race, where the run also shakes out loop-confinement violations.
+// Run checks the structural invariants of every report on the way
+// (sessions terminal, books settled and balanced, faults recovered).
 // Rows sharing a scenario and population must have distinct
 // digests: the seed reaches the report. On a mismatch the rendered
 // report is logged so it can be diffed against a run of the parent.

@@ -219,7 +219,9 @@ type SessionResult struct {
 // Deterministic per scenario seed: every session step runs at a virtual
 // instant the clock chose, and every random draw derives from
 // Scenario.Seed, so two runs produce byte-identical reports. A run
-// always goes to completion in virtual time; ctx is not observed.
+// always goes to completion in virtual time; ctx is not observed. The
+// finished report is checked against CheckInvariants: on a violation
+// Run returns the report together with the error.
 func Run(_ context.Context, sc Scenario) (*Report, error) {
 	// A chaos plan expands into concrete faults first, so validation,
 	// arming, horizon-riding and the report's fault table all see the
@@ -373,7 +375,7 @@ func Run(_ context.Context, sc Scenario) (*Report, error) {
 	rep.Faults = faults.snapshot()
 	rep.epoch = start
 	rep.LoadsSettled = settled
-	return rep, nil
+	return rep, CheckInvariants(rep)
 }
 
 // overlayLossWindows appends the scenario's loss-storm windows for lp's
