@@ -9,16 +9,16 @@
 //	benchall -table 1
 //	benchall -ablation        # delta/alpha/out-of-order/head-start sweeps
 //	benchall -mobility        # WiFi-outage robustness experiment
-//	benchall -json            # write BENCH_fleet.json / BENCH_figs.json
-//	benchall -guard BENCH_fleet.json   # fail if fleet wall time regressed >25%
+//
+// Performance is measured by benchmark/ (bash benchmark/run.sh); the
+// figures' values at seed 1, 3 reps are pinned in
+// internal/bench/testdata/figures.golden.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/bench"
@@ -33,74 +33,12 @@ func main() {
 		reps     = flag.Int("reps", 0, "repetitions per configuration (default: per-experiment)")
 		seed     = flag.Int64("seed", 1, "base random seed")
 		parallel = flag.Int("parallel", 0, "concurrent testbeds (default min(4, NumCPU))")
-		jsonOut  = flag.Bool("json", false, "run the perf-trajectory suite and write BENCH_fleet.json / BENCH_figs.json")
-		jsonDir  = flag.String("json-dir", ".", "directory for the -json artifacts")
-		flashN   = flag.Int("json-flash-sessions", 200, "-json: flashcrowd session count")
-		denseN   = flag.Int("json-dense-sessions", 2000, "-json: densecrowd session count")
-		megaN    = flag.Int("json-mega-sessions", 20000, "-json: megacrowd session count (0 skips it)")
-		coldN    = flag.Int("json-coldedge-sessions", 200, "-json: coldedge session count (0 skips it)")
-		stormN   = flag.Int("json-originstorm-sessions", 200, "-json: originstorm session count (0 skips it)")
-		flapN    = flag.Int("json-edgeflap-sessions", 200, "-json: edgeflap session count (0 skips it)")
-		chaosN   = flag.Int("json-chaosfleet-seeds", 5, "-json: chaosfleet sweep seed count at 150 sessions (0 skips it)")
-		guard    = flag.String("guard", "", "re-run the fleet experiments of the given BENCH_fleet.json and fail on wall-time regression")
-		guardMax = flag.Float64("guard-factor", 1.25, "-guard: maximum allowed wall-time factor vs the baseline")
-		gogc     = flag.Int("gogc", 400, "GC target percentage, matching cmd/fleet (0 keeps the runtime default)")
 	)
 	flag.Parse()
 
-	if *gogc > 0 {
-		// Same GC target as cmd/fleet: fleet-scale experiments churn
-		// pooled buffers, and at the megacrowd population the default
-		// target makes wall time GC-bound and noisy — the guard and the
-		// baselines it compares against must measure under one
-		// configuration.
-		debug.SetGCPercent(*gogc)
-	}
 	opt := bench.Options{Reps: *reps, Seed: *seed, Parallel: *parallel}
 	w := os.Stdout
 	start := time.Now() //detlint:allow wallclock -- benchall reports wall-clock run time by design
-
-	if *guard != "" {
-		// CI regression gate: re-run the committed baseline's fleet
-		// experiments and fail when the headline wall time regresses
-		// beyond the allowed factor.
-		fmt.Fprintf(w, "bench guard vs %s (max %.2fx):\n", *guard, *guardMax)
-		if err := bench.Guard(w, *guard, *guardMax, opt); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(w, "guard passed in %v\n", time.Since(start).Round(time.Second)) //detlint:allow wallclock -- benchall reports wall-clock run time by design
-		return
-	}
-
-	if *jsonOut {
-		// The artifacts record headline metrics plus the wall time and
-		// allocation cost of producing them, seeding the perf
-		// trajectory future PRs measure against. Experiments run
-		// sequentially so the allocation accounting is attributable.
-		fmt.Fprintln(w, "fleet benchmarks:")
-		fleetArt, err := bench.FleetArtifact(w, opt, *flashN, *denseN, *megaN, *coldN, *stormN, *flapN, *chaosN)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := bench.WriteArtifact(*jsonDir+"/BENCH_fleet.json", fleetArt); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(w, "figure benchmarks:")
-		figOpt := opt
-		if figOpt.Reps == 0 {
-			figOpt.Reps = 3
-		}
-		figsArt, err := bench.FigsArtifact(w, figOpt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := bench.WriteArtifact(*jsonDir+"/BENCH_figs.json", figsArt); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(w, "wrote %s/BENCH_fleet.json and %s/BENCH_figs.json in %v\n",
-			*jsonDir, *jsonDir, time.Since(start).Round(time.Second)) //detlint:allow wallclock -- benchall reports wall-clock run time by design
-		return
-	}
 
 	// Default repetition counts chosen so a full run finishes in
 	// reasonable wall time; pass -reps 20 to match the paper exactly.

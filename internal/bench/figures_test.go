@@ -149,13 +149,13 @@ func parseFigures(text string) ([]figurePin, error) {
 	return pins, nil
 }
 
-// TestFiguresGolden is the value fence around the paper's evaluation:
+// TestFigureMetricsPinned is the value fence around the paper's evaluation:
 // all eight experiments at seed 1, 3 reps, must reproduce every metric
 // in testdata/figures.golden with exact float equality, and every
 // banded metric must sit inside its paper band. Any drift means the
 // session engine, the emulator or the origin changed behaviour; the
 // measured table is logged so the change can be diffed.
-func TestFiguresGolden(t *testing.T) {
+func TestFigureMetricsPinned(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "figures.golden"))
 	if err != nil {
 		t.Fatal(err)

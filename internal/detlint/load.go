@@ -71,9 +71,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	// Select the units to analyze: module packages only, preferring the
-	// test-augmented variant of a package over the plain one so test
-	// files are covered, and skipping the synthesized test mains (their
-	// sources live in the build cache, not the tree).
+	// package's own test-augmented variant (ForTest is the package
+	// itself) so its test files are covered, and skipping the
+	// synthesized test mains (their sources live in the build cache, not
+	// the tree). Variants recompiled for another package's tests
+	// ("p [q.test]") carry only p's non-test files and never win.
 	selected := make(map[string]listPkg)
 	for _, e := range entries {
 		if e.Module == nil || !e.Module.Main || e.Standard {
@@ -83,8 +85,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			continue
 		}
 		key := strippedPath(e.ImportPath)
-		prev, ok := selected[key]
-		if !ok || (prev.ForTest == "" && e.ForTest != "") {
+		if _, ok := selected[key]; !ok || e.ForTest == key {
 			selected[key] = e
 		}
 	}

@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -106,30 +104,5 @@ func TestNoEdgeTierReportUnchanged(t *testing.T) {
 	}
 	if strings.Contains(rep.String(), "edge") {
 		t.Fatal("legacy report mentions the edge tier")
-	}
-}
-
-// TestFlashCrowd200Golden compares the full flashcrowd_200 seed-1
-// report against the committed baseline, byte for byte — the regression
-// fence proving the edge tier (and the origin sharding underneath it)
-// changed nothing for legacy scenarios.
-func TestFlashCrowd200Golden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("200-session golden run in -short mode")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "flashcrowd_200_seed1.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Builtin("flashcrowd", 200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.String(); got != string(want) {
-		t.Errorf("flashcrowd_200 seed=1 report drifted from committed baseline:\n--- want\n%s--- got\n%s", want, got)
 	}
 }

@@ -21,7 +21,9 @@
 //
 //   - The experiments: package repro/internal/bench regenerates every
 //     figure and table of the paper's evaluation on this testbed (see
-//     cmd/benchall and bench_test.go).
+//     cmd/benchall); internal/bench/testdata/figures.golden pins their
+//     values at seed 1, 3 reps, each beside its paper band where the
+//     paper gives one.
 //
 //   - The fleet: package repro/internal/fleet scales the testbed to
 //     whole populations — a declarative Scenario spawns hundreds of
