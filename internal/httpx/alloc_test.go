@@ -40,7 +40,7 @@ func TestKeepAliveRequestAllocs(t *testing.T) {
 		avg = testing.AllocsPerRun(20, fetch)
 		return ferr
 	})
-	// Measured at 44 allocations per request (Go 1.24, linux/amd64),
+	// Measured at 43 allocations per request (Go 1.24, linux/amd64),
 	// client and server machines together, http.ServeContent included.
 	if avg > 60 {
 		t.Fatalf("keep-alive request allocates %.0f times per request, want <= 60", avg)

@@ -1,6 +1,8 @@
 package httpx
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -729,7 +731,7 @@ func (rq *evReq) secured() {
 	rq.beginSend()
 }
 
-var evCrlfCrlf = []byte("\r\n\r\n")
+var evCrlf, evCrlfCrlf = []byte("\r\n"), []byte("\r\n\r\n")
 
 // headPool recycles response-head accumulation buffers across
 // requests: the proxy's padding header makes heads ~20 KB, far too
@@ -754,19 +756,20 @@ func (rq *evReq) putAcc() {
 }
 
 // feedHead accumulates the response head and parses it at the
-// terminator, transitioning to the framed body (or completing).
+// terminator, transitioning to the framed body (or completing). Each
+// view is scanned once: the search resumes at rq.scan, three bytes
+// before the previous end of acc, so a terminator split across two
+// views is still found.
 func (rq *evReq) feedHead(b []byte) int {
-	// Find the terminator across the accumulation boundary without
-	// rescanning (the proxy's padding header makes heads ~20 KB).
 	rq.acc = append(rq.acc, b...)
-	i := indexCrlfCrlf(rq.acc, rq.scan)
+	i := bytes.Index(rq.acc[rq.scan:], evCrlfCrlf)
 	if i < 0 {
 		if len(rq.acc) >= len(evCrlfCrlf)-1 {
 			rq.scan = len(rq.acc) - (len(evCrlfCrlf) - 1)
 		}
 		return len(b)
 	}
-	headLen := i + len(evCrlfCrlf)
+	headLen := rq.scan + i + len(evCrlfCrlf)
 	// b may extend past the head: return only the head's share of this
 	// view; the caller re-feeds the rest to the body state.
 	take := len(b) - (len(rq.acc) - headLen)
@@ -779,39 +782,45 @@ func (rq *evReq) feedHead(b []byte) int {
 	return take
 }
 
-func indexCrlfCrlf(b []byte, from int) int {
-	for i := from; i+len(evCrlfCrlf) <= len(b); i++ {
-		if b[i] == '\r' && b[i+1] == '\n' && b[i+2] == '\r' && b[i+3] == '\n' {
-			return i
-		}
-	}
-	return -1
-}
-
 // parseHead extracts what the machine needs from the accumulated head —
-// status, Content-Length, chunked framing and Connection: close —
-// rejecting malformed values of the headers it interprets
-// (TestReadResponseMatchesNetHTTP holds it to http.ReadResponse).
+// status, Content-Length, chunked framing and whether the connection
+// closes after the body — and accepts exactly the heads
+// http.ReadResponse accepts (TestReadResponseMatchesNetHTTP and
+// FuzzReadResponseHead hold it to that, at net/http's defaults since
+// Go 1.22; bare-LF line ends are the one deliberate difference, since
+// every emulated server writes CRLF).
 func (rq *evReq) parseHead() error {
-	head := rq.acc
 	rq.status = 0
 	rq.contentLength = -1
 	rq.chunked = false
 	rq.respClose = false
-	line, rest := cutLine(head)
-	sp := indexByte(line, ' ')
-	if sp < 0 || !hasPrefix(line, "HTTP/1.") {
+	line, rest := cutLine(rq.acc)
+	proto, status, ok := bytes.Cut(line, []byte(" "))
+	if !ok {
 		return fmt.Errorf("malformed status line %q", line)
 	}
-	statusText := trimLeftSpace(line[sp+1:])
-	if len(statusText) < 3 {
-		return fmt.Errorf("malformed status line %q", line)
-	}
-	code, err := strconv.Atoi(string(statusText[:3]))
-	if err != nil {
+	code, _, _ := bytes.Cut(bytes.TrimLeft(status, " "), []byte(" "))
+	if len(code) != 3 {
 		return fmt.Errorf("malformed status code in %q", line)
 	}
-	rq.status = code
+	n, err := strconv.Atoi(string(code))
+	if err != nil || n < 0 {
+		return fmt.Errorf("malformed status code in %q", line)
+	}
+	major, minor, ok := parseVersion(proto)
+	if !ok {
+		return fmt.Errorf("malformed HTTP version in %q", line)
+	}
+	rq.status = n
+	if len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
+		return fmt.Errorf("malformed initial header line")
+	}
+	var (
+		cl                  []byte // first Content-Length value
+		te                  []byte // last Transfer-Encoding value
+		teLines             int
+		hasClose, keepAlive bool
+	)
 	for {
 		line, rest = cutLine(rest)
 		if line == nil {
@@ -820,59 +829,155 @@ func (rq *evReq) parseHead() error {
 		if len(line) == 0 {
 			break
 		}
-		colon := indexByte(line, ':')
+		colon := bytes.IndexByte(line, ':')
 		if colon < 0 {
 			return fmt.Errorf("malformed header line %q", line)
 		}
+		if len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
+			line, rest = foldLines(line, rest)
+		}
+		key, val := line[:colon], line[colon+1:]
+		if !validFieldName(key, true) || !validFieldValue(val) {
+			return fmt.Errorf("malformed header line %q", line)
+		}
 		// Match the three interpreted keys by ASCII-case-insensitive
-		// byte comparison and stringify only their (short) values:
+		// byte comparison and keep only views of their values:
 		// canonicalising every key and copying every value would
 		// allocate the ~20 KB padding header once per request.
-		key := line[:colon]
+		val = trimOWS(val)
 		switch {
 		case eqFold(key, "Content-Length"):
-			val := string(trimSpace(line[colon+1:]))
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil || n < 0 {
-				return fmt.Errorf("malformed Content-Length %q", val)
+			if cl != nil && !bytes.Equal(cl, val) {
+				return fmt.Errorf("conflicting Content-Length %q and %q", cl, val)
 			}
-			rq.contentLength = n
+			cl = val
 		case eqFold(key, "Transfer-Encoding"):
-			val := string(trimSpace(line[colon+1:]))
-			if val != "chunked" {
-				return fmt.Errorf("unsupported Transfer-Encoding %q", val)
-			}
-			rq.chunked = true
+			te = val
+			teLines++
 		case eqFold(key, "Connection"):
-			if string(trimSpace(line[colon+1:])) == "close" {
-				rq.respClose = true
-			}
+			hasClose = hasClose || hasToken(val, "close")
+			keepAlive = keepAlive || hasToken(val, "keep-alive")
 		}
+	}
+	// net/http ignores Transfer-Encoding before HTTP/1.1, and reads a
+	// 0.0 version as 1.1.
+	if teLines > 0 && (major > 1 || major == 1 && minor >= 1 || major == 0 && minor == 0) {
+		if teLines > 1 || !eqFold(te, "chunked") {
+			return fmt.Errorf("unsupported Transfer-Encoding %q", te)
+		}
+		rq.chunked = true
+	}
+	if cl != nil {
+		n, err := strconv.ParseUint(string(cl), 10, 63)
+		if err != nil {
+			return fmt.Errorf("malformed Content-Length %q", cl)
+		}
+		if !rq.chunked { // chunked framing overrides a length
+			rq.contentLength = int64(n)
+		}
+	}
+	switch {
+	case major < 1:
+		rq.respClose = true
+	case major == 1 && minor == 0:
+		rq.respClose = hasClose || !keepAlive
+	default:
+		rq.respClose = hasClose
 	}
 	return nil
 }
 
+// parseVersion is http.ParseHTTPVersion over bytes.
+func parseVersion(b []byte) (major, minor int, ok bool) {
+	if len(b) != len("HTTP/X.Y") || string(b[:5]) != "HTTP/" || b[6] != '.' ||
+		!isDigit(b[5]) || !isDigit(b[7]) {
+		return 0, 0, false
+	}
+	return int(b[5] - '0'), int(b[7] - '0'), true
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// cutLine splits b at its first CRLF, returning nil when there is none.
 func cutLine(b []byte) (line, rest []byte) {
-	i := 0
-	for ; i+1 < len(b); i++ {
-		if b[i] == '\r' && b[i+1] == '\n' {
-			return b[:i], b[i+2:]
-		}
+	i := bytes.Index(b, evCrlf)
+	if i < 0 {
+		return nil, nil
 	}
-	return nil, nil
+	return b[:i], b[i+2:]
 }
 
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
+// foldLines joins the obs-fold continuation lines (opening with SP or
+// HTAB) at the front of rest onto line as textproto does: each line
+// trimmed, joined by one space. No emulated server folds a header, so
+// the copy stays off the hot path.
+func foldLines(line, rest []byte) (folded, after []byte) {
+	folded = append([]byte(nil), trimOWS(line)...)
+	for len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
+		var cont []byte
+		cont, rest = cutLine(rest)
+		folded = append(append(folded, ' '), trimOWS(cont)...)
 	}
-	return -1
+	return folded, rest
 }
 
-func hasPrefix(b []byte, s string) bool {
-	return len(b) >= len(s) && string(b[:len(s)]) == s
+// tchar marks RFC 7230's token bytes, the alphabet of a header name.
+var tchar = func() (t [256]bool) {
+	for _, c := range []byte("!#$%&'*+-.^_`|~0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz") {
+		t[c] = true
+	}
+	return t
+}()
+
+// validFieldName reports whether name is a non-empty run of token
+// bytes; spaceOK admits SP as well, which textproto accepts (without
+// canonicalising) when it reads a header.
+func validFieldName[S string | []byte](name S, spaceOK bool) bool {
+	for i := 0; i < len(name); i++ {
+		if !tchar[name[i]] && !(spaceOK && name[i] == ' ') {
+			return false
+		}
+	}
+	return len(name) > 0
+}
+
+// validFieldValue reports whether every byte of v is one textproto
+// admits in a header value: VCHAR, SP, HTAB or obs-text. It tests eight
+// bytes per step, because the proxy's padding value is 20 KB.
+func validFieldValue(v []byte) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; len(v) >= 8; v = v[8:] {
+		x := binary.LittleEndian.Uint64(v)
+		// Non-zero iff a byte is below 0x20 or equals 0x7f; bytes with
+		// the high bit set (obs-text) never flag. Only then look closer:
+		// HTAB is the one control byte a value may hold.
+		if ((x-0x20*ones)|((x^0x7f*ones)-ones))&^x&highs != 0 && !validValueBytes(v[:8]) {
+			return false
+		}
+	}
+	return validValueBytes(v)
+}
+
+func validValueBytes(v []byte) bool {
+	for _, c := range v {
+		if c < ' ' && c != '\t' || c == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
+// hasToken reports whether the comma-separated list v holds token,
+// ASCII case-insensitively (httpguts.HeaderValuesContainsToken).
+func hasToken(v []byte, token string) bool {
+	for len(v) > 0 {
+		var elem []byte
+		elem, v, _ = bytes.Cut(v, []byte(","))
+		if eqFold(trimOWS(elem), token) {
+			return true
+		}
+	}
+	return false
 }
 
 // eqFold reports ASCII case-insensitive equality of b and s without
@@ -896,14 +1001,8 @@ func eqFold(b []byte, s string) bool {
 	return true
 }
 
-func trimLeftSpace(b []byte) []byte {
-	for len(b) > 0 && b[0] == ' ' {
-		b = b[1:]
-	}
-	return b
-}
-
-func trimSpace(b []byte) []byte {
+// trimOWS trims SP and HTAB from both ends of b.
+func trimOWS(b []byte) []byte {
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t') {
 		b = b[1:]
 	}
@@ -927,7 +1026,7 @@ func (rq *evReq) beginBody() {
 	rq.discard = false
 	rq.collectBody = true
 
-	if rq.status == 204 || rq.status == 304 || rq.status < 200 {
+	if rq.status == 204 || rq.status == 304 || rq.status/100 == 1 {
 		rq.complete()
 		return
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,11 +59,12 @@ func TestWriteRequestMatchesNetHTTP(t *testing.T) {
 }
 
 // TestReadResponseMatchesNetHTTP drives identical wire responses — the
-// shapes the emulated origin produces — through the evented client's
-// head and body framing and through http.ReadResponse, comparing
-// status, the framing headers the machine interprets, body bytes, and
-// the number of connection bytes consumed (a desynced keep-alive
-// stream would corrupt the next response).
+// shapes the emulated origin produces, and framing edge cases it never
+// produces — through the evented client's head and body framing and
+// through http.ReadResponse, comparing acceptance, status, the framing
+// headers the machine interprets, body bytes, and the number of
+// connection bytes consumed (a desynced keep-alive stream would
+// corrupt the next response).
 func TestReadResponseMatchesNetHTTP(t *testing.T) {
 	body4k := strings.Repeat("x", 4096)
 	cases := []struct {
@@ -76,7 +79,16 @@ func TestReadResponseMatchesNetHTTP(t *testing.T) {
 		{"HTTP/1.1 200 OK\r\nconnection: close\r\n\r\nclose-delimited body", 0, -1},
 		{"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nclose-delimited, no Connection header", 0, -1},
 		{"HTTP/1.1 204 No Content\r\n\r\n", 0, -1},
+		// Framing edge cases: the transfer coding is matched
+		// case-insensitively, but must be given once; repeated lengths
+		// must agree; HTTP/1.0 ignores Transfer-Encoding.
+		{"HTTP/1.1 200 OK\r\nTransfer-Encoding: Chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n", 0, -1},
+		{"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n", 0, -1},
+		{"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc", 0, -1},
+		{"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc", 0, -1},
+		{"HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nhello", 0, -1},
 	}
+	strictContentLength(t)
 	clock := netem.NewVirtualClock()
 	defer clock.Stop()
 	for _, c := range cases {
@@ -88,52 +100,22 @@ func TestReadResponseMatchesNetHTTP(t *testing.T) {
 		if !closeDelimited {
 			stream += sentinel
 		}
-		name := c.wire[:strings.Index(c.wire, "\r\n")]
-
-		req, _ := http.NewRequest(http.MethodGet, "http://h/", nil)
-		br := bufio.NewReader(strings.NewReader(stream))
-		ref, err := http.ReadResponse(br, req)
-		if err != nil {
-			t.Fatalf("%s: net/http: %v", name, err)
-		}
-		refBody, err := io.ReadAll(ref.Body)
-		if err != nil {
-			t.Fatalf("%s: net/http body: %v", name, err)
-		}
-		refRest, _ := io.ReadAll(br)
-
+		name := fmt.Sprintf("%.60q", c.wire)
+		ref := refResponse([]byte(stream))
 		ev := feedResponse(t, clock, []byte(stream), c.from, c.to)
-		if ev.err != nil {
-			t.Fatalf("%s: evented: %v", name, ev.err)
+		if (ev.err != nil) != (ref.err != nil) {
+			t.Errorf("%s: evented error %v, net/http error %v", name, ev.err, ref.err)
+			continue
 		}
-		if ev.status != ref.StatusCode {
-			t.Errorf("%s: status %d, net/http %d", name, ev.status, ref.StatusCode)
+		if ref.err != nil {
+			continue
 		}
-		// net/http reports a 204's length as 0; the machine leaves the
-		// absent header at -1 and completes on the status alone.
-		wantCL := ref.ContentLength
-		if ref.StatusCode == http.StatusNoContent {
-			wantCL = -1
-		}
-		if ev.contentLength != wantCL {
-			t.Errorf("%s: Content-Length %d, net/http %d", name, ev.contentLength, ref.ContentLength)
-		}
-		if ev.chunked != (len(ref.TransferEncoding) > 0) {
-			t.Errorf("%s: chunked=%v, net/http %v", name, ev.chunked, ref.TransferEncoding)
-		}
-		if ev.close != ref.Close {
-			t.Errorf("%s: close=%v, net/http %v", name, ev.close, ref.Close)
-		}
-		if string(ev.body) != string(refBody) {
-			t.Errorf("%s: body %q, net/http %q", name, ev.body, refBody)
-		}
-		if left := len(stream) - ev.consumed; left != len(refRest) {
-			t.Errorf("%s: leaves %d bytes unconsumed, net/http %d", name, left, len(refRest))
-		}
+		ev.compare(t, name, ref, true)
 	}
 }
 
-// evParse is what one response fed through an evReq produced.
+// evParse is what one response fed through an evReq, or read by
+// net/http, produced.
 type evParse struct {
 	status        int
 	contentLength int64
@@ -142,14 +124,82 @@ type evParse struct {
 	body          []byte
 	consumed      int
 	err           error
+	headErr       bool // err arose reading the head
 }
+
+// strictContentLength makes net/http reject an empty Content-Length, as
+// it does by default since Go 1.22 and as the machine does: go.mod's
+// go 1.21 line would otherwise give the test binary the older reading
+// of an empty length as an absent one.
+func strictContentLength(tb testing.TB) {
+	tb.Setenv("GODEBUG", os.Getenv("GODEBUG")+",httplaxcontentlength=0")
+}
+
+// refResponse reads stream as http.ReadResponse and a full body read
+// do, in the terms of evParse.
+func refResponse(stream []byte) evParse {
+	req, _ := http.NewRequest(http.MethodGet, "http://h/", nil)
+	br := bufio.NewReader(bytes.NewReader(stream))
+	res, err := http.ReadResponse(br, req)
+	if err != nil {
+		return evParse{err: err, headErr: true}
+	}
+	out := evParse{status: res.StatusCode, contentLength: res.ContentLength,
+		chunked: len(res.TransferEncoding) > 0, close: res.Close}
+	out.body, out.err = io.ReadAll(res.Body)
+	rest, _ := io.ReadAll(br)
+	out.consumed = len(stream) - len(rest)
+	return out
+}
+
+// compare reports where the machine's result ev departs from net/http's
+// ref for an exchange both accepted. withBody compares the body and the
+// bytes consumed too, for exchanges whose body the machine reads whole.
+func (ev evParse) compare(t *testing.T, name string, ref evParse, withBody bool) {
+	t.Helper()
+	if ev.status != ref.status {
+		t.Errorf("%s: status %d, net/http %d", name, ev.status, ref.status)
+	}
+	// net/http reports a bodiless status's length as 0; the machine
+	// completes on the status alone and leaves the length unread.
+	if !bodiless(ev.status) {
+		if ev.contentLength != ref.contentLength {
+			t.Errorf("%s: Content-Length %d, net/http %d", name, ev.contentLength, ref.contentLength)
+		}
+	}
+	if ev.chunked != ref.chunked {
+		t.Errorf("%s: chunked=%v, net/http %v", name, ev.chunked, ref.chunked)
+	}
+	if ev.close != ref.close {
+		t.Errorf("%s: close=%v, net/http %v", name, ev.close, ref.close)
+	}
+	if !withBody {
+		return
+	}
+	if (ev.err != nil) != (ref.err != nil) {
+		t.Errorf("%s: evented body error %v, net/http %v", name, ev.err, ref.err)
+	}
+	if ev.err != nil || ref.err != nil {
+		return
+	}
+	if !bytes.Equal(ev.body, ref.body) {
+		t.Errorf("%s: body %.80q, net/http %.80q", name, ev.body, ref.body)
+	}
+	if ev.consumed != ref.consumed {
+		t.Errorf("%s: consumes %d bytes, net/http %d", name, ev.consumed, ref.consumed)
+	}
+}
+
+// bodiless reports whether net/http reads no body after a status.
+func bodiless(status int) bool { return status/100 == 1 || status == 204 || status == 304 }
 
 // feedResponse runs stream through a fresh request machine's head and
 // body states exactly as readStep feeds arrived views, for a bodyless
-// Get (to < 0) or a range fetch of [from, to]. A machine still reading
-// its body when the stream runs out sees the peer's EOF, as on the
-// wire.
-func feedResponse(t *testing.T, clock *netem.Clock, stream []byte, from, to int64) evParse {
+// Get (to < 0) or a range fetch of [from, to]. The stream arrives as
+// one view, or as several split at the ascending offsets cuts. A
+// machine still reading when the stream runs out sees the peer's EOF,
+// as on the wire.
+func feedResponse(t *testing.T, clock *netem.Clock, stream []byte, from, to int64, cuts ...int) evParse {
 	t.Helper()
 	var out evParse
 	et := NewEventTransport(nil, clock, netem.NewLoop())
@@ -171,18 +221,131 @@ func feedResponse(t *testing.T, clock *netem.Clock, stream []byte, from, to int6
 		rq.hasRange, rq.rangeFrom, rq.rangeTo = true, from, to
 	}
 	rq.bind(&evClientConn{t: et, c: conn, addr: "h:80"})
-	for out.consumed < len(stream) && rq.state != evcDone {
-		var n int
-		if rq.state == evcHead {
-			n = rq.feedHead(stream[out.consumed:])
-		} else {
-			n, _ = rq.feedBody(stream, out.consumed)
+	start := 0
+	for _, end := range append(cuts, len(stream)) {
+		view := stream[start:end]
+		start = end
+		off := 0
+		for off < len(view) && rq.state != evcDone {
+			var n int
+			if rq.state == evcHead {
+				n = rq.feedHead(view[off:])
+				out.headErr = out.err != nil
+			} else {
+				n, _ = rq.feedBody(view, off)
+			}
+			off += n
 		}
-		out.consumed += n
+		out.consumed += off
 	}
-	if rq.state == evcBody {
+	if rq.state == evcHead || rq.state == evcBody {
+		out.headErr = rq.state == evcHead
 		rq.readFail(io.EOF)
 	}
 	out.status, out.contentLength, out.chunked, out.close = rq.status, rq.contentLength, rq.chunked, rq.respClose
 	return out
+}
+
+// FuzzReadResponseHead holds the machine's response-head parse to
+// http.ReadResponse over fuzzer-written heads, delivered in up to three
+// views split at fuzzer-chosen offsets so the terminator lands across
+// the rq.scan resume point. The payload after the head is framed as
+// net/http reads the head (a well-formed chunked coding when it
+// declares one), which keeps the body decoder's own syntax out of the
+// comparison. Acceptance, status and framing are compared for every
+// head; body bytes and bytes consumed where the machine reads the whole
+// body (a 200 Get, a 206 range fetch, a bodiless status).
+func FuzzReadResponseHead(f *testing.F) {
+	strictContentLength(f)
+	clock := netem.NewVirtualClock()
+	f.Cleanup(clock.Stop)
+	f.Fuzz(func(t *testing.T, head, payload []byte, cut1, cut2 uint16, rangeFetch bool) {
+		if i := bytes.Index(head, evCrlfCrlf); i >= 0 {
+			head = head[:i+len(evCrlfCrlf)]
+		} else {
+			payload = nil // a truncated head: the stream ends inside it
+		}
+		for i, c := range head {
+			if c == '\n' && (i == 0 || head[i-1] != '\r') {
+				// net/http also ends a line at a bare LF; the machine
+				// looks for CRLF only, which every emulated server sends.
+				t.Skip("bare LF in the head")
+			}
+		}
+		stream := append([]byte(nil), head...)
+		if ref := refResponse(head); !ref.headErr && ref.chunked && len(payload) > 0 {
+			stream = fmt.Appendf(stream, "%x\r\n%s\r\n0\r\n\r\n", len(payload), payload)
+		} else {
+			stream = append(stream, payload...)
+		}
+		stream = append(stream, "NEXT"...)
+		a, b := int(cut1)%(len(stream)+1), int(cut2)%(len(stream)+1)
+		from, to := int64(0), int64(-1)
+		if rangeFetch {
+			to = int64(max(len(payload), 1) - 1)
+		}
+		ref := refResponse(stream)
+		ev := feedResponse(t, clock, stream, from, to, min(a, b), max(a, b))
+		name := fmt.Sprintf("%.60q", head)
+		if ev.headErr != ref.headErr {
+			t.Fatalf("%s: evented head error %v, net/http %v", name, ev.err, ref.err)
+		}
+		if ref.headErr {
+			return
+		}
+		whole := bodiless(ev.status) ||
+			!rangeFetch && ev.status == http.StatusOK || rangeFetch && ev.status == http.StatusPartialContent
+		ev.compare(t, name, ref, whole)
+	})
+}
+
+// TestWriteHeaderMatchesNetHTTP pins writeHeader to http.Header.Write
+// byte for byte, and to the same WriteString calls: each header is
+// written into a 16-byte bufio.Writer over a recorder, so every flush
+// boundary shows.
+func TestWriteHeaderMatchesNetHTTP(t *testing.T) {
+	cases := []http.Header{
+		{},
+		{"Content-Type": {"application/json"}, "Transfer-Encoding": {"chunked"}, "X-Padding": {strings.Repeat("abcdefghijklmnopqrstuvwxyz", 788)}},
+		{"X-Split": {"a\r\nb", "c\nd", "e\rf", "\r\n"}},
+		{"X-Space": {" lead", "trail\t", " \t both \t ", "\t", "in side"}},
+		{"Bad Name": {"x"}, "Bad:Name": {"x"}, "Bäd": {"x"}, "": {"x"}, "Good": {"y"}},
+		{"Set-Cookie": {"a=1", "b=2", "c=3"}, "Accept-Ranges": {"bytes"}, "Content-Length": {"4096"}},
+		{"Empty": {}, "Blank": {""}},
+		{"K0": {"0"}, "K1": {"1"}, "K2": {"2"}, "K3": {"3"}, "K4": {"4"}, "K5": {"5"}, "K6": {"6"}, "K7": {"7"}, "K8": {"8"}, "K9": {"9"}},
+	}
+	for _, h := range cases {
+		var want, got flushLog
+		wbw, gbw := bufio.NewWriterSize(&want, 16), bufio.NewWriterSize(&got, 16)
+		if err := h.Write(wbw); err != nil {
+			t.Fatal(err)
+		}
+		writeHeader(gbw, h)
+		wbw.Flush()
+		gbw.Flush()
+		if !slices.Equal(got, want) {
+			t.Errorf("%.80q:\nwriteHeader writes %.200q\nnet/http writes    %.200q", h, got, want)
+		}
+	}
+}
+
+// flushLog records each write a bufio.Writer hands its destination.
+type flushLog []string
+
+func (l *flushLog) Write(p []byte) (int, error) {
+	*l = append(*l, string(p))
+	return len(p), nil
+}
+
+// TestWriteHeaderAllocs checks that a warmed responseWriter's header
+// and buffer take a watch-shaped head, no CR or LF in its values,
+// without allocating.
+func TestWriteHeaderAllocs(t *testing.T) {
+	w := &responseWriter{header: make(http.Header), bw: bufio.NewWriterSize(io.Discard, 4<<10)}
+	w.header.Set("Content-Type", "application/json")
+	w.header.Set("Transfer-Encoding", "chunked")
+	w.header.Set("X-Padding", strings.Repeat("p", 20<<10))
+	if avg := testing.AllocsPerRun(100, func() { writeHeader(w.bw, w.header) }); avg != 0 {
+		t.Fatalf("writeHeader allocates %.1f times per head, want 0", avg)
+	}
 }

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/textproto"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -203,8 +206,42 @@ func (w *responseWriter) WriteHeader(status int) {
 		text = "status"
 	}
 	fmt.Fprintf(w.bw, "HTTP/1.1 %03d %s\r\n", status, text)
-	w.header.Write(w.bw)
+	writeHeader(w.bw, w.header)
 	io.WriteString(w.bw, "\r\n")
+}
+
+// headerNewlineToSpace is net/http's rewrite of CR and LF in header
+// values.
+var headerNewlineToSpace = strings.NewReplacer("\n", " ", "\r", " ")
+
+// writeHeader writes h in wire format exactly as http.Header.Write
+// does: keys sorted, names that are not tokens dropped, CR and LF in
+// values turned into spaces and the result trimmed, four WriteString
+// calls per value so bw flushes at the same points. It sorts the keys
+// in a stack array (eight keys, more than any handler here sets) and
+// sends only a value that holds CR or LF through the Replacer, which
+// walks the proxy's 20 KB padding value byte by byte.
+func writeHeader(bw *bufio.Writer, h http.Header) {
+	var scratch [8]string
+	keys := scratch[:0]
+	for k := range h {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		if !validFieldName(k, false) {
+			continue
+		}
+		for _, v := range h[k] {
+			if strings.IndexByte(v, '\r') >= 0 || strings.IndexByte(v, '\n') >= 0 {
+				v = headerNewlineToSpace.Replace(v)
+			}
+			bw.WriteString(k)
+			bw.WriteString(": ")
+			bw.WriteString(textproto.TrimString(v))
+			bw.WriteString("\r\n")
+		}
+	}
 }
 
 func bodyAllowed(status int) bool {

@@ -118,6 +118,9 @@ func (p *WebProxy) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 // jsonPadding inflates watch responses to a realistic size (YouTube's
 // JSON payloads run to tens of kilobytes of player configuration).
+// Nobody reads it, but every watch pays for it in host time: 20 KB the
+// server copies into its write buffer and the client accumulates, scans
+// for CRLF and checks as a header value.
 var jsonPadding = func() string {
 	b := make([]byte, 20*1024)
 	for i := range b {
