@@ -1,15 +1,15 @@
 package bench
 
 import (
-	"bufio"
-	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/handshake"
+	"repro/internal/httpx"
 	"repro/internal/netem"
 )
 
@@ -61,74 +61,154 @@ func Fig1(w io.Writer, opt Options) []Fig1Row {
 	return out
 }
 
+// fig1WatchURL is the watch request whose JSON response ψ times.
+const fig1WatchURL = "http://proxy.test:443/watch?v=qjT4T2gU9sM"
+
 // measureBootstrap runs the Fig. 1 sequence over a fresh emulated path
 // and returns the measured η (secure connection established) and ψ
-// (complete JSON received).
+// (complete JSON received), each from the instant its dial is issued.
+// The web proxy is an httpx server answering with a JSON-sized body; η
+// plays the client side of the handshake alone, ψ is the session
+// client's fetch of the watch URL on a fresh connection.
 func measureBootstrap(rtt time.Duration, params handshake.Params) (eta, psi time.Duration, err error) {
 	clock := netem.NewVirtualClock()
 	defer clock.Stop()
 	network := netem.NewNetwork(clock)
-	inner, err := network.Listen("proxy.test:443", 0)
+	l, err := network.Listen("proxy.test:443", 0)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer inner.Close()
+	body := make([]byte, fig1JSONSize)
+	srv := httpx.Serve(clock, l, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+	}), params)
+	defer srv.Close()
 
-	// Register the measuring goroutine and spawn the minimal web proxy
-	// through the clock, so the virtual clock only advances when both
-	// sides are parked and the measured η/ψ are deterministic.
+	// The measuring goroutine registers and parks on the clock until
+	// each measurement's callback has run, so virtual time advances
+	// only while it waits and the measured η/ψ are deterministic.
 	part := clock.Register()
 	defer part.Unregister()
-
-	// Minimal web-proxy: handshake, then one HTTP response with a
-	// JSON-sized body.
-	clock.Go(func(sp *netem.Participant) {
-		c, err := inner.AcceptP(sp)
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		if nc, ok := c.(*netem.Conn); ok {
-			nc.Bind(sp)
-		}
-		if err := handshake.Server(c, sp, params); err != nil {
-			return
-		}
-		br := bufio.NewReader(c)
-		if _, err := http.ReadRequest(br); err != nil {
-			return
-		}
-		body := make([]byte, fig1JSONSize)
-		fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(body))
-		c.Write(body)
-	})
-
 	link := netem.LinkParams{Rate: netem.Mbps(20), Delay: rtt / 2, SlowStart: true}
 	iface := network.NewInterface("probe", link, link)
+
 	start := clock.Now()
-	conn, err := iface.Dial(context.Background(), "proxy.test:443", part)
+	await(part, func(done func()) { secure(iface, "proxy.test:443", func(e error) { err = e; done() }) })
 	if err != nil {
-		return 0, 0, err
-	}
-	defer conn.Close()
-	if err := handshake.Client(conn); err != nil {
 		return 0, 0, err
 	}
 	eta = clock.Now().Sub(start)
 
-	if _, err := io.WriteString(conn, "GET /watch?v=qjT4T2gU9sM HTTP/1.1\r\nHost: proxy.test\r\n\r\n"); err != nil {
-		return 0, 0, err
-	}
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	loop := netem.NewLoop()
+	et := httpx.NewEventTransport(iface, clock, loop)
+	start = clock.Now()
+	await(part, func(done func()) {
+		loop.Do(func() {
+			et.Get(fig1WatchURL, func(status int, got []byte, gerr error) {
+				switch {
+				case gerr != nil:
+					err = gerr
+				case status != http.StatusOK || len(got) != len(body):
+					err = fmt.Errorf("watch: status %d, %d of %d JSON bytes", status, len(got), len(body))
+				}
+				et.Shutdown(nil)
+				done()
+			})
+		})
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		return 0, 0, err
-	}
-	resp.Body.Close()
 	psi = clock.Now().Sub(start)
-
-	var _ net.Conn = conn
 	return eta, psi, nil
+}
+
+// secure dials addr from iface and plays the client side of the Fig. 1
+// handshake on the completion API: each leg sends its flight, then
+// collects the server's whole reply. done runs once, at the instant the
+// last reply has arrived (nil) or the exchange failed; the connection is
+// closed either way. Neither secure nor done parks.
+func secure(iface *netem.Interface, addr string, done func(error)) {
+	err := iface.DialEvent(addr, func(c *netem.Conn, err error) {
+		if err != nil {
+			done(err)
+			return
+		}
+		script := handshake.ClientScript()
+		leg, sent := 0, 0
+		var reply []byte
+		finish := func(err error) {
+			leg = len(script) + 1 // later wakes find nothing to do
+			c.OnReadable(nil)
+			c.OnWritable(nil)
+			c.Close()
+			done(err)
+		}
+		step := func() {
+			for leg < len(script) {
+				if send := script[leg].Send; sent < len(send) {
+					n, err := c.TryWrite(send[sent:])
+					sent += n
+					if err != nil {
+						finish(err)
+						return
+					}
+					if sent < len(send) {
+						return // send buffer full: resume on writable
+					}
+				}
+				view, err := c.ReadBuf()
+				if err != nil {
+					finish(err)
+					return
+				}
+				if view == nil {
+					return
+				}
+				reply = append(reply, view...)
+				c.Release(len(view))
+				if len(reply) < handshake.HeaderLen {
+					continue
+				}
+				size, err := handshake.ParseHeader(reply, script[leg].Expect)
+				if err != nil {
+					finish(err)
+					return
+				}
+				if len(reply) >= handshake.HeaderLen+size {
+					leg, sent, reply = leg+1, 0, reply[:0]
+				}
+			}
+			if leg == len(script) {
+				finish(nil)
+			}
+		}
+		loop := netem.NewLoop()
+		wake := func() { loop.Do(step) }
+		c.OnReadable(wake)
+		c.OnWritable(wake)
+		loop.Do(step)
+	})
+	if err != nil {
+		done(err)
+	}
+}
+
+// await parks p until the callback issue hands out has run.
+func await(p *netem.Participant, issue func(done func())) {
+	var mu sync.Mutex
+	cond := netem.NewCond(p.Clock(), &mu)
+	fired := false
+	issue(func() {
+		mu.Lock()
+		fired = true
+		cond.Broadcast()
+		mu.Unlock()
+	})
+	mu.Lock()
+	for !fired && cond.Wait(p) {
+	}
+	mu.Unlock()
 }

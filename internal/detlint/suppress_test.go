@@ -65,7 +65,10 @@ func TestParseDirective(t *testing.T) {
 // and +1 when Load stopped letting a variant compiled for another
 // package's tests ("fleet [repro.test]") shadow a package's own test
 // files, which brought the fleet goroutine-ceiling sampler into view.
-const wantSuppressions = 25
+// 25 → 17 when netem's blocking conn path went: the wall-clock
+// watchdogs around blocking reads and writes in the netem pipe,
+// network, alloc and rand-audit tests and the handshake test, −8.
+const wantSuppressions = 17
 
 // TestTreeCleanAndSuppressionCount runs the full suite over the whole
 // module, exactly as the CI detlint step does: zero unsuppressed

@@ -62,18 +62,21 @@ func TestGoldens(t *testing.T) {
 }
 
 // TestGoroutineCeiling asserts the point of the event-loop design: a
-// fleet must run on a goroutine count bounded by a small constant —
-// O(cores + servers), independent of the session count — on the origin
+// fleet must run on a goroutine count bounded by a small constant,
+// independent of the session and server counts, on the origin
 // alone (2000-session megacrowd) and behind edge caches, whose handlers
 // wait for fills and whose backhaul fills run as connection machines
 // too (200-session coldedge and edgeflap). A wall-clock sampler records
 // the peak goroutine count over each whole run (spawn ramp, steady
-// state and teardown alike).
+// state and teardown alike). Servers hold no goroutine (connections
+// arrive by accept callback), so each of the three runs peaks at 3
+// goroutines with and without -race: the test binary's main goroutine,
+// the test (which drives the run) and the sampler.
 func TestGoroutineCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2000-session run in -short mode")
 	}
-	const ceiling = 64
+	const ceiling = 8
 	for _, tc := range []struct {
 		name     string
 		sessions int

@@ -19,17 +19,14 @@
 // soon as that path's JSON decodes, the fast path enjoys a head start of
 // π₂ − π₁ ≈ 10·(θ−1)·R₁ where θ = R₂/R₁.
 //
-// The exchange implemented here reproduces that sequence message by
-// message so that measured bootstrap times over netem match the closed
-// forms, which are also provided for direct computation.
+// The scripts here reproduce that sequence message by message, so that
+// bootstrap times measured over netem match the closed forms, which are
+// also provided for direct computation.
 package handshake
 
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
-	"net"
-	"sync"
 	"time"
 )
 
@@ -52,13 +49,6 @@ var msgSize = map[byte]int{
 	msgCertificate:       3100,
 	msgClientKeyExchange: 330,
 	msgFinished:          260,
-}
-
-// Sleeper is the serving goroutine's clock handle (a
-// *netem.Participant), used by the server side to charge processing
-// delays.
-type Sleeper interface {
-	Sleep(d time.Duration)
 }
 
 // Params configures the server-side processing delays of Fig. 1.
@@ -97,96 +87,6 @@ func HeadStart(r1, r2 time.Duration) time.Duration {
 	return 10 * (r2 - r1)
 }
 
-// maxMsgSize bounds the wire size of any handshake message (the
-// certificate flight dominates).
-const maxMsgSize = 3200
-
-// msgBufPool recycles message staging buffers. Message bodies are
-// all-zero filler (only the 5-byte header carries information), and
-// writeMsg never writes past the header, so a pooled buffer's body
-// stays zero across uses — each buffer is cleared exactly once at
-// birth instead of a ~3 KB stack clear per message, which added up
-// across every connection of a fleet.
-var msgBufPool = sync.Pool{
-	New: func() any { return new([5 + maxMsgSize]byte) },
-}
-
-func writeMsg(conn net.Conn, typ byte) error {
-	size := msgSize[typ]
-	buf := msgBufPool.Get().(*[5 + maxMsgSize]byte)
-	buf[0] = typ
-	binary.BigEndian.PutUint32(buf[1:5], uint32(size))
-	_, err := conn.Write(buf[:5+size])
-	msgBufPool.Put(buf)
-	if err != nil {
-		return fmt.Errorf("handshake: write msg %d: %w", typ, err)
-	}
-	return nil
-}
-
-func readMsg(conn net.Conn, want byte) error {
-	var hdr [5]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return fmt.Errorf("handshake: read header: %w", err)
-	}
-	if hdr[0] != want {
-		return fmt.Errorf("handshake: got message %d, want %d", hdr[0], want)
-	}
-	size := binary.BigEndian.Uint32(hdr[1:5])
-	if size > 1<<20 {
-		return fmt.Errorf("handshake: message %d implausibly large (%d bytes)", hdr[0], size)
-	}
-	if _, err := io.CopyN(io.Discard, conn, int64(size)); err != nil {
-		return fmt.Errorf("handshake: read body: %w", err)
-	}
-	return nil
-}
-
-// Client runs the client side of the exchange on conn. On return the
-// connection is "secure" and ready for application data.
-func Client(conn net.Conn) error {
-	steps := []struct {
-		send byte
-		recv byte
-	}{
-		{msgClientHello, msgServerHello},
-		{msgCertificateReq, msgCertificate},
-		{msgClientKeyExchange, msgFinished},
-	}
-	for _, s := range steps {
-		if err := writeMsg(conn, s.send); err != nil {
-			return err
-		}
-		if err := readMsg(conn, s.recv); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Server runs the server side of the exchange on conn, charging Δ₁ and
-// Δ₂ of processing time through sp.
-func Server(conn net.Conn, sp Sleeper, p Params) error {
-	if err := readMsg(conn, msgClientHello); err != nil {
-		return err
-	}
-	if err := writeMsg(conn, msgServerHello); err != nil {
-		return err
-	}
-	if err := readMsg(conn, msgCertificateReq); err != nil {
-		return err
-	}
-	sp.Sleep(p.Delta1)
-	if err := writeMsg(conn, msgCertificate); err != nil {
-		return err
-	}
-	if err := readMsg(conn, msgClientKeyExchange); err != nil {
-		return err
-	}
-	sp.Sleep(p.Delta2)
-	return writeMsg(conn, msgFinished)
-}
-
 // HeaderLen is the wire size of a handshake message header: one type
 // byte plus a big-endian uint32 body length.
 const HeaderLen = 5
@@ -194,9 +94,8 @@ const HeaderLen = 5
 // wireImages holds the rendered wire form (header plus all-zero body)
 // of every message type. The images are immutable and shared: message
 // bodies carry no information, so one rendering serves every
-// connection, and event-driven endpoints hand the shared slice to
-// TryWrite (which copies into pacing segments exactly as the blocking
-// writeMsg's single conn.Write does).
+// connection, and endpoints hand the shared slice to TryWrite (which
+// copies it into pacing segments).
 var wireImages = func() map[byte][]byte {
 	m := make(map[byte][]byte, len(msgSize))
 	for typ, size := range msgSize {
@@ -213,8 +112,8 @@ var wireImages = func() map[byte][]byte {
 func Wire(typ byte) []byte { return wireImages[typ] }
 
 // ParseHeader validates a received message header against the expected
-// type and returns the body length that follows, applying the same
-// checks as the blocking readMsg. hdr must hold HeaderLen bytes.
+// type and returns the body length that follows. hdr must hold
+// HeaderLen bytes.
 func ParseHeader(hdr []byte, want byte) (int, error) {
 	if hdr[0] != want {
 		return 0, fmt.Errorf("handshake: got message %d, want %d", hdr[0], want)
@@ -227,12 +126,9 @@ func ParseHeader(hdr []byte, want byte) (int, error) {
 }
 
 // ServerStep is one request-response leg of the server side of the
-// exchange, in the form an event-driven server consumes: expect a
-// message of type Expect, charge Delay of processing time, then send
-// the Send wire image. The legs replayed in order are exactly the
-// Server function's sequence, so a state machine stepping through
-// ServerScript produces the same bytes at the same emulated instants
-// as a goroutine parked in Server.
+// exchange: expect a message of type Expect, charge Delay of processing
+// time, then send the Send wire image. Δ₁ is charged before the
+// certificate flight and Δ₂ before the Finished flight.
 type ServerStep struct {
 	Expect byte
 	Delay  time.Duration
@@ -250,14 +146,15 @@ func ServerScript(p Params) [3]ServerStep {
 }
 
 // ClientStep is one send-then-expect leg of the client side of the
-// exchange for event-driven clients, mirroring ServerStep.
+// exchange, mirroring ServerStep.
 type ClientStep struct {
 	Send   []byte
 	Expect byte
 }
 
 // ClientScript returns the client side of the exchange as a replayable
-// script: the Client function's sequence, leg by leg.
+// script. On receipt of the last leg's message the connection is
+// "secure" and ready for application data.
 func ClientScript() [3]ClientStep {
 	return [3]ClientStep{
 		{Send: Wire(msgClientHello), Expect: msgServerHello},
@@ -266,6 +163,7 @@ func ClientScript() [3]ClientStep {
 	}
 }
 
-// Serving the handshake behind a listener lives in package httpx
-// (httpx.Serve), which runs the exchange on clock-registered
-// goroutines so the deterministic virtual clock can account for it.
+// Both scripts run on the netem completion API: httpx.Serve plays
+// ServerScript in every connection machine, httpx.EventTransport plays
+// ClientScript before a connection's first request, and the Fig. 1
+// probe in internal/bench plays ClientScript alone to time η.

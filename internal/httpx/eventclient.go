@@ -311,8 +311,13 @@ const (
 	ckSize    ckState = iota // accumulating the hex size line
 	ckData                   // consuming chunk data
 	ckDataCR                 // consuming the CRLF after chunk data
-	ckTrailer                // consuming the final CRLF after the 0 chunk
+	ckTrailer                // consuming the trailer section after the 0 chunk
 )
+
+// maxChunkLine is net/http's bound on a chunk-size line and, as the
+// default bufio.Reader size its transport reads through, on a chunked
+// body's trailer section.
+const maxChunkLine = 4096
 
 // evReq is one GET exchange as a state machine, attempt by attempt:
 // a failure to write the request or read the response head on a reused
@@ -366,6 +371,7 @@ type evReq struct {
 	ck       ckState
 	ckRemain int64
 	ckLine   []byte
+	ckExcess int64 // framing-byte budget spent, as net/http counts it
 }
 
 // target parses the request URL into dial address, Host header and
@@ -686,7 +692,7 @@ func (rq *evReq) readFail(err error) {
 }
 
 // feedHandshake accumulates one expected handshake message, advancing
-// the script exactly as handshake.Client does.
+// the client script a leg once the message is complete.
 func (rq *evReq) feedHandshake(b []byte) int {
 	take := min(len(b), rq.hsNeed-len(rq.acc))
 	rq.acc = append(rq.acc, b[:take]...)
@@ -822,29 +828,18 @@ func (rq *evReq) parseHead() error {
 		hasClose, keepAlive bool
 	)
 	for {
-		line, rest = cutLine(rest)
-		if line == nil {
-			return fmt.Errorf("truncated response head")
+		var key, val []byte
+		key, val, rest, err = nextField(rest)
+		if err != nil {
+			return err
 		}
-		if len(line) == 0 {
+		if key == nil {
 			break
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon < 0 {
-			return fmt.Errorf("malformed header line %q", line)
-		}
-		if len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
-			line, rest = foldLines(line, rest)
-		}
-		key, val := line[:colon], line[colon+1:]
-		if !validFieldName(key, true) || !validFieldValue(val) {
-			return fmt.Errorf("malformed header line %q", line)
 		}
 		// Match the three interpreted keys by ASCII-case-insensitive
 		// byte comparison and keep only views of their values:
 		// canonicalising every key and copying every value would
 		// allocate the ~20 KB padding header once per request.
-		val = trimOWS(val)
 		switch {
 		case eqFold(key, "Content-Length"):
 			if cl != nil && !bytes.Equal(cl, val) {
@@ -885,6 +880,33 @@ func (rq *evReq) parseHead() error {
 		rq.respClose = hasClose
 	}
 	return nil
+}
+
+// nextField cuts the next header field off block as textproto's
+// ReadMIMEHeader reads one: the line up to CRLF, folded with any obs-fold
+// continuation lines, split at its first colon into a name and an
+// OWS-trimmed value, both validated. At the blank line that ends the
+// block it returns a nil key and the bytes after that line.
+func nextField(block []byte) (key, val, rest []byte, err error) {
+	line, rest := cutLine(block)
+	if line == nil {
+		return nil, nil, nil, fmt.Errorf("truncated header section")
+	}
+	if len(line) == 0 {
+		return nil, nil, rest, nil
+	}
+	colon := bytes.IndexByte(line, ':')
+	if colon < 0 {
+		return nil, nil, nil, fmt.Errorf("malformed header line %q", line)
+	}
+	if len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
+		line, rest = foldLines(line, rest)
+	}
+	key, val = line[:colon], line[colon+1:]
+	if !validFieldName(key, true) || !validFieldValue(val) {
+		return nil, nil, nil, fmt.Errorf("malformed header line %q", line)
+	}
+	return key, trimOWS(val), rest, nil
 }
 
 // parseVersion is http.ParseHTTPVersion over bytes.
@@ -1051,6 +1073,7 @@ func (rq *evReq) beginBody() {
 		rq.ck = ckSize
 		rq.ckRemain = 0
 		rq.ckLine = rq.ckLine[:0]
+		rq.ckExcess = 0
 	case rq.contentLength >= 0:
 		rq.remain = rq.contentLength
 		if rq.remain == 0 {
@@ -1128,17 +1151,16 @@ func (rq *evReq) feedChunked(b []byte) int {
 			c := b[n]
 			n++
 			rq.ckLine = append(rq.ckLine, c)
+			if len(rq.ckLine) >= maxChunkLine {
+				rq.fail(fmt.Errorf("httpx: chunk size line too long"), false)
+				return n
+			}
 			if c != '\n' {
 				continue
 			}
-			line := rq.ckLine
-			if len(line) < 2 || line[len(line)-2] != '\r' {
-				rq.fail(fmt.Errorf("httpx: malformed chunk size line"), false)
-				return n
-			}
-			size, err := strconv.ParseInt(string(line[:len(line)-2]), 16, 64)
-			if err != nil || size < 0 {
-				rq.fail(fmt.Errorf("httpx: malformed chunk size %q", line[:len(line)-2]), false)
+			size, err := rq.chunkSize()
+			if err != nil {
+				rq.fail(err, false)
 				return n
 			}
 			rq.ckLine = rq.ckLine[:0]
@@ -1172,7 +1194,7 @@ func (rq *evReq) feedChunked(b []byte) int {
 			if rq.ckRemain == 0 {
 				rq.ck = ckDataCR
 			}
-		case ckDataCR, ckTrailer:
+		case ckDataCR:
 			c := b[n]
 			n++
 			rq.ckLine = append(rq.ckLine, c)
@@ -1180,18 +1202,78 @@ func (rq *evReq) feedChunked(b []byte) int {
 				continue
 			}
 			if rq.ckLine[0] != '\r' || rq.ckLine[1] != '\n' {
-				rq.fail(fmt.Errorf("httpx: malformed chunked trailer"), false)
+				rq.fail(fmt.Errorf("httpx: malformed chunked encoding"), false)
 				return n
 			}
 			rq.ckLine = rq.ckLine[:0]
-			if rq.ck == ckTrailer {
+			rq.ck = ckSize
+		case ckTrailer:
+			// A bare CRLF ends the body; anything else is a trailer
+			// section, which must end in a blank line within
+			// maxChunkLine bytes and parse as header fields.
+			c := b[n]
+			n++
+			rq.ckLine = append(rq.ckLine, c)
+			t := rq.ckLine
+			if len(t) == 2 && t[0] == '\r' && t[1] == '\n' || bytes.HasSuffix(t, evCrlfCrlf) {
+				if err := checkTrailer(t); err != nil {
+					rq.fail(fmt.Errorf("httpx: malformed chunked trailer: %w", err), false)
+					return n
+				}
 				rq.complete()
 				return n
 			}
-			rq.ck = ckSize
+			if len(t) >= maxChunkLine {
+				rq.fail(fmt.Errorf("httpx: chunked trailer too long"), false)
+				return n
+			}
 		}
 	}
 	return n
+}
+
+// chunkSize parses the chunk-size line in rq.ckLine as net/http's
+// chunked reader does: trailing whitespace trimmed, a chunk extension
+// after ';' ignored, then one to sixteen hex digits with no sign. It
+// also spends net/http's framing budget — line bytes beyond 16 per
+// chunk and twice the chunk's data, at most 16 KiB in all — which a
+// sender padding small chunks with extensions exhausts. A line must end
+// in CRLF; net/http also takes a bare LF, which no emulated server
+// sends.
+func (rq *evReq) chunkSize() (int64, error) {
+	line := rq.ckLine
+	if len(line) < 2 || line[len(line)-2] != '\r' {
+		return 0, fmt.Errorf("httpx: malformed chunk size line")
+	}
+	rq.ckExcess += int64(len(line)) + 2 // the line and the CRLF after the data
+	digits, _, _ := bytes.Cut(bytes.TrimRight(line, " \t\r\n"), []byte(";"))
+	size, err := strconv.ParseUint(string(digits), 16, 64)
+	if err != nil || len(digits) > 16 || size >= 1<<61 {
+		// Sizes no stream can carry fail here too; net/http fails them
+		// at the body's end.
+		return 0, fmt.Errorf("httpx: malformed chunk size %q", digits)
+	}
+	rq.ckExcess = max(rq.ckExcess-16-2*int64(size), 0)
+	if rq.ckExcess > 16<<10 {
+		return 0, fmt.Errorf("httpx: chunked encoding contains too much non-data")
+	}
+	return int64(size), nil
+}
+
+// checkTrailer validates a chunked body's trailer section, through the
+// blank line that ends it, as header fields the way net/http reads
+// them. The fields themselves are dropped.
+func checkTrailer(t []byte) error {
+	if t[0] == ' ' || t[0] == '\t' {
+		return fmt.Errorf("malformed initial header line")
+	}
+	for {
+		key, _, rest, err := nextField(t)
+		if err != nil || key == nil {
+			return err
+		}
+		t = rest
+	}
 }
 
 // complete delivers the exchange's result at the current instant and

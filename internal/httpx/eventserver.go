@@ -138,9 +138,9 @@ type eventConn struct {
 	remoteAddr string
 }
 
-// serveConn starts the state machine for one accepted connection. Runs
-// on the accept-loop goroutine and never parks; the machine lives
-// entirely in clock callbacks afterwards.
+// serveConn starts the state machine for one accepted connection. It
+// runs in the listener's accept callback and never parks; the machine
+// lives entirely in clock callbacks afterwards.
 func (s *Server) serveConn(c *netem.Conn) {
 	ec := &eventConn{
 		s:          s,
@@ -287,9 +287,9 @@ func (ec *eventConn) advance() {
 			}
 			ec.consume(ec.hsNeed)
 			ec.hsNeed, ec.hsHdrOK = 0, false
-			// Processing delay before the response flight: the timer fires
-			// at the instant handshake.Server's Sleep would end
-			// (synchronously when the delay is zero).
+			// Processing delay (Δ₁ or Δ₂) before the response flight: the
+			// timer fires once it has elapsed (synchronously when the
+			// delay is zero).
 			ec.state = evDelay
 			ec.delayDone = false
 			ec.delay.Schedule(ec.s.clock.Now().Add(step.Delay))

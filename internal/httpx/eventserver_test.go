@@ -2,10 +2,10 @@ package httpx
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -21,10 +21,10 @@ import (
 )
 
 // refClient is the server trace's reference client: net/http's own
-// request writer and response parser over one keep-alive connection
-// bound to the participant p, after the emulated secure handshake. A
-// nonzero timeout arms a clock timer per request that aborts the
-// connection with ErrRequestTimeout.
+// request writer and response parser over one keep-alive connection,
+// read and written through a blockingConn that parks the participant p,
+// after the emulated secure handshake. A nonzero timeout arms a clock
+// timer per request that aborts the connection with ErrRequestTimeout.
 type refClient struct {
 	p       *netem.Participant
 	iface   *netem.Interface
@@ -32,6 +32,7 @@ type refClient struct {
 	timeout time.Duration
 
 	conn *netem.Conn
+	rw   *blockingConn
 	br   *bufio.Reader
 	dl   *netem.Timer
 }
@@ -52,16 +53,17 @@ func (c *refClient) do(method, url string) (*http.Response, error) {
 		c.dl.Schedule(c.p.Clock().Now().Add(c.timeout))
 	}
 	if c.conn == nil {
-		conn, err := c.iface.Dial(context.Background(), c.addr, c.p)
+		conn, err := dialBlocking(c.p, c.iface, c.addr)
 		if err != nil {
 			return nil, c.fail(err)
 		}
-		c.conn, c.br = conn, bufio.NewReaderSize(conn, 16<<10)
-		if err := handshake.Client(conn); err != nil {
+		c.conn, c.rw = conn, newBlockingConn(c.p, conn)
+		c.br = bufio.NewReaderSize(c.rw, 16<<10)
+		if err := clientHandshake(c.rw); err != nil {
 			return nil, c.fail(fmt.Errorf("httpx: secure handshake with %s: %w", c.addr, err))
 		}
 	}
-	if err := req.Write(c.conn); err != nil {
+	if err := req.Write(c.rw); err != nil {
 		return nil, c.fail(fmt.Errorf("httpx: writing request: %w", err))
 	}
 	resp, err := http.ReadResponse(c.br, req)
@@ -99,6 +101,138 @@ func (c *refClient) stopDeadline() {
 
 // close closes the pooled connection.
 func (c *refClient) close() { c.fail(nil) }
+
+// blockingConn reads and writes a netem.Conn for a registered
+// participant that parks between attempts: each Read or Write tries the
+// completion API and, when it cannot make progress, parks p on a
+// netem.Cond until one of the conn's readiness callbacks fires. Read
+// copies each borrowed view out and releases it at once; flow control
+// is charged when the view is borrowed, so the copy moves no instant.
+type blockingConn struct {
+	c      *netem.Conn
+	p      *netem.Participant
+	mu     sync.Mutex
+	cond   *netem.Cond
+	ready  bool   // a readiness callback fired since the last attempt
+	unread []byte // arrived bytes copied out of their view, not yet read
+}
+
+func newBlockingConn(p *netem.Participant, c *netem.Conn) *blockingConn {
+	b := &blockingConn{c: c, p: p}
+	b.cond = netem.NewCond(p.Clock(), &b.mu)
+	wake := func() {
+		b.mu.Lock()
+		b.ready = true
+		b.cond.Broadcast()
+		b.mu.Unlock()
+	}
+	c.OnReadable(wake)
+	c.OnWritable(wake)
+	return b
+}
+
+// attempt clears the ready flag before an attempt, so a callback firing
+// during it is not lost.
+func (b *blockingConn) attempt() {
+	b.mu.Lock()
+	b.ready = false
+	b.mu.Unlock()
+}
+
+// wait parks p until a callback has fired since the last attempt.
+func (b *blockingConn) wait() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for !b.ready {
+		if !b.cond.Wait(b.p) {
+			return net.ErrClosed
+		}
+	}
+	return nil
+}
+
+func (b *blockingConn) Read(p []byte) (int, error) {
+	for len(b.unread) == 0 {
+		b.attempt()
+		view, err := b.c.ReadBuf()
+		if err != nil {
+			return 0, err
+		}
+		if view != nil {
+			b.unread = append(b.unread[:0], view...)
+			b.c.Release(len(view))
+		} else if err := b.wait(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, b.unread)
+	b.unread = b.unread[n:]
+	return n, nil
+}
+
+func (b *blockingConn) Write(p []byte) (int, error) {
+	written := 0
+	for {
+		b.attempt()
+		n, err := b.c.TryWrite(p[written:])
+		written += n
+		if err != nil || written == len(p) {
+			return written, err
+		}
+		if err := b.wait(); err != nil {
+			return written, err
+		}
+	}
+}
+
+// dialBlocking dials addr from iface and parks p until the dial
+// completes.
+func dialBlocking(p *netem.Participant, iface *netem.Interface, addr string) (*netem.Conn, error) {
+	var mu sync.Mutex
+	cond := netem.NewCond(p.Clock(), &mu)
+	var conn *netem.Conn
+	var derr error
+	done := false
+	if err := iface.DialEvent(addr, func(c *netem.Conn, err error) {
+		mu.Lock()
+		conn, derr, done = c, err, true
+		cond.Broadcast()
+		mu.Unlock()
+	}); err != nil {
+		return nil, err
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for !done {
+		if !cond.Wait(p) {
+			return nil, net.ErrClosed
+		}
+	}
+	return conn, derr
+}
+
+// clientHandshake plays the client side of the emulated secure
+// handshake over rw, one message per Write, reading each reply's
+// header and discarding its body.
+func clientHandshake(rw io.ReadWriter) error {
+	var hdr [handshake.HeaderLen]byte
+	for _, leg := range handshake.ClientScript() {
+		if _, err := rw.Write(leg.Send); err != nil {
+			return fmt.Errorf("handshake: write msg %d: %w", leg.Send[0], err)
+		}
+		if _, err := io.ReadFull(rw, hdr[:]); err != nil {
+			return fmt.Errorf("handshake: read header: %w", err)
+		}
+		size, err := handshake.ParseHeader(hdr[:], leg.Expect)
+		if err != nil {
+			return err
+		}
+		if _, err := io.CopyN(io.Discard, rw, int64(size)); err != nil {
+			return fmt.Errorf("handshake: read body: %w", err)
+		}
+	}
+	return nil
+}
 
 // serverTrace runs a fixed client workload against a server and returns
 // a trace of everything observable: client-side response content and
@@ -289,6 +423,43 @@ func TestEventServerMatchesBlockingTimeline(t *testing.T) {
 			t.Errorf("trace[%d]:\n  pinned: %s\n  got:    %s", i, want[i], got[i])
 		}
 	}
+}
+
+// TestServerRejectsGarbage checks that a client skipping the secure
+// handshake is dropped: the server reads its bytes, never calls the
+// handler, and closes the connection without answering.
+func TestServerRejectsGarbage(t *testing.T) {
+	clock := netem.NewVirtualClock()
+	defer clock.Stop()
+	n := netem.NewNetwork(clock)
+	l, err := n.Listen("srv.test:443", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := false
+	srv := Serve(clock, l, http.HandlerFunc(func(http.ResponseWriter, *http.Request) { called = true }), handshake.Params{})
+	defer srv.Close()
+	drv := clock.Register()
+	defer drv.Unregister()
+	lp := netem.LinkParams{Rate: netem.Mbps(10), Delay: time.Millisecond}
+	conn, err := dialBlocking(drv, n.NewInterface("cli", lp, lp), "srv.test:443")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := newBlockingConn(drv, conn)
+	if _, err := rw.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if k, err := rw.Read(make([]byte, 1)); k != 0 || err != io.EOF {
+		t.Fatalf("read after garbage = %d bytes, %v; want the server's close (EOF)", k, err)
+	}
+	if called {
+		t.Fatal("the handler ran for a client that never completed the handshake")
+	}
+	if !srv.Drain(drv) {
+		t.Fatal("the connection machine did not finish")
+	}
+	conn.Close()
 }
 
 // TestEventServerGoroutineFootprint verifies the point of the

@@ -5,9 +5,8 @@
 // HTTP/1.1 server for the emulated origin and edge tiers.
 //
 // Everything is built for the deterministic virtual clock. The Server
-// runs one clock-registered accept goroutine and serves every
-// connection as a state machine stepped by clock callbacks
-// (eventserver.go): handlers run inline and never block, and a handler
+// takes every connection from its listener's accept callback and serves
+// it as a state machine stepped by clock callbacks (eventserver.go): handlers run inline and never block, and a handler
 // that must wait continues through After. EventTransport runs each
 // request the same way on the caller's netem.Loop (eventclient.go).
 // Nothing in the HTTP path parks outside the clock's accounting, which

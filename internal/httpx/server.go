@@ -17,19 +17,20 @@ import (
 )
 
 // Server is a minimal HTTP/1.1 server for the emulated origin and edge
-// tiers. One clock-registered goroutine runs the accept loop; every
-// accepted connection is an event-loop state machine (eventserver.go)
-// stepped by clock callbacks, so the handshake processing delays,
-// request reads, response writes and handler continuations are all
-// clock-visible and the virtual clock accounts for the whole server
-// side deterministically.
+// tiers. The listener hands every connection to the server at its
+// connect instant, and each runs as an event-loop state machine
+// (eventserver.go) stepped by clock callbacks, so the handshake
+// processing delays, request reads, response writes and handler
+// continuations are all clock-visible and the virtual clock accounts
+// for the whole server side deterministically. A server holds no
+// goroutine of its own.
 type Server struct {
 	clock *netem.Clock
 	l     *netem.Listener
 	h     http.Handler
 	hs    handshake.Params
 
-	// Request lifecycle hooks, fixed before the accept loop starts.
+	// Request lifecycle hooks, fixed before the first connection.
 	reqStart func(*http.Request)
 	reqDone  func(req *http.Request, bodyBytes int64, aborted bool)
 
@@ -50,8 +51,8 @@ type Server struct {
 	active int // connection machines not yet finished
 }
 
-// ServerOption configures a Server at Serve time (the accept loop runs
-// as soon as Serve returns, so options cannot be applied later).
+// ServerOption configures a Server at Serve time (connections are
+// served as soon as Serve returns, so options cannot be applied later).
 type ServerOption func(*Server)
 
 // WithRequestHooks observes every dispatched request: start fires when
@@ -90,11 +91,16 @@ func Serve(clock *netem.Clock, l *netem.Listener, h http.Handler, hs handshake.P
 	for _, opt := range opts {
 		opt(s)
 	}
-	clock.Go(s.acceptLoop)
+	l.OnAcceptable(func(c *netem.Conn) {
+		s.mu.Lock()
+		s.active++
+		s.mu.Unlock()
+		s.serveConn(c)
+	})
 	return s
 }
 
-// Close stops the accept loop and aborts established connections
+// Close stops accepting and aborts established connections
 // (ErrServerDown), which terminates their machines.
 func (s *Server) Close() error { return s.l.Close() }
 
@@ -123,19 +129,6 @@ func (s *Server) Drain(p *netem.Participant) bool {
 		}
 	}
 	return true
-}
-
-func (s *Server) acceptLoop(p *netem.Participant) {
-	for {
-		c, err := s.l.AcceptP(p)
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		s.active++
-		s.mu.Unlock()
-		s.serveConn(c.(*netem.Conn))
-	}
 }
 
 // responseWriter frames a response into the connection machine's stage

@@ -13,38 +13,26 @@ import (
 func TestIdleConnReleasesDeliveredMemory(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	p := LinkParams{Rate: Mbps(50), Delay: 2 * time.Millisecond}
 	client, server := Pipe(clock, p, p, "c", "s")
 
 	const total = 4 << 20
-	var got int
-	goAll(clock, func(p *Participant) {
-		server.Bind(p)
-		buf := make([]byte, 64<<10)
-		for sent := 0; sent < total; sent += len(buf) {
-			if _, err := server.Write(buf); err != nil {
-				t.Errorf("write: %v", err)
-				return
-			}
-		}
-	}, func(p *Participant) {
-		client.Bind(p)
-		buf := make([]byte, 64<<10)
-		for got < total {
-			n, err := client.Read(buf)
-			if err != nil {
-				t.Errorf("read after %d bytes: %v", got, err)
-				return
-			}
-			got += n
-		}
-	})()
-	if t.Failed() {
-		return
+	buf := make([]byte, 64<<10)
+	slabs := make([][]byte, total/len(buf))
+	for i := range slabs {
+		slabs[i] = buf
+	}
+	received, termErr, _ := drainEvented(client)
+	werr := pumpEvented(server, false, slabs...)
+	drv.SleepUntil(clock.Now().Add(time.Hour))
+	if *werr != nil || *termErr != nil || received.Len() != total {
+		t.Fatalf("moved %d of %d bytes (write error %v, read error %v)", received.Len(), total, *werr, *termErr)
 	}
 
-	// The conn is now idle with every segment delivered. The down
-	// direction's queue must reference zero payload bytes: popped ring
+	// The conn is now idle with every segment delivered and released.
+	// The down direction must reference zero payload bytes: popped ring
 	// slots are zeroed and their buffers returned to the pool.
 	if pinned := client.in.queueCapBytes(); pinned != 0 {
 		t.Fatalf("idle conn pins %d payload bytes after delivering %d", pinned, total)
@@ -52,58 +40,64 @@ func TestIdleConnReleasesDeliveredMemory(t *testing.T) {
 	if queued := client.in.queuedBytes(); queued != 0 {
 		t.Fatalf("idle conn reports %d queued bytes", queued)
 	}
+	if held := client.in.retainedBytes(); held != 0 {
+		t.Fatalf("idle conn retains %d borrowed bytes", held)
+	}
 }
 
 // TestSteadyStateTransferAllocs guards the zero-copy data plane: the
-// steady-state read/write path of a netem conn — pooled segment
-// buffers, reusable ring slots, participant-handle parks — must not
-// allocate per transferred block. The old per-segment allocations cost
-// ~25 allocations per 256 KB; the pooled path is bounded well under
-// one allocation per op on average.
+// steady-state path of a netem conn — pooled segment buffers, reusable
+// ring slots, borrowed views, readiness callbacks — must not allocate
+// per transferred block. The old per-segment allocations cost ~25
+// allocations per 256 KB; the pooled path is bounded well under one
+// allocation per op on average.
 func TestSteadyStateTransferAllocs(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	p := LinkParams{Rate: Mbps(100), Delay: time.Millisecond, SendBuf: 1 << 20}
 	client, server := Pipe(clock, p, p, "c", "s")
+	// Close before the participant unregisters: the pump would keep an
+	// unattended clock busy forever.
+	defer server.Close()
+	defer client.Close()
 
 	const block = 256 << 10
-	clock.Go(func(wp *Participant) {
-		server.Bind(wp)
-		buf := make([]byte, block)
+	buf := make([]byte, block)
+	pump := func() {
 		for {
-			if _, err := server.Write(buf); err != nil {
+			n, err := server.TryWrite(buf)
+			if err != nil || n < len(buf) {
 				return
 			}
 		}
-	})
-
-	// The reading side runs registered too, so parks reuse the
-	// participant's wake channel instead of allocating transient state.
-	result := make(chan float64, 1)
-	clock.Go(func(rp *Participant) {
-		client.Bind(rp)
-		buf := make([]byte, 64<<10)
-		readBlock := func() {
-			for got := 0; got < block; {
-				n, err := client.Read(buf)
-				if err != nil {
-					t.Errorf("read: %v", err)
-					return
-				}
-				got += n
-			}
-		}
-		readBlock() // warm pools and ring capacity
-		result <- testing.AllocsPerRun(20, readBlock)
-	})
-	select {
-	case avg := <-result:
-		if avg > 4 {
-			t.Fatalf("steady-state transfer allocates %.1f times per %d KB block, want <= 4", avg, block>>10)
-		}
-	case <-time.After(30 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("transfer did not reach steady state")
 	}
-	client.Close()
-	server.Close()
+	server.OnWritable(pump)
+	got := 0
+	client.OnReadable(func() {
+		for {
+			view, err := client.ReadBuf()
+			if err != nil || view == nil {
+				return
+			}
+			got += len(view)
+			client.Release(len(view))
+		}
+	})
+	pump()
+	readBlock := func() {
+		for want := got + block; got < want; {
+			drv.Sleep(time.Millisecond)
+		}
+	}
+	// Warm the pools, the rings and one full revolution of the timer
+	// wheel (each bucket's backing array is allocated on first use):
+	// 16 blocks are ~340 ms of line time.
+	for i := 0; i < 16; i++ {
+		readBlock()
+	}
+	if avg := testing.AllocsPerRun(20, readBlock); avg > 4 {
+		t.Fatalf("steady-state transfer allocates %.1f times per %d KB block, want <= 4", avg, block>>10)
+	}
 }

@@ -520,8 +520,8 @@ func (cv *Cond) Wait(p *Participant) bool {
 	cv.L.Unlock()
 	// The advance runs only after L is released: tryAdvance fires due
 	// timer callbacks inline on this goroutine, and a callback may need
-	// L itself (a request-deadline callback aborting the very conn this
-	// goroutine parked reading) — firing under L would self-deadlock.
+	// L itself (a connection callback signalling the very Cond this
+	// goroutine waits on) — firing under L would self-deadlock.
 	// Running it here is safe against lost wakeups because the waiter is
 	// already appended: any Signal/Broadcast issued from inside the
 	// advance sees it. And it is safe against a stale condition because

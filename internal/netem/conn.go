@@ -2,14 +2,12 @@ package netem
 
 import (
 	"errors"
-	"io"
 	"net"
 	"time"
 )
 
 var (
 	errClosedConn = errors.New("netem: use of closed connection")
-	errEOF        = io.EOF
 
 	// ErrInterfaceDown is surfaced on connections whose local interface
 	// lost connectivity (mobility events).
@@ -34,24 +32,14 @@ func (Addr) Network() string { return "netem" }
 // String implements net.Addr.
 func (a Addr) String() string { return string(a) }
 
-// Conn is one endpoint of an emulated connection. It implements net.Conn.
+// Conn is one endpoint of an emulated connection. It carries bytes only
+// through the completion API (event.go): ReadBuf/Release and OnReadable
+// to receive, TryWrite and OnWritable to send. Nothing on a Conn parks.
 type Conn struct {
 	in, out *direction // in: peer→us, out: us→peer
-	local   Addr
 	remote  Addr
 	onClose func()
-	part    *Participant // owning goroutine's clock handle; see Bind
 }
-
-// Bind attaches the clock Participant of the goroutine that owns this
-// endpoint. Blocking reads and writes park through the bound handle
-// (O(1), allocation-free), so an endpoint must be bound before its
-// first Read or Write; event-driven endpoints (ReadBuf, TryWrite)
-// never park and need no binding. Each endpoint of an emulated connection is owned by
-// exactly one goroutine in this codebase (the dialing fetch loop on the
-// client side, the per-connection server loop on the other), so binding
-// happens once at dial/accept time.
-func (c *Conn) Bind(p *Participant) { c.part = p }
 
 // Pipe creates a connected pair of emulated conns. c2s shapes the c→s
 // direction, s2c the reverse. The returned conns are (client, server).
@@ -61,37 +49,19 @@ func Pipe(clock *Clock, c2s, s2c LinkParams, clientAddr, serverAddr Addr) (*Conn
 	// One allocation for both endpoints: they share their directions,
 	// so neither outlives the other by much anyway.
 	ends := &[2]Conn{
-		{in: down, out: up, local: clientAddr, remote: serverAddr},
-		{in: up, out: down, local: serverAddr, remote: clientAddr},
+		{in: down, out: up, remote: serverAddr},
+		{in: up, out: down, remote: clientAddr},
 	}
 	return &ends[0], &ends[1]
 }
 
-// Read implements net.Conn.
-func (c *Conn) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	return c.in.read(p, c.part)
-}
-
-// Write implements net.Conn.
-func (c *Conn) Write(p []byte) (int, error) { return c.out.write(p, c.part, false) }
-
-// WriteStable is Write for callers that guarantee p is immutable and
-// outlives its delivery (the origin's content page cache): delivery
-// segments alias p instead of copying it into pooled buffers. Pacing
-// and arrival instants are identical to Write; only the copy is
-// skipped.
-func (c *Conn) WriteStable(p []byte) (int, error) { return c.out.write(p, c.part, true) }
-
-// Close implements net.Conn. The peer drains in-flight data, then sees
+// Close closes the endpoint. The peer drains in-flight data, then sees
 // EOF; local reads fail from the close instant on (data that had
 // already arrived stays deliverable under the abort protocol's
 // delivered-before-abort rule, but a closing endpoint never reads it).
 func (c *Conn) Close() error {
 	c.out.close()
-	c.in.abort(errClosedConn)
+	c.in.markAbort(c.in.clock.Now(), errClosedConn).dispatch()
 	if c.onClose != nil {
 		c.onClose()
 	}
@@ -119,19 +89,5 @@ func (c *Conn) AbortAt(t time.Time, err error) {
 	in.dispatch()
 }
 
-// LocalAddr implements net.Conn.
-func (c *Conn) LocalAddr() net.Addr { return c.local }
-
-// RemoteAddr implements net.Conn.
+// RemoteAddr returns the peer's address.
 func (c *Conn) RemoteAddr() net.Addr { return c.remote }
-
-// SetDeadline implements net.Conn. Deadlines are accepted but not
-// enforced: the emulation's own clock governs all timing, and the HTTP
-// stacks used in this repository do not rely on conn deadlines.
-func (c *Conn) SetDeadline(time.Time) error { return nil }
-
-// SetReadDeadline implements net.Conn (no-op; see SetDeadline).
-func (c *Conn) SetReadDeadline(time.Time) error { return nil }
-
-// SetWriteDeadline implements net.Conn (no-op; see SetDeadline).
-func (c *Conn) SetWriteDeadline(time.Time) error { return nil }

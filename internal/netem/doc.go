@@ -1,8 +1,8 @@
 // Package netem is a userspace network emulator used as the testbed
 // substrate for MSPlayer experiments.
 //
-// It provides emulated connections (Conn implements net.Conn) whose
-// byte streams are subject to per-direction bandwidth pacing,
+// It provides emulated connections (Conn) whose byte streams are
+// subject to per-direction bandwidth pacing,
 // propagation delay, jitter, random loss (modelled as head-of-line
 // retransmission penalty), time-varying rate traces, and an optional
 // TCP-like slow-start ramp. The emulation's HTTP client and server
@@ -10,18 +10,20 @@
 // of MSPlayer is exercised end to end.
 //
 // All emulated waiting goes through a Clock: a deterministic
-// discrete-event clock driven by waiter accounting. Every emulation
-// participant — pipe readers and writers, session machines, origin
-// request handlers, playout drain timers — registers with the clock
-// (Clock.Register or Clock.Go), receiving a *Participant handle, and
-// parks only through clock-visible primitives: Participant.Sleep/
-// SleepUntil for deadline waits and Cond.Wait for emulated-I/O waits.
-// The instant every registered participant is parked, the clock jumps
-// to the earliest pending deadline and wakes the sleepers that become
-// due. There are no wall-clock sleeps and no quiescence polling, so
-// hours of emulated streaming complete as fast as the CPU allows and
-// the event order is bit-for-bit reproducible across machines and load
-// conditions.
+// discrete-event clock driven by waiter accounting. Connections,
+// servers and session machines hold no goroutine: they run as
+// callbacks on the clock (see "Timer-driven state machines"). Every
+// goroutine that waits on emulated time — a test, example or fleet
+// driver, an injected event timeline, a drain barrier — registers with
+// the clock (Clock.Register or Clock.Go), receiving a *Participant
+// handle, and parks only through clock-visible primitives:
+// Participant.Sleep/SleepUntil for deadline waits and Cond.Wait for
+// waits on a callback. The instant every registered participant is
+// parked, the clock jumps to the earliest pending deadline, runs the
+// timers and wakes the sleepers that become due. There are no
+// wall-clock sleeps and no quiescence polling, so hours of emulated
+// streaming complete as fast as the CPU allows and the event order is
+// bit-for-bit reproducible across machines and load conditions.
 //
 // # Participant handles
 //
@@ -48,9 +50,9 @@
 //  4. A Participant belongs to one goroutine at a time, and a
 //     registered goroutine holds exactly one: code called on behalf of
 //     an already-registered caller takes the caller's handle (see
-//     Interface.Dial, Listener.AcceptP, Conn.Bind, Cond.Wait) instead
-//     of registering again — a second registration for the same
-//     goroutine would deadlock the accounting.
+//     Cond.Wait, httpx.Server.Drain) instead of registering again — a
+//     second registration for the same goroutine would deadlock the
+//     accounting.
 //
 // Only registered goroutines park: every blocking primitive takes the
 // caller's Participant. A goroutine outside the emulation (a test, an
@@ -83,10 +85,10 @@
 // Who initiates, and what parks where: an initiator that is RUNNABLE
 // and registered (a fleet session's teardown, a fault injector) pins
 // virtual time while it sweeps its connections, so every abort in the
-// sweep lands at one deterministic instant T; everything parked at T —
-// fetch loops in clock-visible reads, server loops in request reads or
-// paced writes — wakes through the abort's Cond broadcast and observes
-// err by the rules above, at instants the clock alone decides. The only
+// sweep lands at one deterministic instant T; every machine reading or
+// writing a cut connection learns of it through its armed readiness
+// callbacks and observes err by the rules above, at instants the clock
+// alone decides. The only
 // scheduling races left are between goroutines runnable at the very
 // same virtual instant, which the abort protocol makes commute.
 //
@@ -218,8 +220,8 @@
 //     lock before advancing the clock: Cond.Wait appends its waiter,
 //     unlocks L, and only then attempts the advance that may run
 //     callbacks inline. (A callback firing under the parker's L would
-//     self-deadlock; the request-deadline callback aborting the very
-//     conn its goroutine parked reading is the canonical case.)
+//     self-deadlock; a connection callback signalling the very Cond a
+//     driver waits on is the canonical case.)
 //  4. No bare goroutines from callbacks: anything spawned goes through
 //     Clock.Go, same as everywhere else (detlint/baredgo enforces it),
 //     or the spawned work would be invisible to the accounting and the
@@ -235,22 +237,21 @@
 //
 // # Timer-driven state machines
 //
-// The blocking Conn API costs one parked goroutine per pending read or
-// write. The event-driven API (Conn.OnReadable, Conn.ReadBuf,
-// Conn.Release, Conn.TryWrite/TryWriteStable, Conn.OnWritable,
-// DialEvent, and Loop to serialise machine steps) removes the
-// goroutine: a whole session's I/O runs as a state machine stepped by
-// timer-wheel callbacks, so a fleet's goroutine count is O(cores +
-// servers) instead of O(sessions × paths). Both APIs share every byte
-// of pacing, arrival, flow-control and abort machinery, so a
-// callback-driven connection produces exactly the virtual-time
-// timeline a goroutine-driven one does. The rules extend the fault-
-// callback rules above:
+// A Conn has one I/O API, the completion API: Conn.OnReadable,
+// Conn.ReadBuf and Conn.Release to receive, Conn.TryWrite/
+// TryWriteStable and Conn.OnWritable to send, Interface.DialEvent to
+// connect and Listener.OnAcceptable to accept, with Loop to serialise
+// a machine's steps. No read, write, dial or accept parks a goroutine:
+// a whole session's I/O runs as a state machine stepped by timer-wheel
+// callbacks, and so does every server connection, so a fleet's
+// goroutine count is O(cores) instead of O(sessions × paths) — and a
+// server holds none at all. The rules extend the fault-callback rules
+// above:
 //
 //  1. Readiness callbacks fire on the clock's jump goroutine (or
 //     synchronously on a mutating caller) under a clock hold and must
-//     not park — no Sleep, no Cond.Wait, no blocking Read/Write.
-//     Drain, re-arm, schedule, hand the rest to a Loop step: fine.
+//     not park — no Sleep, no Cond.Wait. Drain, re-arm, schedule,
+//     signal a Cond, hand the rest to a Loop step: fine.
 //  2. Callbacks are level triggers, not edge counts: a firing may be
 //     spurious and one firing may cover many arrivals. Consumers drain
 //     until ReadBuf returns (nil, nil) (or TryWrite stops accepting)
@@ -261,9 +262,9 @@
 //     stays valid until the caller has Released that many bytes, and
 //     releases are strictly FIFO per direction. Flow control is
 //     charged at borrow time — ReadBuf decrements the sender's
-//     send-buffer accounting exactly when the blocking read's copy
-//     would, so a consumer that sits on unreleased views delays only
-//     its own memory reclamation, never the wire timeline. Escaping a
+//     send-buffer accounting at the instant it hands out the bytes, so
+//     a consumer that sits on unreleased views delays only its own
+//     memory reclamation, never the wire timeline. Escaping a
 //     view past its Release (storing it, appending to it, capturing it
 //     in a spawned closure) is a buffer-ownership bug;
 //     detlint/borrowck flags retention mechanically.
@@ -281,11 +282,9 @@
 // core.RunEvented and httpx.Server are the consumers: every MSPlayer
 // session (bootstrap, multi-path fetch loops, failover backoff, playout
 // gate) is one such machine, and so is every server connection —
-// origin, throttled origin and edge alike, with an edge's backhaul fills
-// on httpx.EventTransport. The participant-bound blocking API
-// (Interface.Dial, Listener.AcceptP, Conn.Read/Write) remains for the
-// Fig. 1 handshake probe and the tests that hold the machines to
-// net/http and to the pinned timelines.
+// origin, throttled origin and edge alike, accepted by the listener's
+// callback, with an edge's backhaul fills on httpx.EventTransport. The
+// Fig. 1 handshake probe in internal/bench is a machine too.
 //
 // Internally the participant/idle counters are atomics and the jump
 // mutex guards only the jump loop itself; wake tokens are delivered
@@ -299,9 +298,9 @@
 // The data plane recycles payload buffers to keep fleet-scale runs out
 // of the allocator:
 //
-//   - Segment buffers (direction.write → read) come from a process-wide
-//     sync.Pool. A buffer is owned by the direction's queue from
-//     enqueue until the reader consumes its last byte (or the direction
+//   - Segment buffers (tryWrite → release) come from a process-wide
+//     sync.Pool. A buffer is owned by the direction from enqueue until
+//     the reader releases its last borrowed byte (or the direction
 //     aborts), then returns to the pool. Ring-buffer queues zero popped
 //     slots, so a drained connection pins no payload memory (the old
 //     `q = q[1:]` re-slicing retained every delivered segment for the

@@ -2,27 +2,27 @@ package netem
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"time"
 )
 
-// Event-driven connection API.
+// Completion API: the only way bytes move on a Conn.
 //
-// The blocking Conn API parks a goroutine per pending read or write;
-// the event API below replaces those parks with timer-wheel callbacks
-// so a whole session's I/O can run as a state machine on the clock's
-// jump goroutine. The two APIs share every byte of pacing, arrival and
-// abort machinery (write and tryWrite push segments through the same
-// pushSegmentLocked path; readBuf drains the same arrival-ordered
-// queue as read), so a connection driven by callbacks produces exactly
-// the virtual-time timeline a goroutine-driven one does.
+// Reads and writes never park a goroutine. A reader drains arrived
+// views with ReadBuf and is called back through OnReadable when more
+// become observable; a writer paces what the send buffer admits with
+// TryWrite and is called back through OnWritable when space frees;
+// dials complete through DialEvent's callback and accepts through
+// Listener.OnAcceptable's. A whole session's I/O therefore runs as a
+// state machine on the clock's jump goroutine.
 //
 // Rules (see also netem/doc.go, "Timer-driven state machines"):
 //
 //   - OnReadable/OnWritable callbacks fire on the clock's jump
 //     goroutine (or synchronously on a mutating caller) under a clock
-//     hold and MUST NOT park. Drain, re-arm, hand off — never Sleep,
-//     Wait or blocking Read/Write.
+//     hold and MUST NOT park. Drain, re-arm, hand off — never Sleep or
+//     Wait.
 //   - A callback is a level trigger, not an edge count: it may fire
 //     spuriously, and one firing may cover many arrivals. Consumers
 //     drain until ReadBuf returns nil (or TryWrite stops accepting)
@@ -46,9 +46,8 @@ func (c *Conn) OnReadable(fn func()) { c.in.onReadable(fn) }
 // the armed OnReadable callback is guaranteed to fire when that
 // changes. The view is owned by the direction: it stays valid until
 // the caller has Released that many bytes (FIFO). At EOF it returns
-// (nil, io.EOF); after an effective abort, (nil, err). Like the
-// blocking read, queued data always drains before an abort error
-// surfaces.
+// (nil, io.EOF); after an effective abort, (nil, err). Queued data
+// always drains before an abort error surfaces.
 func (c *Conn) ReadBuf() ([]byte, error) { return c.in.readBuf() }
 
 // Release returns the oldest n bytes previously handed out by ReadBuf
@@ -58,15 +57,18 @@ func (c *Conn) ReadBuf() ([]byte, error) { return c.in.readBuf() }
 func (c *Conn) Release(n int) { c.in.release(n) }
 
 // TryWrite paces as much of p onto the link as the send buffer admits
-// and returns the number of bytes accepted — segment boundaries,
-// arrival instants and flow control identical to Write, minus the
-// park. A short write means the send buffer filled: keep a cursor and
-// resume when the armed OnWritable callback fires.
+// and returns the number of bytes accepted. Each call ends its last
+// pacing segment at the end of p, so call boundaries shape the
+// timeline. A short write means the send buffer filled: keep a cursor
+// and resume when the armed OnWritable callback fires.
 func (c *Conn) TryWrite(p []byte) (int, error) { return c.out.tryWrite(p, false) }
 
-// TryWriteStable is TryWrite under the WriteStable ownership contract:
-// p is immutable and outlives delivery, so enqueued segments alias it
-// instead of copying.
+// TryWriteStable is TryWrite for callers that guarantee p is immutable
+// and outlives its delivery (the origin's content page cache): enqueued
+// segments alias sub-slices of p (capacity clipped to length, so the
+// coalescing append can never touch bytes beyond them) instead of
+// copying into pooled buffers. Pacing and arrival instants are
+// identical to TryWrite; only the copy is skipped.
 func (c *Conn) TryWriteStable(p []byte) (int, error) { return c.out.tryWrite(p, true) }
 
 // OnWritable arms fn as the connection's writability callback: it is
@@ -115,8 +117,7 @@ func (d *direction) readableArmLocked(wasEmpty bool) (arm time.Time, fire bool) 
 	if d.readableCb == nil || !wasEmpty || d.queue.len() == 0 {
 		return time.Time{}, false
 	}
-	// The reader commits to this wake instant exactly as a blocking
-	// reader woken by the push broadcast would SleepUntil it.
+	// The reader commits to wake at the new head's arrival.
 	d.evWake = d.queue.front().arrival
 	return d.queue.front().arrival, false
 }
@@ -143,24 +144,22 @@ func (d *direction) fireReadable() {
 	}
 }
 
-// readBuf is the non-parking counterpart of read: it consumes the head
-// segment's arrived bytes as a borrowed view, moving the segment to
-// the retained ring until released. Send-buffer accounting (buffered)
-// is charged at consume time, exactly when the blocking read's copy
-// would decrement it; release only returns memory.
+// readBuf consumes the head segment's arrived bytes as a borrowed view,
+// moving the segment to the retained ring until released. Send-buffer
+// accounting (buffered) is charged at consume time; release only
+// returns memory.
 func (d *direction) readBuf() ([]byte, error) {
 	d.mu.Lock()
 	now := d.clock.Now()
 	if d.queue.len() == 0 {
-		// Delivered-before-abort rule, as in read: the queue never holds
-		// post-abort arrivals, so an empty queue surfaces the error.
+		// Delivered-before-abort rule: the queue never holds post-abort
+		// arrivals, so an empty queue surfaces the error.
 		if err := d.abortedBy(now); err != nil {
 			if d.evWake.After(now) {
 				// The reader had committed to the (now dropped) head
-				// segment's arrival instant; a blocking reader would be
-				// sleeping toward it and observe the error only on waking.
-				// The readTimer armed for that instant re-fires the
-				// callback then.
+				// segment's arrival instant and observes the error only
+				// then: the readTimer armed for that instant re-fires the
+				// callback.
 				d.mu.Unlock()
 				return nil, nil
 			}
@@ -169,7 +168,7 @@ func (d *direction) readBuf() ([]byte, error) {
 		}
 		if d.closed {
 			d.mu.Unlock()
-			return nil, errEOF
+			return nil, io.EOF
 		}
 		d.mu.Unlock()
 		return nil, nil
@@ -184,16 +183,10 @@ func (d *direction) readBuf() ([]byte, error) {
 		}
 		return nil, nil
 	}
-	view := head.data[d.unread:]
-	d.unread = 0
 	s := d.queue.pop()
-	// Retain only the borrowed view: a prefix consumed by a blocking
-	// read before the event API took over is already accounted, and
-	// release bookkeeping is in view bytes.
-	s.data = view
+	view := s.data
 	d.retained.push(s)
 	d.buffered -= len(view)
-	d.cond.Broadcast()
 	wcb := d.writableCb
 	d.mu.Unlock()
 	if wcb != nil && len(view) > 0 {
@@ -239,9 +232,12 @@ func (d *direction) retainedBytes() int {
 	return total
 }
 
-// tryWrite is the non-parking counterpart of write: it pushes segments
-// through the same pacing path until p is exhausted or the send buffer
-// fills, and returns the bytes accepted instead of parking.
+// tryWrite pushes segments of p until p is exhausted or the send buffer
+// fills, and returns the bytes accepted.
+//
+// stable marks p as immutable and immortal for the purposes of this
+// write (see TryWriteStable): the queue aliases sub-slices of p instead
+// of copying them into pooled segment buffers.
 func (d *direction) tryWrite(p []byte, stable bool) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
@@ -268,7 +264,6 @@ func (d *direction) tryWrite(p []byte, stable bool) (int, error) {
 		segBytes := d.pushSegmentLocked(p, stable)
 		p = p[segBytes:]
 		written += segBytes
-		d.cond.Broadcast()
 	}
 	arm, fire := d.readableArmLocked(wasEmpty)
 	d.mu.Unlock()
@@ -276,15 +271,13 @@ func (d *direction) tryWrite(p []byte, stable bool) (int, error) {
 	return written, nil
 }
 
-// DialEvent is the non-parking counterpart of Dial: it performs the
-// same admission checks and per-connection seed derivation, then
-// completes the TCP handshake through a wheel timer instead of a
-// parked sleep. cb is invoked exactly once — on the clock's jump
-// goroutine at the instant Dial would have returned (or synchronously,
-// when the handshake round trip is zero) — with the connected endpoint
-// or the dial error. Immediate failures (interface down, connection
-// refused) are returned directly and cb is never called. cb must not
-// park.
+// DialEvent establishes an emulated connection to addr through this
+// interface, charging one round trip for the TCP three-way handshake.
+// cb is invoked exactly once — on the clock's jump goroutine when the
+// round trip ends (or synchronously, when it is zero) — with the
+// connected endpoint or the dial error. Immediate failures (interface
+// down, connection refused, partition) are returned directly and cb is
+// never called. cb must not park.
 func (i *Interface) DialEvent(addr string, cb func(*Conn, error)) error {
 	i.mu.Lock()
 	if !i.alive {
@@ -304,14 +297,16 @@ func (i *Interface) DialEvent(addr string, cb func(*Conn, error)) error {
 		return &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: fmt.Errorf("connection refused")}
 	}
 	if parted {
-		// Mirrors Dial: the partition drops the SYN instantly.
+		// The partition drops the SYN: fail instantly, before any
+		// handshake round trip is charged.
 		return &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: ErrPartitioned}
 	}
 
 	up, down := i.up, i.down
 	up.Delay += l.extraDelay
 	down.Delay += l.extraDelay
-	// Per-connection seeds, derived exactly as Dial derives them.
+	// Derive per-connection seeds so jitter/loss differ across conns but
+	// stay reproducible.
 	up.Seed = up.Seed*1000003 + int64(seq)
 	down.Seed = down.Seed*1000003 + int64(seq)*7
 
@@ -324,7 +319,7 @@ func (i *Interface) DialEvent(addr string, cb func(*Conn, error)) error {
 		}
 		cb(client, nil)
 	})
-	// TCP 3WHS: one full round trip, the instant Dial's sleep ends at.
+	// TCP 3WHS: one full round trip before the connection is usable.
 	done.Schedule(clock.Now().Add(2 * up.Delay))
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync"
 	"testing"
 	"time"
 )
@@ -37,61 +38,101 @@ func drainEvented(c *Conn) (received *bytes.Buffer, termErr *error, doneAt *time
 	return received, termErr, doneAt
 }
 
-// TestEventReadMatchesBlockingRead sends the same payload over two
-// identically parameterised pipes — one drained by blocking Read, one
-// by OnReadable/ReadBuf — and requires byte-identical content and the
-// same virtual completion instant.
-func TestEventReadMatchesBlockingRead(t *testing.T) {
-	params := LinkParams{Rate: Mbps(8), Delay: 25 * time.Millisecond, SlowStart: true, Seed: 42}
+// pumpEvented writes slabs to c in order through the completion API —
+// one TryWrite call sequence per slab, resuming from OnWritable when the
+// send buffer fills — and closes c once the last slab is accepted when
+// closeAfter is set. It returns a pointer to the first write error. c's
+// link must take time (a nonzero rate or delay), so the peer's readable
+// callback never runs inside TryWrite.
+func pumpEvented(c *Conn, closeAfter bool, slabs ...[]byte) *error {
+	werr := new(error)
+	i, off := 0, 0
+	pump := func() {
+		for i < len(slabs) {
+			n, err := c.TryWrite(slabs[i][off:])
+			off += n
+			if err != nil {
+				*werr = err
+				c.OnWritable(nil)
+				return
+			}
+			if off < len(slabs[i]) {
+				return // send buffer full: resume on writable
+			}
+			i, off = i+1, 0
+		}
+		c.OnWritable(nil)
+		if closeAfter {
+			c.Close()
+		}
+	}
+	c.OnWritable(pump)
+	pump()
+	return werr
+}
+
+// await parks p until the callback it hands to issue has run.
+func await(p *Participant, issue func(done func())) {
+	var mu sync.Mutex
+	cond := NewCond(p.Clock(), &mu)
+	fired := false
+	issue(func() {
+		mu.Lock()
+		fired = true
+		cond.Broadcast()
+		mu.Unlock()
+	})
+	mu.Lock()
+	for !fired && cond.Wait(p) {
+	}
+	mu.Unlock()
+}
+
+// dial dials addr from iface and parks p until the dial completes.
+func dial(p *Participant, iface *Interface, addr string) (c *Conn, err error) {
+	await(p, func(done func()) {
+		err = iface.DialEvent(addr, func(conn *Conn, derr error) {
+			c, err = conn, derr
+			done()
+		})
+		if err != nil {
+			done()
+		}
+	})
+	return c, err
+}
+
+// TestEventReadMatchesClosedForm sends a payload through a pipe drained
+// on the completion API and requires the bytes intact and the reader's
+// EOF at the closed-form instant: the payload's line time at the link
+// rate plus one propagation delay. Pacing segments carry a quantum of
+// line time each, so the only slack is each segment's nanosecond
+// rounding.
+func TestEventReadMatchesClosedForm(t *testing.T) {
+	params := LinkParams{Rate: Mbps(8), Delay: 25 * time.Millisecond, Seed: 42}
 	payload := make([]byte, 300_000)
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
-
-	run := func(evented bool) ([]byte, time.Duration) {
-		clock := NewVirtualClock()
-		defer clock.Stop()
-		client, server := Pipe(clock, params, params, "c", "s")
-		start := clock.Now()
-		writer := func(p *Participant) {
-			server.Bind(p)
-			if _, err := server.Write(payload); err != nil {
-				t.Errorf("write: %v", err)
-			}
-			server.Close()
-		}
-		if !evented {
-			var buf bytes.Buffer
-			var err error
-			var end time.Time
-			goAll(clock, writer, func(p *Participant) {
-				client.Bind(p)
-				_, err = io.Copy(&buf, client)
-				end = clock.Now()
-			})()
-			if err != nil {
-				t.Fatalf("blocking read: %v", err)
-			}
-			return buf.Bytes(), end.Sub(start)
-		}
-		drv := clock.Register()
-		defer drv.Unregister()
-		clock.Go(writer)
-		received, termErr, doneAt := drainEvented(client)
-		drv.SleepUntil(start.Add(time.Hour))
-		if !errors.Is(*termErr, io.EOF) {
-			t.Fatalf("evented terminal error = %v, want EOF", *termErr)
-		}
-		return received.Bytes(), doneAt.Sub(start)
+	clock := NewVirtualClock()
+	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
+	client, server := Pipe(clock, params, params, "c", "s")
+	start := clock.Now()
+	received, termErr, doneAt := drainEvented(client)
+	pumpEvented(server, true, payload)
+	drv.SleepUntil(start.Add(time.Hour))
+	if !errors.Is(*termErr, io.EOF) {
+		t.Fatalf("terminal error = %v, want EOF", *termErr)
 	}
-
-	gotB, durB := run(false)
-	gotE, durE := run(true)
-	if !bytes.Equal(gotB, gotE) {
-		t.Fatalf("evented read delivered different bytes (%d vs %d)", len(gotE), len(gotB))
+	if !bytes.Equal(received.Bytes(), payload) {
+		t.Fatalf("delivered %d bytes, not the %d sent", received.Len(), len(payload))
 	}
-	if durB != durE {
-		t.Fatalf("completion time differs: blocking %v, evented %v", durB, durE)
+	want := time.Duration(float64(len(payload))/params.Rate*float64(time.Second)) + params.Delay
+	segments := len(payload)/int(params.Rate*DefaultQuantum.Seconds()) + 1
+	if got := doneAt.Sub(start); got < want-time.Duration(segments) || got > want+time.Duration(segments) {
+		t.Fatalf("EOF at %v, want %v (rate + delay)", got, want)
 	}
 }
 
@@ -107,11 +148,8 @@ func TestReadBufBorrowRelease(t *testing.T) {
 	client, server := Pipe(clock, params, params, "c", "s")
 
 	payload := make([]byte, 50_000)
-	clock.Go(func(p *Participant) {
-		server.Bind(p)
-		server.Write(payload)
-		server.Close()
-	})
+	server.TryWrite(payload)
+	server.Close()
 
 	var views []int
 	var total int
@@ -191,16 +229,10 @@ func TestTryWriteBackpressure(t *testing.T) {
 	server.OnWritable(pump)
 	pump()
 
-	var received bytes.Buffer
-	done := make(chan error, 1)
-	clock.Go(func(p *Participant) {
-		client.Bind(p)
-		_, err := io.Copy(&received, client)
-		done <- err
-	})
+	received, termErr, _ := drainEvented(client)
 	drv.SleepUntil(clock.Now().Add(time.Hour))
-	if err := <-done; err != nil {
-		t.Fatalf("read: %v", err)
+	if *termErr != io.EOF {
+		t.Fatalf("read: %v", *termErr)
 	}
 	if !sawPartial {
 		t.Fatalf("send buffer never filled; backpressure path untested")
@@ -221,10 +253,7 @@ func TestEventAbortSurfacesAtInstant(t *testing.T) {
 	params := LinkParams{Rate: Mbps(8), Delay: 20 * time.Millisecond}
 	client, server := Pipe(clock, params, params, "c", "s")
 
-	clock.Go(func(p *Participant) {
-		server.Bind(p)
-		server.Write(make([]byte, 500_000))
-	})
+	server.TryWrite(make([]byte, 500_000))
 	abortErr := errors.New("scheduled failure")
 	abortAt := clock.Now().Add(150 * time.Millisecond)
 	client.AbortAt(abortAt, abortErr)
@@ -243,9 +272,9 @@ func TestEventAbortSurfacesAtInstant(t *testing.T) {
 	}
 }
 
-// TestDialEventMatchesDialTiming checks DialEvent completes at the
-// same virtual instant as Dial (one handshake round trip) and yields a
-// working connection.
+// TestDialEventMatchesDialTiming checks the DialEvent callback fires
+// exactly one handshake round trip after the dial is issued and hands
+// over a working connection.
 func TestDialEventMatchesDialTiming(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
@@ -259,21 +288,8 @@ func TestDialEventMatchesDialTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Go(func(p *Participant) {
-		for {
-			c, err := l.AcceptP(p)
-			if err != nil {
-				return
-			}
-			clock.Go(func(p *Participant) {
-				if nc, ok := c.(*Conn); ok {
-					nc.Bind(p)
-				}
-				io.Copy(c, c) // echo
-				c.Close()
-			})
-		}
-	})
+	defer l.Close()
+	echo(l)
 
 	start := clock.Now()
 	var dialedAt time.Time
@@ -305,13 +321,13 @@ func TestDialEventMatchesDialTiming(t *testing.T) {
 	}
 	conn.out.close() // half-close our write side so the echo drains
 	drv.SleepUntil(clock.Now().Add(time.Hour))
-	if !bytes.Equal(received.Bytes(), msg) {
+	if !bytes.Equal(received.Bytes(), msg) || *termErr != io.EOF {
 		t.Fatalf("echo = %q, want %q (err %v)", received.Bytes(), msg, *termErr)
 	}
 }
 
-// TestDialEventRefusedImmediately mirrors Dial's synchronous
-// connection-refused error for unknown addresses.
+// TestDialEventRefusedImmediately checks that a dial to an unknown
+// address fails synchronously and never calls back.
 func TestDialEventRefusedImmediately(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()

@@ -1,9 +1,7 @@
 package netem
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"time"
@@ -49,7 +47,6 @@ func (n *Network) Listen(addr string, extraDelay time.Duration) (*Listener, erro
 		addr:       Addr(addr),
 		extraDelay: extraDelay,
 	}
-	l.cond = NewCond(n.clock, &l.mu)
 	n.listeners[addr] = l
 	return l, nil
 }
@@ -153,56 +150,6 @@ func (i *Interface) SetAlive(alive bool) {
 	}
 }
 
-// Dial establishes an emulated connection to addr through this
-// interface on behalf of the registered participant p, charging one
-// round trip for the TCP three-way handshake. The returned conn is
-// bound to p: its reads and writes park through the handle.
-func (i *Interface) Dial(ctx context.Context, addr string, p *Participant) (*Conn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	i.mu.Lock()
-	if !i.alive {
-		i.mu.Unlock()
-		return nil, &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: ErrInterfaceDown}
-	}
-	i.dialSeq++
-	seq := i.dialSeq
-	i.mu.Unlock()
-
-	n := i.network
-	n.mu.Lock()
-	l, ok := n.listeners[addr]
-	parted := n.partitioned(i.name, addr)
-	n.mu.Unlock()
-	if !ok {
-		return nil, &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: fmt.Errorf("connection refused")}
-	}
-	if parted {
-		// The partition drops the SYN: fail instantly, before any
-		// handshake round trip is charged.
-		return nil, &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: ErrPartitioned}
-	}
-
-	up, down := i.up, i.down
-	up.Delay += l.extraDelay
-	down.Delay += l.extraDelay
-	// Derive per-connection seeds so jitter/loss differ across conns but
-	// stay reproducible.
-	up.Seed = up.Seed*1000003 + int64(seq)
-	down.Seed = down.Seed*1000003 + int64(seq)*7
-
-	// TCP 3WHS: one full round trip before the connection is usable.
-	p.Sleep(2 * up.Delay)
-
-	client, err := i.connect(l, addr, seq, up, down)
-	if err != nil {
-		return nil, &net.OpError{Op: "dial", Net: "netem", Addr: Addr(addr), Err: err}
-	}
-	client.Bind(p)
-	return client, nil
-}
-
 // connect completes a dial from i to l whose handshake has elapsed: it
 // builds the pair and registers the client endpoint with i, so that
 // interface loss aborts it, and the server endpoint with l. Each
@@ -238,10 +185,9 @@ func (i *Interface) forget(c *Conn) {
 	i.mu.Unlock()
 }
 
-// Listener accepts emulated connections. Accept waits are
-// clock-visible: a goroutine parked in AcceptP does not hold up virtual
-// time, and a dialing goroutine hands the connection over before it can
-// park again, keeping delivery deterministic.
+// Listener accepts emulated connections: each completed dial hands its
+// server endpoint to the callback installed with OnAcceptable, at the
+// instant the dial's handshake round trip ends.
 //
 // A listener holds the server endpoint of every connection it delivered
 // until the connection's second endpoint closes, because until then a
@@ -258,11 +204,24 @@ type Listener struct {
 	addr       Addr
 	extraDelay time.Duration
 
-	mu      sync.Mutex
-	cond    *Cond
-	pending []*Conn
-	closed  bool
-	conns   map[*Conn]struct{} // server endpoints a sweep may still cut
+	mu     sync.Mutex
+	accept func(*Conn)
+	closed bool
+	conns  map[*Conn]struct{} // server endpoints a sweep may still cut
+}
+
+// OnAcceptable installs fn as the listener's accept callback. fn
+// receives the server endpoint of every connection dialed to the
+// listener from then on, at the connect instant, on the goroutine
+// completing the dial (the clock's jump goroutine, under a clock hold),
+// before the dialer's own callback runs. Like every readiness callback
+// it must not park: arm the endpoint's callbacks and return. A
+// connection completed while no callback is installed is established
+// but never served, like a socket in a listen backlog nobody accepts.
+func (l *Listener) OnAcceptable(fn func(*Conn)) {
+	l.mu.Lock()
+	l.accept = fn
+	l.mu.Unlock()
 }
 
 func (l *Listener) deliver(c *Conn) error {
@@ -275,9 +234,11 @@ func (l *Listener) deliver(c *Conn) error {
 		l.conns = make(map[*Conn]struct{})
 	}
 	l.conns[c] = struct{}{}
-	l.pending = append(l.pending, c)
-	l.cond.Signal()
+	accept := l.accept
 	l.mu.Unlock()
+	if accept != nil {
+		accept(c)
+	}
 	return nil
 }
 
@@ -310,28 +271,6 @@ func (l *Listener) abortFrom(prefix string, err error) {
 	}
 }
 
-// AcceptP accepts the next connection on behalf of the registered
-// participant p, parking through its handle until one arrives.
-func (l *Listener) AcceptP(p *Participant) (net.Conn, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if l.closed {
-			return nil, &net.OpError{Op: "accept", Net: "netem", Addr: l.addr, Err: errClosedConn}
-		}
-		if len(l.pending) > 0 {
-			c := l.pending[0]
-			copy(l.pending, l.pending[1:])
-			l.pending[len(l.pending)-1] = nil
-			l.pending = l.pending[:len(l.pending)-1]
-			return c, nil
-		}
-		if !l.cond.Wait(p) {
-			return nil, &net.OpError{Op: "accept", Net: "netem", Addr: l.addr, Err: errClosedConn}
-		}
-	}
-}
-
 // Close stops accepting. It also aborts established connections
 // with ErrServerDown, emulating a server crash, and deregisters the
 // address so it can be reused.
@@ -342,10 +281,9 @@ func (l *Listener) Close() error {
 		return nil
 	}
 	l.closed = true
-	l.pending = nil
+	l.accept = nil
 	conns := l.conns
 	l.conns = nil
-	l.cond.Broadcast()
 	l.mu.Unlock()
 
 	l.network.mu.Lock()
@@ -357,6 +295,3 @@ func (l *Listener) Close() error {
 	}
 	return nil
 }
-
-// Addr returns the listener's address.
-func (l *Listener) Addr() net.Addr { return l.addr }

@@ -1,7 +1,7 @@
 package netem
 
 import (
-	"context"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -16,37 +16,30 @@ func newTestNet(t *testing.T) (*Network, *Clock) {
 	return NewNetwork(clock), clock
 }
 
-// serve accepts on l from a registered goroutine until the listener
-// closes, running handle on a fresh participant for each accepted conn
-// (bound to it).
-func serve(clock *Clock, l *Listener, handle func(c *Conn)) {
-	clock.Go(func(p *Participant) {
-		for {
-			c, err := l.AcceptP(p)
-			if err != nil {
-				return
+// echo serves l with an echo: each accepted conn writes back what it
+// reads and closes once its peer has closed.
+func echo(l *Listener) {
+	l.OnAcceptable(func(c *Conn) {
+		c.OnReadable(func() {
+			for {
+				view, err := c.ReadBuf()
+				if err != nil {
+					c.OnReadable(nil)
+					c.Close()
+					return
+				}
+				if view == nil {
+					return
+				}
+				c.TryWrite(view)
+				c.Release(len(view))
 			}
-			nc := c.(*Conn)
-			clock.Go(func(p *Participant) {
-				nc.Bind(p)
-				handle(nc)
-			})
-		}
+		})
 	})
 }
 
-// readErr reads c from a fresh participant until it fails and sends
-// the error on the returned channel.
-func readErr(clock *Clock, c *Conn) <-chan error {
-	errCh := make(chan error, 1)
-	clock.Go(func(p *Participant) {
-		c.Bind(p)
-		_, err := c.Read(make([]byte, 1))
-		errCh <- err
-	})
-	return errCh
-}
-
+// TestDialChargesOneRTT checks a dial completes one handshake round
+// trip after it is issued.
 func TestDialChargesOneRTT(t *testing.T) {
 	n, clock := newTestNet(t)
 	drv := clock.Register()
@@ -56,26 +49,36 @@ func TestDialChargesOneRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	serve(clock, l, func(c *Conn) { c.Close() })
-	iface := n.NewInterface("wifi", LinkParams{Rate: Mbps(10), Delay: 25 * time.Millisecond}, LinkParams{Rate: Mbps(10), Delay: 25 * time.Millisecond})
+	echo(l)
+	link := LinkParams{Rate: Mbps(10), Delay: 25 * time.Millisecond}
+	iface := n.NewInterface("wifi", link, link)
 	start := clock.Now()
-	c, err := iface.Dial(context.Background(), "srv.test:80", drv)
+	c, err := dial(drv, iface, "srv.test:80")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if hs := clock.Now().Sub(start); hs != 50*time.Millisecond {
-		t.Fatalf("3WHS took %v, want 50ms", hs)
+	if hs := clock.Now().Sub(start); hs != 2*link.Delay {
+		t.Fatalf("3WHS took %v, want %v", hs, 2*link.Delay)
 	}
+	c.Close()
 }
 
+// TestDialUnknownAddressRefused checks that dials to an address nobody
+// listens on — never, or no longer — are refused at once.
 func TestDialUnknownAddressRefused(t *testing.T) {
-	n, clock := newTestNet(t)
-	drv := clock.Register()
-	defer drv.Unregister()
+	n, _ := newTestNet(t)
 	iface := n.NewInterface("wifi", LinkParams{Rate: Mbps(10), Delay: time.Millisecond}, LinkParams{Rate: Mbps(10), Delay: time.Millisecond})
-	if _, err := iface.Dial(context.Background(), "nobody.test:80", drv); err == nil {
-		t.Fatal("dial to unregistered address succeeded")
+	l, err := n.Listen("srv.test:80", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	for _, addr := range []string{"nobody.test:80", "srv.test:80"} {
+		if err := iface.DialEvent(addr, func(*Conn, error) {
+			t.Errorf("dial to %s called back", addr)
+		}); err == nil {
+			t.Errorf("dial to %s succeeded", addr)
+		}
 	}
 }
 
@@ -85,29 +88,23 @@ func TestInterfaceDownAbortsConns(t *testing.T) {
 	defer drv.Unregister()
 	l, _ := n.Listen("srv.test:80", 0)
 	defer l.Close()
-	serve(clock, l, func(*Conn) {})
+	echo(l)
 	iface := n.NewInterface("wifi", LinkParams{Rate: Mbps(10), Delay: time.Millisecond}, LinkParams{Rate: Mbps(10), Delay: time.Millisecond})
-	c, err := iface.Dial(context.Background(), "srv.test:80", drv)
+	c, err := dial(drv, iface, "srv.test:80")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	errCh := readErr(clock, c)
-	waitParked(clock, 2) // the accept loop and the reader
+	_, termErr, _ := drainEvented(c)
 	iface.SetAlive(false)
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrInterfaceDown) {
-			t.Fatalf("read error = %v, want ErrInterfaceDown", err)
-		}
-	case <-time.After(2 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("interface down did not abort read")
+	if !errors.Is(*termErr, ErrInterfaceDown) {
+		t.Fatalf("read error = %v, want ErrInterfaceDown", *termErr)
 	}
-	if _, err := iface.Dial(context.Background(), "srv.test:80", drv); !errors.Is(err, ErrInterfaceDown) {
+	if _, err := dial(drv, iface, "srv.test:80"); !errors.Is(err, ErrInterfaceDown) {
 		t.Fatalf("dial on dead interface error = %v, want ErrInterfaceDown", err)
 	}
 	iface.SetAlive(true)
-	c2, err := iface.Dial(context.Background(), "srv.test:80", drv)
+	c2, err := dial(drv, iface, "srv.test:80")
 	if err != nil {
 		t.Fatalf("dial after recovery: %v", err)
 	}
@@ -119,22 +116,16 @@ func TestListenerCloseKillsConns(t *testing.T) {
 	drv := clock.Register()
 	defer drv.Unregister()
 	l, _ := n.Listen("srv.test:80", 0)
-	serve(clock, l, func(*Conn) {})
+	echo(l)
 	iface := n.NewInterface("wifi", LinkParams{Rate: Mbps(10), Delay: time.Millisecond}, LinkParams{Rate: Mbps(10), Delay: time.Millisecond})
-	c, err := iface.Dial(context.Background(), "srv.test:80", drv)
+	c, err := dial(drv, iface, "srv.test:80")
 	if err != nil {
 		t.Fatal(err)
 	}
-	errCh := readErr(clock, c)
-	waitParked(clock, 2) // the accept loop and the reader
+	_, termErr, _ := drainEvented(c)
 	l.Close()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrServerDown) {
-			t.Fatalf("read error = %v, want ErrServerDown", err)
-		}
-	case <-time.After(2 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("listener close did not abort conns")
+	if !errors.Is(*termErr, ErrServerDown) {
+		t.Fatalf("read error = %v, want ErrServerDown", *termErr)
 	}
 	// Address is released for reuse.
 	if _, err := n.Listen("srv.test:80", 0); err != nil {
@@ -154,40 +145,47 @@ func TestDuplicateListenRejected(t *testing.T) {
 
 func TestManyParallelConns(t *testing.T) {
 	n, clock := newTestNet(t)
+	drv := clock.Register()
+	defer drv.Unregister()
 	l, _ := n.Listen("srv.test:80", 0)
 	defer l.Close()
-	serve(clock, l, func(c *Conn) {
-		io.Copy(c, c) // echo
-		c.Close()
-	})
+	echo(l)
 	iface := n.NewInterface("wifi", LinkParams{Rate: Mbps(50), Delay: 2 * time.Millisecond}, LinkParams{Rate: Mbps(50), Delay: 2 * time.Millisecond})
 	errs := make([]error, 8)
-	var clients []func(*Participant)
+	got := make([]bytes.Buffer, len(errs))
 	for i := range errs {
-		i := i
-		clients = append(clients, func(p *Participant) {
-			c, err := iface.Dial(context.Background(), "srv.test:80", p)
+		i, msg := i, fmt.Sprintf("conn-%d-payload", i)
+		errs[i] = iface.DialEvent("srv.test:80", func(c *Conn, err error) {
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			msg := fmt.Sprintf("conn-%d-payload", i)
-			c.Write([]byte(msg))
-			buf := make([]byte, len(msg))
-			if _, err := io.ReadFull(c, buf); err != nil {
-				errs[i] = err
-				return
-			}
-			c.Close()
-			if string(buf) != msg {
-				errs[i] = fmt.Errorf("echo mismatch: %q", buf)
-			}
+			c.OnReadable(func() {
+				for got[i].Len() < len(msg) {
+					view, err := c.ReadBuf()
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					if view == nil {
+						return
+					}
+					got[i].Write(view)
+					c.Release(len(view))
+				}
+				c.OnReadable(nil)
+				c.Close()
+			})
+			c.TryWrite([]byte(msg))
 		})
 	}
-	goAll(clock, clients...)()
-	for _, err := range errs {
+	drv.SleepUntil(clock.Now().Add(time.Hour))
+	for i, err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("conn-%d-payload", i); got[i].String() != want {
+			t.Fatalf("echo mismatch: %q, want %q", got[i].String(), want)
 		}
 	}
 }
@@ -212,22 +210,38 @@ func TestListenerForgetsClosedPairs(t *testing.T) {
 	// 'e' asks for an echo until the client closes (client closes
 	// first); 'r' for one reply after which the server closes at once,
 	// leaving the client to read it on a half-closed pair.
-	serve(clock, l, func(c *Conn) {
-		buf := make([]byte, 4)
-		if _, err := io.ReadFull(c, buf); err != nil {
-			return
-		}
-		c.Write(buf)
-		if buf[0] == 'e' {
-			io.Copy(io.Discard, c)
-		}
-		c.Close()
+	l.OnAcceptable(func(c *Conn) {
+		var req []byte
+		c.OnReadable(func() {
+			for {
+				view, err := c.ReadBuf()
+				if err != nil {
+					c.OnReadable(nil)
+					c.Close()
+					return
+				}
+				if view == nil {
+					return
+				}
+				first := len(req) == 0
+				req = append(req, view...)
+				c.Release(len(view))
+				if first {
+					c.TryWrite(req[:4])
+					if req[0] != 'e' {
+						c.OnReadable(nil)
+						c.Close()
+						return
+					}
+				}
+			}
+		})
 	})
 	link := LinkParams{Rate: Mbps(10), Delay: 2 * time.Millisecond}
 	iface := n.NewInterface("wifi", link, link)
 	const cycles = 40
 	for i := 0; i < cycles; i++ {
-		c, err := iface.Dial(context.Background(), "srv.test:80", drv)
+		c, err := dial(drv, iface, "srv.test:80")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,16 +249,18 @@ func TestListenerForgetsClosedPairs(t *testing.T) {
 		if i%2 == 1 {
 			msg = []byte("rply")
 		}
-		c.Write(msg)
-		buf := make([]byte, len(msg))
-		if _, err := io.ReadFull(c, buf); err != nil || string(buf) != string(msg) {
-			t.Fatalf("cycle %d: read %q, %v", i, buf, err)
+		received, termErr, _ := drainEvented(c)
+		c.TryWrite(msg)
+		// Ample time for the request and its reply to cross.
+		drv.Sleep(10 * time.Millisecond)
+		if received.String() != string(msg) {
+			t.Fatalf("cycle %d: read %q, %v", i, received, *termErr)
 		}
 		if msg[0] == 'r' {
 			// The server has closed; the client has not. The pair stays
 			// held so a kill could still cut it.
-			if _, err := c.Read(buf); err != io.EOF {
-				t.Fatalf("cycle %d: read after reply = %v, want EOF", i, err)
+			if *termErr != io.EOF {
+				t.Fatalf("cycle %d: read after reply = %v, want EOF", i, *termErr)
 			}
 			if got := heldPairs(l); got != 1 {
 				t.Fatalf("cycle %d: %d pairs held on a half-closed connection, want 1", i, got)
@@ -280,51 +296,27 @@ func TestListenerCloseCutsHalfClosedPair(t *testing.T) {
 		respLen = 100 << 10
 		// The reader drains the segments that arrived by the kill, then
 		// observes it at the next segment's scheduled arrival, the
-		// instant it was parked until; that segment and the rest of the
-		// response are dropped.
+		// instant it had committed to wake at; that segment and the rest
+		// of the response are dropped.
 		wantCut   = 70 * time.Millisecond
 		wantBytes = 40000
 	)
-	serverClosed := make(chan time.Time, 1)
-	serve(clock, l, func(c *Conn) {
-		c.Write(make([]byte, respLen))
-		c.Close()
-		serverClosed <- clock.Now()
+	var serverClosed time.Time
+	l.OnAcceptable(func(c *Conn) {
+		pumpEvented(c, true, make([]byte, respLen))
+		serverClosed = clock.Now()
 	})
 	// 1 MB/s each way: the response needs ~100 ms of line time.
 	link := LinkParams{Rate: 1e6, Delay: 10 * time.Millisecond}
 	iface := n.NewInterface("wifi", link, link)
-	c, err := iface.Dial(context.Background(), "srv.test:80", drv)
+	c, err := dial(drv, iface, "srv.test:80")
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := clock.Now()
-	type outcome struct {
-		n   int
-		err error
-		at  time.Duration
-	}
-	got := make(chan outcome, 1)
-	clock.Go(func(p *Participant) {
-		c.Bind(p)
-		buf := make([]byte, 4096)
-		total := 0
-		for {
-			k, err := c.Read(buf)
-			total += k
-			if err != nil {
-				got <- outcome{total, err, clock.Now().Sub(start)}
-				return
-			}
-		}
-	})
+	received, termErr, doneAt := drainEvented(c)
 	drv.Sleep(60 * time.Millisecond)
-	select {
-	case at := <-serverClosed:
-		if at.After(clock.Now()) {
-			t.Fatalf("server closed at %v, after the kill", at.Sub(start))
-		}
-	default:
+	if serverClosed.IsZero() || serverClosed.After(clock.Now()) {
 		t.Fatal("server had not closed by the kill instant")
 	}
 	if held := heldPairs(l); held != 1 {
@@ -332,11 +324,10 @@ func TestListenerCloseCutsHalfClosedPair(t *testing.T) {
 	}
 	l.Close()
 	drv.Sleep(time.Second)
-	o := <-got
-	if !errors.Is(o.err, ErrServerDown) {
-		t.Fatalf("client read error = %v, want ErrServerDown", o.err)
+	if !errors.Is(*termErr, ErrServerDown) {
+		t.Fatalf("client read error = %v, want ErrServerDown", *termErr)
 	}
-	if o.at != wantCut || o.n != wantBytes {
-		t.Fatalf("client cut at %v after %d of %d bytes, want %v after %d", o.at, o.n, respLen, wantCut, wantBytes)
+	if at := doneAt.Sub(start); at != wantCut || received.Len() != wantBytes {
+		t.Fatalf("client cut at %v after %d of %d bytes, want %v after %d", at, received.Len(), respLen, wantCut, wantBytes)
 	}
 }

@@ -71,7 +71,8 @@ type LinkParams struct {
 	// SSRestartIdle overrides the idle period that restarts slow start.
 	SSRestartIdle time.Duration
 
-	// SendBuf bounds in-flight bytes; Write blocks when exceeded.
+	// SendBuf bounds in-flight bytes; TryWrite stops accepting when
+	// exceeded.
 	SendBuf int
 
 	// Quantum overrides the pacing granularity.
@@ -138,11 +139,3 @@ func (p *LinkParams) rateAt(t time.Time) float64 {
 // Mbps converts megabits per second to the bytes-per-second unit used by
 // LinkParams.Rate.
 func Mbps(m float64) float64 { return m * 1e6 / 8 }
-
-// Symmetric builds an up/down pair with the same rate and delay, the
-// common configuration for the experiments in this repository.
-func Symmetric(rate float64, delay time.Duration) (up, down LinkParams) {
-	up = LinkParams{Rate: rate, Delay: delay}
-	down = LinkParams{Rate: rate, Delay: delay}
-	return up, down
-}

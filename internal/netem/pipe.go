@@ -83,9 +83,9 @@ func (r *ring[T]) popBack() T {
 }
 
 // segPool recycles segment payload buffers across every direction in
-// the process. Buffers are handed out by write sized to the pacing
-// segment and returned by read once fully consumed (or by teardown
-// paths). Oversized one-off buffers (beyond maxPooledSeg) are left to
+// the process. Buffers are handed out by tryWrite sized to the pacing
+// segment and returned by release once the reader is done with them (or
+// by teardown paths). Oversized one-off buffers (beyond maxPooledSeg) are left to
 // the garbage collector so a burst of huge segments cannot pin memory.
 var segPool = sync.Pool{
 	New: func() any {
@@ -137,10 +137,8 @@ type direction struct {
 	rng    *rand.Rand // lazily seeded on first draw; guarded by mu
 
 	mu       sync.Mutex
-	cond     *Cond // clock-aware; signalled on enqueue, read, close, abort
 	queue    ring[segment]
 	buffered int // bytes written but not yet read (send buffer accounting)
-	unread   int // offset into the head segment already consumed
 
 	lastDeparture time.Time // pacing frontier
 	lastArrival   time.Time // FIFO arrival frontier
@@ -156,8 +154,8 @@ type direction struct {
 
 	closed bool // writer closed: drain queue then EOF
 
-	// Event-API state (see event.go). readableCb/writableCb are the
-	// armed completion callbacks of a non-parking reader/writer;
+	// Completion-API state (see event.go). readableCb/writableCb are
+	// the armed callbacks of the endpoint's reader and writer;
 	// readTimer is the wheel entry that fires readableCb at the head
 	// segment's arrival instant. retained holds segments consumed
 	// through readBuf whose borrowed views are still outstanding
@@ -168,12 +166,11 @@ type direction struct {
 	readTimer  *Timer
 	retained   ring[segment]
 	relOff     int
-	// evWake is the arrival instant an evented reader last committed to
-	// wake at (the queue head's arrival when it drained to nil, exactly
-	// the instant a blocking reader would SleepUntil). An abort that
-	// drops that segment stays unobservable through readBuf until
-	// evWake, mirroring the sleeping blocking reader that only sees the
-	// error once its scheduled wake instant arrives.
+	// evWake is the arrival instant the reader last committed to wake
+	// at (the queue head's arrival when it drained to nil). An abort
+	// that drops that segment stays unobservable through readBuf until
+	// evWake: the reader learns of the error at the instant it was
+	// already due to look again, not earlier.
 	evWake time.Time
 
 	// Abort protocol state. An abort is a scheduled event at an emulated
@@ -184,7 +181,7 @@ type direction struct {
 	// abort instant stay deliverable (even if read later), and segments
 	// that would arrive strictly after it are dropped in flight.
 	// Outcomes therefore never depend on goroutine scheduling order
-	// around the abort. abortTimer re-wakes parked waiters at a
+	// around the abort. abortTimer fires the armed callbacks at a
 	// future abort instant; it is a clock timer-wheel entry, not a
 	// goroutine, so scheduling (and re-scheduling, when an earlier
 	// abort supersedes) is a bucket write on the owner's shard.
@@ -198,7 +195,6 @@ func newDirection(clock *Clock, p LinkParams) *direction {
 		clock:  clock,
 		params: p.withDefaults(),
 	}
-	d.cond = NewCond(clock, &d.mu)
 	now := clock.Now()
 	d.lastActivity = now
 	d.lastDeparture = now
@@ -242,62 +238,9 @@ func (d *direction) ssRate(t time.Time) float64 {
 	return cwnd / rtt.Seconds()
 }
 
-// write paces p onto the link, blocking while the send buffer is full.
-// It returns the number of bytes accepted and the abort error, if any.
-// part is the writing goroutine's clock handle.
-//
-// stable marks p as immutable and immortal for the purposes of this
-// write (a borrowed view of the origin's content page cache): instead
-// of copying into a pooled segment buffer, the queue aliases sub-slices
-// of p directly (capacity clipped to length, so the coalescing append
-// can never touch bytes beyond the slice and falls back to a fresh
-// segment instead). Pacing, arrival instants and delivered bytes are
-// identical either way — only the copy disappears.
-func (d *direction) write(p []byte, part *Participant, stable bool) (int, error) {
-	written := 0
-	for len(p) > 0 {
-		d.mu.Lock()
-		for {
-			if err := d.abortedBy(d.clock.Now()); err != nil {
-				d.mu.Unlock()
-				return written, err
-			}
-			if d.closed {
-				d.mu.Unlock()
-				return written, errClosedConn
-			}
-			if d.buffered < d.params.SendBuf {
-				break
-			}
-			// Send buffer full: space is freed only by reads, and a
-			// reader waiting out an arrival wakes through the clock, so
-			// this wait cannot deadlock (a pending abort re-wakes every
-			// waiter at the abort instant). A false return means the
-			// clock stopped and the reader will never drain.
-			if !d.cond.Wait(part) {
-				d.mu.Unlock()
-				return written, errClosedConn
-			}
-		}
-
-		wasEmpty := d.queue.len() == 0
-		segBytes := d.pushSegmentLocked(p, stable)
-		p = p[segBytes:]
-		written += segBytes
-		d.cond.Broadcast()
-		arm, fire := d.readableArmLocked(wasEmpty)
-		d.mu.Unlock()
-		d.dispatchReadable(arm, fire)
-	}
-	return written, nil
-}
-
 // pushSegmentLocked paces one segment of p onto the link and returns its
-// size. It is the single pacing/enqueue path shared by the blocking
-// write and the non-parking tryWrite, so both produce identical segment
-// boundaries, arrival instants and slow-start evolution. Callers must
-// hold d.mu, must have checked abort/closed/send-buffer admission, and
-// must broadcast afterwards.
+// size. Callers must hold d.mu and must have checked
+// abort/closed/send-buffer admission.
 func (d *direction) pushSegmentLocked(p []byte, stable bool) int {
 	now := d.clock.Now()
 	if d.lastDeparture.Before(now) {
@@ -375,83 +318,12 @@ func (d *direction) pushSegmentLocked(p []byte, stable bool) int {
 }
 
 // lastSegment returns the newest queued segment, or nil when the queue
-// is empty. Appending to it is safe even when it doubles as the
-// partially consumed head: consumption tracks unread while append only
-// extends len, and both happen under d.mu. Callers must hold d.mu.
+// is empty. Callers must hold d.mu.
 func (d *direction) lastSegment() *segment {
 	if d.queue.len() == 0 {
 		return nil
 	}
 	return d.queue.back()
-}
-
-// read copies delivered bytes into p, blocking until data is available
-// (waiting out the arrival time of the head segment when necessary).
-// Fully consumed segments return their pooled buffers. part is the
-// reading goroutine's clock handle.
-func (d *direction) read(p []byte, part *Participant) (int, error) {
-	for {
-		d.mu.Lock()
-		if d.queue.len() == 0 {
-			// Delivered-before-abort rule: the queue only ever holds
-			// segments arriving at or before the abort instant (later
-			// ones are dropped at enqueue/schedule time), so queued data
-			// is always drained before the abort error surfaces — even
-			// when the reader runs after the abort instant.
-			if err := d.abortedBy(d.clock.Now()); err != nil {
-				d.mu.Unlock()
-				return 0, err
-			}
-			if d.closed {
-				d.mu.Unlock()
-				return 0, errEOF
-			}
-			ok := d.cond.Wait(part)
-			d.mu.Unlock()
-			if !ok {
-				return 0, errClosedConn
-			}
-			continue
-		}
-		head := d.queue.front()
-		now := d.clock.Now()
-		if head.arrival.After(now) {
-			if d.clock.Stopped() {
-				// Teardown: SleepUntil would return immediately and the
-				// arrival instant will never come.
-				d.mu.Unlock()
-				return 0, errClosedConn
-			}
-			arrival := head.arrival
-			d.mu.Unlock()
-			part.SleepUntil(arrival)
-			continue
-		}
-		// Drain as many arrived segments as fit into p.
-		n := 0
-		for n < len(p) && d.queue.len() > 0 {
-			s := d.queue.front()
-			if s.arrival.After(now) {
-				break
-			}
-			avail := s.data[d.unread:]
-			c := copy(p[n:], avail)
-			n += c
-			d.unread += c
-			if d.unread == len(s.data) {
-				putSegBuf(d.queue.pop())
-				d.unread = 0
-			}
-		}
-		d.buffered -= n
-		d.cond.Broadcast()
-		wcb := d.writableCb
-		d.mu.Unlock()
-		if wcb != nil && n > 0 {
-			wcb()
-		}
-		return n, nil
-	}
 }
 
 // close marks the writer side closed: the reader drains then sees EOF.
@@ -464,7 +336,6 @@ func (d *direction) close() {
 		return
 	}
 	d.closed = true
-	d.cond.Broadcast()
 	var rcb func()
 	if d.queue.len() == 0 {
 		rcb = d.readableCb // EOF is observable immediately
@@ -495,22 +366,6 @@ func (d *direction) abortedBy(now time.Time) error {
 	return nil
 }
 
-// abort schedules a hard failure effective at the current emulated
-// instant: both ends fail from now on, and queued segments that have
-// not yet arrived are dropped (already-arrived data stays deliverable).
-func (d *direction) abort(err error) { d.abortAt(d.clock.Now(), err) }
-
-// abortAt schedules a hard failure of the direction at the emulated
-// instant t (clamped to now). The earliest scheduled abort wins; a
-// later re-schedule is a no-op, which makes redundant abort sources
-// (teardown sweep, per-request cancellation watchers, interface loss)
-// commute. Segments whose arrival instant is strictly after t are
-// dropped immediately (releasing their pooled buffers); segments
-// arriving at or before t remain deliverable until read. Both
-// endpoints observe the error exactly from t onward, regardless of
-// when their goroutines are scheduled.
-func (d *direction) abortAt(t time.Time, err error) { d.markAbort(t, err).dispatch() }
-
 // abortWake is what an abort recorded under d.mu still has to do once
 // the lock is released: fire the armed callbacks (immediate abort) or
 // schedule the wake timer (future abort). Conn.AbortAt records both
@@ -523,8 +378,14 @@ type abortWake struct {
 	watcher  *Timer // future abort: the timer to schedule at t
 }
 
-// markAbort records the abort under d.mu and returns the wake-up to
-// dispatch outside it.
+// markAbort records a hard failure of the direction at the emulated
+// instant t (clamped to now) under d.mu and returns the wake-up to
+// dispatch outside it. The earliest scheduled abort wins; a later
+// re-schedule is a no-op, which makes redundant abort sources
+// (teardown sweep, per-request cancellation watchers, interface loss)
+// commute. Segments whose arrival instant is strictly after t are
+// dropped at once (releasing their pooled buffers); segments arriving
+// at or before t remain deliverable until read.
 func (d *direction) markAbort(t time.Time, err error) abortWake {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -539,30 +400,25 @@ func (d *direction) markAbort(t time.Time, err error) abortWake {
 	// Dropped-at-abort rule: in-flight segments arriving strictly after
 	// the abort instant vanish; a segment arriving exactly at t counts
 	// as delivered. Strictness is what makes same-instant races
-	// commute: a reader runnable at t may already have (partially)
-	// consumed a segment with arrival == t, and dropping it here would
-	// make the outcome depend on which goroutine ran first (besides
-	// corrupting the unread/buffered accounting of a half-read head).
-	// The queue is arrival-ordered, so dropped segments form a suffix,
-	// and a partially consumed head (arrival <= now <= t) survives.
+	// commute: a reader running at t may already have consumed a
+	// segment with arrival == t, and dropping it here would make the
+	// outcome depend on which callback ran first. The queue is
+	// arrival-ordered, so dropped segments form a suffix.
 	for d.queue.len() > 0 && d.queue.back().arrival.After(t) {
 		s := d.queue.popBack()
 		d.buffered -= len(s.data)
 		putSegBuf(s)
 	}
-	d.cond.Broadcast()
 	if !t.After(now) {
 		return abortWake{rcb: d.readableCb, wcb: d.writableCb}
 	}
 	if d.abortTimer == nil {
 		d.abortTimer = d.clock.NewTimer(func() {
 			d.mu.Lock()
-			d.cond.Broadcast()
 			rcb, wcb := d.readableCb, d.writableCb
 			d.mu.Unlock()
-			// The abort instant has arrived: event-API endpoints learn of
-			// the failure through their armed callbacks, exactly like the
-			// parked waiters the broadcast re-wakes.
+			// The abort instant has arrived: the endpoints learn of the
+			// failure through their armed callbacks.
 			if rcb != nil {
 				rcb()
 			}
@@ -584,15 +440,15 @@ func (w abortWake) dispatch() {
 	if w.watcher == nil {
 		return
 	}
-	// Future abort: a wheel timer re-wakes all waiters at the abort
-	// instant, when the error becomes observable. An earlier abort
+	// Future abort: a wheel timer fires the armed callbacks at the
+	// abort instant, when the error becomes observable. An earlier abort
 	// superseding a later one reschedules the same timer (its old entry
 	// is cancelled in place); immediate aborts (the teardown hot path)
 	// never schedule anything.
 	//
-	// Schedule runs outside d.mu (a stale schedule fires the broadcast
+	// Schedule runs outside d.mu (a stale schedule fires the timer's
 	// callback synchronously, which retakes d.mu), so two racing
-	// abortAt calls could otherwise interleave as set(t1) set(t2<t1)
+	// aborts could otherwise interleave as set(t1) set(t2<t1)
 	// schedule(t2) schedule(t1), pinning the timer at the later
 	// instant while abortTime holds the earlier one. Converge instead:
 	// after scheduling, re-read abortTime and reschedule until the
@@ -612,18 +468,14 @@ func (w abortWake) dispatch() {
 	}
 }
 
-// queuedBytes reports the bytes currently queued for delivery,
-// including the partially consumed head segment; used by tests to
-// verify that delivered segments release their memory.
+// queuedBytes reports the bytes currently queued for delivery; used by
+// tests to verify that delivered segments release their memory.
 func (d *direction) queuedBytes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	total := -d.unread
+	total := 0
 	for i := 0; i < d.queue.len(); i++ {
 		total += len(d.queue.buf[(d.queue.head+i)&(len(d.queue.buf)-1)].data)
-	}
-	if total < 0 {
-		total = 0
 	}
 	return total
 }

@@ -12,36 +12,30 @@ import (
 )
 
 // transferTime sends size bytes through a fresh pipe with the given params
-// and returns the emulated duration from first write to full read. Both
-// ends run as clock participants, so every instant between their parks
-// is pinned and the duration is a pure function of the link.
+// and returns the emulated duration from first write to the reader's
+// EOF. Both ends run on the completion API, so the duration is a pure
+// function of the link.
 func transferTime(t *testing.T, size int, p LinkParams) time.Duration {
 	t.Helper()
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	client, server := Pipe(clock, p, p, "c", "s")
 	start := clock.Now()
-	var n int64
-	var err error
-	var end time.Time
-	goAll(clock, func(wp *Participant) {
-		server.Bind(wp)
-		if _, err := server.Write(make([]byte, size)); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		server.Close()
-	}, func(rp *Participant) {
-		client.Bind(rp)
-		n, err = io.Copy(io.Discard, client)
-		end = clock.Now()
-	})()
-	if err != nil {
-		t.Fatalf("read: %v", err)
+	received, termErr, doneAt := drainEvented(client)
+	werr := pumpEvented(server, true, make([]byte, size))
+	drv.SleepUntil(start.Add(time.Hour))
+	if *werr != nil {
+		t.Fatalf("write: %v", *werr)
 	}
-	if int(n) != size {
-		t.Fatalf("read %d bytes, want %d", n, size)
+	if *termErr != io.EOF {
+		t.Fatalf("read: %v", *termErr)
 	}
-	return end.Sub(start)
+	if received.Len() != size {
+		t.Fatalf("read %d bytes, want %d", received.Len(), size)
+	}
+	return doneAt.Sub(start)
 }
 
 func TestPipeTransferTimeMatchesRatePlusDelay(t *testing.T) {
@@ -94,87 +88,80 @@ func TestPipeLossAddsPenalty(t *testing.T) {
 func TestPipeDataIntegrity(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	p := LinkParams{Rate: Mbps(20), Delay: 5 * time.Millisecond, Jitter: 2 * time.Millisecond, Seed: 7}
 	client, server := Pipe(clock, p, p, "c", "s")
 
 	payload := make([]byte, 300<<10)
 	rand.New(rand.NewSource(1)).Read(payload)
-	var got []byte
-	var err error
-	goAll(clock, func(p *Participant) {
-		server.Bind(p)
-		// Write in odd-sized slabs to exercise segmentation.
-		for off := 0; off < len(payload); {
-			n := 777
-			if off+n > len(payload) {
-				n = len(payload) - off
-			}
-			if _, err := server.Write(payload[off : off+n]); err != nil {
-				t.Errorf("write: %v", err)
-				return
-			}
-			off += n
-		}
-		server.Close()
-	}, func(p *Participant) {
-		client.Bind(p)
-		got, err = io.ReadAll(client)
-	})()
-	if err != nil {
-		t.Fatalf("read: %v", err)
+	// Write in odd-sized slabs to exercise segmentation.
+	var slabs [][]byte
+	for off := 0; off < len(payload); off += 777 {
+		slabs = append(slabs, payload[off:min(off+777, len(payload))])
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload corrupted: got %d bytes, want %d", len(got), len(payload))
+	received, termErr, _ := drainEvented(client)
+	werr := pumpEvented(server, true, slabs...)
+	drv.SleepUntil(clock.Now().Add(time.Hour))
+	if *werr != nil || *termErr != io.EOF {
+		t.Fatalf("write error %v, read error %v", *werr, *termErr)
+	}
+	if !bytes.Equal(received.Bytes(), payload) {
+		t.Fatalf("payload corrupted: got %d bytes, want %d", received.Len(), len(payload))
 	}
 }
 
 func TestPipeBidirectional(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	p := LinkParams{Rate: Mbps(10), Delay: 10 * time.Millisecond}
 	client, server := Pipe(clock, p, p, "c", "s")
 
-	var got []byte
-	var err error
-	goAll(clock, func(p *Participant) {
-		server.Bind(p)
-		buf := make([]byte, 5)
-		if _, err := io.ReadFull(server, buf); err != nil {
-			t.Errorf("server read: %v", err)
-			return
+	// The server echoes the first five bytes behind a prefix, then
+	// closes.
+	var req []byte
+	server.OnReadable(func() {
+		for len(req) < 5 {
+			view, err := server.ReadBuf()
+			if err != nil || view == nil {
+				return
+			}
+			req = append(req, view...)
+			server.Release(len(view))
 		}
-		server.Write(append([]byte("re:"), buf...))
+		server.OnReadable(nil)
+		server.TryWrite(append([]byte("re:"), req[:5]...))
 		server.Close()
-	}, func(p *Participant) {
-		client.Bind(p)
-		client.Write([]byte("hello"))
-		got, err = io.ReadAll(client)
-	})()
-	if err != nil {
-		t.Fatalf("client read: %v", err)
+	})
+	received, termErr, _ := drainEvented(client)
+	client.TryWrite([]byte("hello"))
+	drv.SleepUntil(clock.Now().Add(time.Hour))
+	if *termErr != io.EOF {
+		t.Fatalf("client read: %v", *termErr)
 	}
-	if string(got) != "re:hello" {
-		t.Fatalf("echo = %q", got)
+	if received.String() != "re:hello" {
+		t.Fatalf("echo = %q", received)
 	}
 }
 
 func TestPipeCloseDrainsThenEOF(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
-	p := LinkParams{Rate: Mbps(8), Delay: 20 * time.Millisecond}
-	client, server := Pipe(clock, p, p, "c", "s")
 	drv := clock.Register()
 	defer drv.Unregister()
-	client.Bind(drv)
-	server.Bind(drv)
-	server.Write([]byte("tail data"))
+	p := LinkParams{Rate: Mbps(8), Delay: 20 * time.Millisecond}
+	client, server := Pipe(clock, p, p, "c", "s")
+	server.TryWrite([]byte("tail data"))
 	server.Close()
-	got, err := io.ReadAll(client)
-	if err != nil {
-		t.Fatalf("read after close: %v", err)
+	received, termErr, _ := drainEvented(client)
+	drv.SleepUntil(clock.Now().Add(time.Second))
+	if *termErr != io.EOF {
+		t.Fatalf("read after close: %v", *termErr)
 	}
-	if string(got) != "tail data" {
-		t.Fatalf("got %q, want %q", got, "tail data")
+	if received.String() != "tail data" {
+		t.Fatalf("got %q, want %q", received, "tail data")
 	}
 }
 
@@ -183,51 +170,41 @@ func TestPipeAbortSurfacesError(t *testing.T) {
 	defer clock.Stop()
 	p := LinkParams{Rate: Mbps(8), Delay: 20 * time.Millisecond}
 	client, server := Pipe(clock, p, p, "c", "s")
-	errCh := make(chan error, 1)
-	clock.Go(func(p *Participant) {
-		client.Bind(p)
-		buf := make([]byte, 10)
-		_, err := client.Read(buf)
-		errCh <- err
-	})
-	waitParked(clock, 1)
+	_, termErr, _ := drainEvented(client)
+	if *termErr != nil {
+		t.Fatalf("idle reader saw %v before the abort", *termErr)
+	}
+	// The abort fires the armed readable callback at once.
 	server.Abort(ErrServerDown)
-	select {
-	case err := <-errCh:
-		if err != ErrServerDown {
-			t.Fatalf("read error = %v, want ErrServerDown", err)
-		}
-	case <-time.After(2 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("abort did not wake reader")
+	if *termErr != ErrServerDown {
+		t.Fatalf("read error = %v, want ErrServerDown", *termErr)
 	}
 }
 
 func TestPipeSendBufferBlocksWriter(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	p := LinkParams{Rate: Mbps(1), Delay: 10 * time.Millisecond, SendBuf: 64 << 10}
 	client, server := Pipe(clock, p, p, "c", "s")
 
-	wrote := make(chan struct{})
-	clock.Go(func(p *Participant) {
-		server.Bind(p)
-		buf := make([]byte, 512<<10) // far larger than SendBuf
-		server.Write(buf)
-		close(wrote)
-	})
-	select {
-	case <-wrote:
-		t.Fatal("writer did not block on full send buffer")
-	case <-time.After(50 * time.Millisecond): //detlint:allow wallclock -- short real wait proves the write stays blocked
+	buf := make([]byte, 512<<10) // far larger than SendBuf
+	n, err := server.TryWrite(buf)
+	if err != nil || n < p.SendBuf || n >= len(buf) {
+		t.Fatalf("first write accepted %d of %d bytes (err %v), want the %d-byte send buffer's worth", n, len(buf), err, p.SendBuf)
 	}
-	clock.Go(func(p *Participant) {
-		client.Bind(p)
-		io.Copy(io.Discard, client)
-	})
-	select {
-	case <-wrote:
-	case <-time.After(5 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("writer never unblocked while reader drained")
+	// Nobody reads: a second of line time frees no space.
+	drv.Sleep(time.Second)
+	if k, err := server.TryWrite(buf[n:]); k != 0 || err != nil {
+		t.Fatalf("write into a full, undrained send buffer accepted %d bytes (err %v)", k, err)
+	}
+	// A reader drains, and the writer resumes through OnWritable.
+	received, termErr, _ := drainEvented(client)
+	werr := pumpEvented(server, true, buf[n:])
+	drv.SleepUntil(clock.Now().Add(time.Hour))
+	if *werr != nil || *termErr != io.EOF || received.Len() != len(buf) {
+		t.Fatalf("drained %d of %d bytes (write error %v, read error %v)", received.Len(), len(buf), *werr, *termErr)
 	}
 }
 
@@ -239,36 +216,24 @@ func TestPipeArrivalsFIFO(t *testing.T) {
 		}
 		clock := NewVirtualClock()
 		defer clock.Stop()
+		drv := clock.Register()
+		defer drv.Unregister()
 		p := LinkParams{
 			Rate: Mbps(10), Delay: 5 * time.Millisecond,
 			Jitter: 10 * time.Millisecond, LossProb: 0.05, Seed: seed,
 		}
 		client, server := Pipe(clock, p, p, "c", "s")
 		var want []byte
-		var got []byte
-		var err error
-		read := func(p *Participant) {
-			client.Bind(p)
-			got, err = io.ReadAll(client)
+		var chunks [][]byte
+		for i, s := range sizes {
+			chunk := bytes.Repeat([]byte{byte(i)}, int(s)%4096+1)
+			chunks = append(chunks, chunk)
+			want = append(want, chunk...)
 		}
-		goAll(clock, func(p *Participant) {
-			server.Bind(p)
-			b := byte(0)
-			for _, s := range sizes {
-				n := int(s)%4096 + 1
-				chunk := bytes.Repeat([]byte{b}, n)
-				server.Write(chunk)
-				b++
-			}
-			server.Close()
-		}, read)()
-		b := byte(0)
-		for _, s := range sizes {
-			n := int(s)%4096 + 1
-			want = append(want, bytes.Repeat([]byte{b}, n)...)
-			b++
-		}
-		return err == nil && bytes.Equal(got, want)
+		received, termErr, _ := drainEvented(client)
+		pumpEvented(server, true, chunks...)
+		drv.SleepUntil(clock.Now().Add(time.Hour))
+		return *termErr == io.EOF && bytes.Equal(received.Bytes(), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
@@ -276,26 +241,14 @@ func TestPipeArrivalsFIFO(t *testing.T) {
 }
 
 func TestTraceOutageStallsTransfer(t *testing.T) {
-	clock := NewVirtualClock()
-	defer clock.Stop()
-	start := clock.Now()
+	// Every virtual clock starts at the same epoch, so the outage can be
+	// placed relative to the one transferTime builds.
+	start := NewVirtualClock().Now()
 	p := LinkParams{
 		Trace: trace.Outage(trace.Constant(Mbps(8)), start.Add(100*time.Millisecond), 2*time.Second),
 		Delay: 10 * time.Millisecond,
 	}
-	client, server := Pipe(clock, p, p, "c", "s")
-	var end time.Time
-	goAll(clock, func(p *Participant) {
-		server.Bind(p)
-		server.Write(make([]byte, 1<<20))
-		server.Close()
-	}, func(p *Participant) {
-		client.Bind(p)
-		io.Copy(io.Discard, client)
-		end = clock.Now()
-	})()
-	elapsed := end.Sub(start)
-	if elapsed < 2*time.Second {
+	if elapsed := transferTime(t, 1<<20, p); elapsed < 2*time.Second {
 		t.Fatalf("transfer finished in %v despite a 2s outage", elapsed)
 	}
 }

@@ -34,53 +34,44 @@ func TestPipeJitterPerInstanceSeed(t *testing.T) {
 		times []time.Duration
 	}
 	const total = 64 << 10
-	drive := func(seed int64, out *run, wg *sync.WaitGroup) {
+	drv := clock.Register()
+	defer drv.Unregister()
+	// Each writer runs on its own participant goroutine, so the three
+	// pipes' draws race in wall time; the reader records each view's
+	// arrival instant.
+	drive := func(seed int64, out *run) {
 		a, b := Pipe(clock, params(seed), params(seed+1), Addr("a"), Addr("b"))
-		wg.Add(2)
-		clock.Go(func(p *Participant) {
-			defer wg.Done()
-			a.Bind(p)
+		start := clock.Now()
+		b.OnReadable(func() {
+			for {
+				view, err := b.ReadBuf()
+				if err != nil || view == nil {
+					return
+				}
+				out.times = append(out.times, clock.Now().Sub(start))
+				b.Release(len(view))
+			}
+		})
+		clock.Go(func(*Participant) {
 			buf := make([]byte, 8<<10)
 			for i := 0; i < total/len(buf); i++ {
-				if _, err := a.Write(buf); err != nil {
+				if _, err := a.TryWrite(buf); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 			a.Close()
 		})
-		clock.Go(func(p *Participant) {
-			defer wg.Done()
-			b.Bind(p)
-			start := clock.Now()
-			buf := make([]byte, 4<<10)
-			for {
-				n, err := b.Read(buf)
-				if n > 0 {
-					out.times = append(out.times, clock.Now().Sub(start))
-				}
-				if err != nil {
-					return
-				}
-			}
-		})
 	}
-	var wg sync.WaitGroup
 	var twin1, twin2, noise run
 	// Hold virtual time until all six ends exist, so no pipe starts
 	// ahead of another.
 	clock.Hold()
-	drive(1234, &twin1, &wg)
-	drive(9999, &noise, &wg)
-	drive(1234, &twin2, &wg)
+	drive(1234, &twin1)
+	drive(9999, &noise)
+	drive(1234, &twin2)
 	clock.Release()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("pipes did not drain")
-	}
+	drv.SleepUntil(clock.Now().Add(time.Hour))
 	if len(twin1.times) == 0 || len(twin1.times) != len(twin2.times) {
 		t.Fatalf("twin read counts differ: %d vs %d", len(twin1.times), len(twin2.times))
 	}
