@@ -21,7 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -31,74 +31,77 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the scenario and writes its report to w. A
+// report that breaks an invariant is written, then returned as an
+// error beside it.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	var (
-		name       = flag.String("scenario", "flashcrowd", "built-in scenario name (see -list)")
-		sessions   = flag.Int("sessions", 0, "total session count (0 = scenario default)")
-		seed       = flag.Int64("seed", 1, "scenario seed; all randomness derives from it")
-		list       = flag.Bool("list", false, "list built-in scenarios and exit")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
-		gogc       = flag.Int("gogc", 400, "GC target percentage; fleet runs churn pooled buffers, so a higher target than Go's default 100 trades heap for fewer collection cycles")
+		name       = fs.String("scenario", "flashcrowd", "built-in scenario name (see -list)")
+		sessions   = fs.Int("sessions", 0, "total session count (0 = scenario default)")
+		seed       = fs.Int64("seed", 1, "scenario seed; all randomness derives from it")
+		list       = fs.Bool("list", false, "list built-in scenarios and exit")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile (taken after the run) to this file")
+		gogc       = fs.Int("gogc", 400, "GC target percentage; fleet runs churn pooled buffers, so a higher target than Go's default 100 trades heap for fewer collection cycles")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, n := range fleet.BuiltinNames() {
 			sc, _ := fleet.Builtin(n, 0, 1)
-			fmt.Printf("  %-12s %s (default %d sessions)\n", n, sc.Description, sc.TotalSessions())
+			fmt.Fprintf(w, "  %-12s %s (default %d sessions)\n", n, sc.Description, sc.TotalSessions())
 		}
-		return
+		return nil
 	}
 	if *gogc > 0 {
 		debug.SetGCPercent(*gogc)
 	}
-	// log.Fatal / os.Exit skip deferred functions, which would leave an
-	// unflushed (unreadable) CPU profile behind — and a failing run is
-	// exactly the one worth profiling. Flush explicitly before every
-	// exit path instead of deferring.
-	stopProfile := func() {}
-	fail := func(format string, args ...any) {
-		stopProfile()
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-		os.Exit(1)
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			log.Fatalf("fleet: -cpuprofile: %v", err)
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			log.Fatalf("fleet: -cpuprofile: %v", err)
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
-		stopProfile = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
+		// Deferred, so a failing run — exactly the one worth
+		// profiling — still leaves a readable profile.
+		defer pprof.StopCPUProfile()
 	}
 
 	sc, err := fleet.Builtin(*name, *sessions, *seed)
 	if err != nil {
-		fail("fleet: %v", err)
+		return err
 	}
 	report, err := fleet.Run(context.Background(), sc)
 	if report != nil {
-		fmt.Print(report)
+		fmt.Fprint(w, report)
 	}
 	if err != nil {
-		fail("fleet: %v", err)
+		return err
 	}
-	stopProfile()
+	pprof.StopCPUProfile()
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			log.Fatalf("fleet: -memprofile: %v", err)
+			return fmt.Errorf("-memprofile: %w", err)
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatalf("fleet: -memprofile: %v", err)
+			return fmt.Errorf("-memprofile: %w", err)
 		}
 	}
+	return nil
 }

@@ -8,17 +8,33 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro"
 	"repro/internal/netem"
 )
 
-func run(label string, sel msplayer.PathSelection) {
+func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, _ []string) error {
+	fmt.Fprintln(w, "50s WiFi outage during a 5-minute stream:")
+	if err := stream(w, "MSPlayer", msplayer.BothPaths); err != nil {
+		return err
+	}
+	return stream(w, "WiFi-only", msplayer.WiFiOnly)
+}
+
+func stream(w io.Writer, label string, sel msplayer.PathSelection) error {
 	tb, err := msplayer.NewTestbed(msplayer.TestbedProfile(3))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer tb.Close()
 
@@ -37,23 +53,18 @@ func run(label string, sel msplayer.PathSelection) {
 		Paths:     sel,
 	})
 	if err != nil {
-		fmt.Printf("%-10s stream error: %v\n", label, err)
-		return
+		fmt.Fprintf(w, "%-10s stream error: %v\n", label, err)
+		return nil
 	}
 	var stall time.Duration
 	for _, s := range m.Stalls {
 		stall += s.Duration
 	}
-	fmt.Printf("%-10s delivered %5.1f MB, %d stall(s) totalling %5.1fs",
+	fmt.Fprintf(w, "%-10s delivered %5.1f MB, %d stall(s) totalling %5.1fs",
 		label, float64(m.TotalBytes)/1e6, len(m.Stalls), stall.Seconds())
 	if wifi := m.Paths[0]; wifi.Failures > 0 || wifi.Rebootstraps > 0 {
-		fmt.Printf("  (wifi: %d failed requests, %d re-bootstraps)", wifi.Failures, wifi.Rebootstraps)
+		fmt.Fprintf(w, "  (wifi: %d failed requests, %d re-bootstraps)", wifi.Failures, wifi.Rebootstraps)
 	}
-	fmt.Println()
-}
-
-func main() {
-	fmt.Println("50s WiFi outage during a 5-minute stream:")
-	run("MSPlayer", msplayer.BothPaths)
-	run("WiFi-only", msplayer.WiFiOnly)
+	fmt.Fprintln(w)
+	return nil
 }

@@ -8,7 +8,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro"
@@ -16,30 +18,41 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, _ []string) error {
 	const reps = 5
-	fmt.Println("40s pre-buffer under oscillating LTE bandwidth (5 runs each):")
+	fmt.Fprintln(w, "40s pre-buffer under oscillating LTE bandwidth (5 runs each):")
 	for _, name := range []string{"ratio", "ewma", "harmonic"} {
 		var xs []float64
 		for rep := 0; rep < reps; rep++ {
-			xs = append(xs, runOnce(name, int64(rep)))
+			x, err := runOnce(name, int64(rep))
+			if err != nil {
+				return err
+			}
+			xs = append(xs, x)
 		}
 		s := stats.Summarize(xs)
-		fmt.Printf("  %-9s median %5.2fs  (min %5.2fs  max %5.2fs  std %4.2fs)\n",
+		fmt.Fprintf(w, "  %-9s median %5.2fs  (min %5.2fs  max %5.2fs  std %4.2fs)\n",
 			name, s.Median, s.Min, s.Max, s.Std)
 	}
-	fmt.Println("\nthe dynamic schedulers shrink the slow path's chunks when its")
-	fmt.Println("bandwidth dips, so both transfers keep finishing together; the")
-	fmt.Println("Ratio baseline reacts to single samples and swings wildly.")
+	fmt.Fprintln(w, "\nthe dynamic schedulers shrink the slow path's chunks when its")
+	fmt.Fprintln(w, "bandwidth dips, so both transfers keep finishing together; the")
+	fmt.Fprintln(w, "Ratio baseline reacts to single samples and swings wildly.")
+	return nil
 }
 
-func runOnce(scheduler string, seed int64) float64 {
+func runOnce(scheduler string, seed int64) (float64, error) {
 	p := msplayer.TestbedProfile(seed*17 + 5)
 	// Strong oscillation on LTE: ±60% swings every few seconds.
 	p.LTE.Sigma = 0.6
 	p.LTE.VaryEvery = 2 * time.Second
 	tb, err := msplayer.NewTestbed(p)
 	if err != nil {
-		log.Fatal(err)
+		return 0, err
 	}
 	defer tb.Close()
 
@@ -58,7 +71,7 @@ func runOnce(scheduler string, seed int64) float64 {
 		StopAfterPreBuffer: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return 0, err
 	}
-	return m.PreBufferTime.Seconds()
+	return m.PreBufferTime.Seconds(), nil
 }

@@ -11,8 +11,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	"os"
 	"sync"
 
 	"repro"
@@ -22,15 +24,21 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer, _ []string) error {
 	tb, err := msplayer.NewTestbed(msplayer.YouTubeProfile(1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer tb.Close()
 	clock := tb.Clock()
 	t0 := clock.Now()
 	stamp := func(format string, args ...any) {
-		fmt.Printf("[%8.3fs] %s\n", clock.Now().Sub(t0).Seconds(), fmt.Sprintf(format, args...))
+		fmt.Fprintf(w, "[%8.3fs] %s\n", clock.Now().Sub(t0).Seconds(), fmt.Sprintf(format, args...))
 	}
 
 	// This goroutine is the walkthrough's driver, registered with the
@@ -79,7 +87,7 @@ func main() {
 		// 1. Resolve the web proxy through this network's DNS view.
 		proxies, err := tb.Cluster().Resolver().Lookup(network, origin.WebProxyName)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		stamp("dns(%s) %s -> %v", network, origin.WebProxyName, proxies)
 
@@ -99,11 +107,11 @@ func main() {
 			err = fmt.Errorf("watch: status %d", status)
 		}
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var info origin.VideoInfo
 		if err := json.Unmarshal(body, &info); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		stamp("JSON decoded: %q by %s, %ds long, %d formats, servers %v, token %.16s...",
 			info.Title, info.Author, info.LengthSeconds, len(info.Formats),
@@ -113,7 +121,7 @@ func main() {
 		url := info.PlaybackURL(info.VideoServers[0], 22)
 		n, err := getRange(et, url, 0, 256<<10-1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		stamp("first 256 KB chunk fetched (%d bytes) from %s", n, info.VideoServers[0])
 
@@ -140,6 +148,7 @@ func main() {
 			cross.Shutdown(nil)
 		})
 	}
-	fmt.Println("\nthe per-path bootstrap above is exactly what the player automates;")
-	fmt.Println("note the WiFi path finishing every step ahead of LTE (the head start).")
+	fmt.Fprintln(w, "\nthe per-path bootstrap above is exactly what the player automates;")
+	fmt.Fprintln(w, "note the WiFi path finishing every step ahead of LTE (the head start).")
+	return nil
 }

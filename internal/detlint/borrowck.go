@@ -27,12 +27,12 @@ var borrowParamFuncs = map[string]bool{
 }
 
 // spawnFuncs names call targets whose func-literal argument outlives
-// the call on another goroutine, a timer wheel entry or a response
+// the call on another goroutine, a clock timer or a response
 // continuation: capturing a borrowed view in one retains it beyond the
 // call.
 var spawnFuncs = map[string]bool{
 	"Go":        true, // Clock.Go
-	"NewTimer":  true, // Clock.NewTimer / Participant.NewTimer callbacks
+	"NewTimer":  true, // Clock.NewTimer callbacks
 	"AfterFunc": true,
 	"After":     true, // httpx.After response continuations
 }

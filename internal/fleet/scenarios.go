@@ -138,10 +138,10 @@ func DenseCrowd(sessions int, seed int64) Scenario {
 // DenseCrowd, with the per-session payload cut down further (the SD
 // format and a 5 s pre-buffer goal, ~440 KB per session) so the run
 // measures what it exists to measure — the emulator carrying tens of
-// thousands of concurrently parked sessions on one clock: timer-wheel
-// scheduling, shard contention, connection churn, origin fan-in. The
-// thirty-second Poisson window keeps tens of thousands of arrival
-// deadlines resident in the wheel's overflow level at once.
+// thousands of concurrently parked sessions on one clock: timer-queue
+// scheduling, connection churn, origin fan-in. The thirty-second
+// Poisson window keeps tens of thousands of arrival deadlines resident
+// in the timer queue at once.
 func MegaCrowd(sessions int, seed int64) Scenario {
 	if sessions <= 0 {
 		sessions = 20000

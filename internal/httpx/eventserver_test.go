@@ -45,7 +45,7 @@ func (c *refClient) do(method, url string) (*http.Response, error) {
 		return nil, err
 	}
 	if c.timeout > 0 {
-		c.dl = c.p.NewTimer(func() {
+		c.dl = c.p.Clock().NewTimer(func() {
 			if c.conn != nil {
 				c.conn.Abort(ErrRequestTimeout)
 			}

@@ -91,8 +91,7 @@ func TestSteadyStateTransferAllocs(t *testing.T) {
 			drv.Sleep(time.Millisecond)
 		}
 	}
-	// Warm the pools, the rings and one full revolution of the timer
-	// wheel (each bucket's backing array is allocated on first use):
+	// Warm the pools, the rings and the timer queue's backing array:
 	// 16 blocks are ~340 ms of line time.
 	for i := 0; i < 16; i++ {
 		readBlock()

@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,27 +19,16 @@ import (
 // background advancer goroutine and no wall-clock polling: virtual runs
 // are CPU-bound and their event order is independent of machine load.
 //
-// Pending deadlines live in a sharded timer wheel (see wheel.go):
-// each participant is assigned a shard at registration and its parks
-// touch only that shard's lock, so deadline scheduling no longer
-// serialises the whole emulation on one mutex, and the common park is
-// an O(1) bucket append instead of an O(log n) heap insert. The jump
-// loop finds the next instant from a lock-free per-shard
-// earliest-deadline summary (one atomic load per shard), pops every
-// sleeper due at that instant across all shards as one batch, and fans
-// the wake tokens out after all shard locks are released — sorted by
-// the same (deadline, seq) order the previous global heap popped in,
-// so firing order (and with it every downstream report byte) is
-// unchanged.
+// Pending deadlines live in one timer queue (see queue.go), a min-heap
+// ordered by (deadline, seq) under the clock's one lock, mu. The jump
+// loop pops every sleeper due at the next instant in that order and
+// fans the wake tokens out after the lock is released.
 //
 // The Participant handle is the unit of accounting: registering is a
 // counter increment, parking reuses the handle's wake channel and
-// wheel node, and no per-park goroutine-identity lookup happens
+// queue node, and no per-park goroutine-identity lookup happens
 // anywhere. The participant/idle counters are atomics, so
-// condition-variable parks and wakes never take any clock lock at all.
-// This keeps the hot path O(1) and allocation-free, which is what lets
-// one clock carry tens of thousands of concurrently parked session
-// goroutines without serialising them on a single lock.
+// condition-variable parks and wakes never take the clock lock at all.
 //
 // Only registered goroutines park: every blocking primitive takes the
 // caller's Participant. A goroutine that never registered (a test, an
@@ -59,36 +47,28 @@ type Clock struct {
 	virt atomic.Int64 // current virtual offset from base, in ns
 	base time.Time    // virtual epoch
 
-	seq       atomic.Int64  // global tiebreaker for same-instant firing order
-	nextShard atomic.Uint32 // round-robin shard assignment
-	stopped   atomic.Bool
-
-	// jumpMu serialises the jump loop (and Stop) only: parks and
-	// cancels take shard locks, never this one.
-	jumpMu sync.Mutex
-	shards [numShards]clockShard
-	batch  sleeperBatch // jump-scratch; reused across jumps
-	fire   []wakeItem   // jump-scratch: batch snapshot fanned out lock-free
+	// mu guards the timer queue, seq and stopped, and serialises the
+	// jump loop.
+	mu      sync.Mutex
+	q       queue
+	seq     int64      // tiebreaker for same-instant firing order
+	stopped bool       // set by Stop; a stopped clock never jumps
+	fire    []wakeItem // jump-scratch: due wakes fanned out lock-free
 
 	done chan struct{} // closed by Stop; wakes every parked waiter
-
 }
 
 // Participant is one registered emulation participant: a handle minted
 // by Register or Go that the owning goroutine threads through every
 // clock-visible park (Sleep, SleepUntil, Cond.Wait). A Participant
 // belongs to exactly one goroutine at a time and its park state (wake
-// channel, timer-wheel node) is reused across parks, so steady-state
-// parking allocates nothing and never consults a goroutine-identity
-// map. Each participant is pinned to one wheel shard at registration
-// (round-robin), so all of its deadline parks contend only with the
-// 1/numShards of the emulation sharing that shard.
+// channel, queue node) is reused across parks, so steady-state parking
+// allocates nothing and never consults a goroutine-identity map.
 type Participant struct {
-	c     *Clock
-	wake  chan struct{} // cap 1; carries one wake token per park
-	s     sleeper       // reusable wheel node for deadline parks
-	shard uint32
-	gone  atomic.Bool // unregistered
+	c    *Clock
+	wake chan struct{} // cap 1; carries one wake token per park
+	s    sleeper       // reusable queue node for deadline parks
+	gone atomic.Bool   // unregistered
 }
 
 // NewVirtualClock returns a deterministic discrete-event clock. Time only
@@ -96,14 +76,10 @@ type Participant struct {
 // wait; it then jumps to the earliest pending deadline. Call Stop when
 // the emulation is finished.
 func NewVirtualClock() *Clock {
-	c := &Clock{
+	return &Clock{
 		base: time.Unix(1_700_000_000, 0), // arbitrary fixed epoch for determinism
 		done: make(chan struct{}),
 	}
-	for i := range c.shards {
-		c.shards[i].earliest.Store(sleeperNone)
-	}
-	return c
 }
 
 // Register marks the calling goroutine as an emulation participant and
@@ -112,11 +88,7 @@ func NewVirtualClock() *Clock {
 // parks happens at a frozen virtual instant. Park only through the
 // returned handle, and pair every Register with Unregister.
 func (c *Clock) Register() *Participant {
-	p := &Participant{
-		c:     c,
-		wake:  make(chan struct{}, 1),
-		shard: c.nextShard.Add(1) & (numShards - 1),
-	}
+	p := &Participant{c: c, wake: make(chan struct{}, 1)}
 	c.parts.Add(1)
 	return p
 }
@@ -132,28 +104,6 @@ func (p *Participant) Unregister() {
 		c.parts.Add(-1)
 		c.tryAdvance()
 	}
-}
-
-// Suspend removes the participant from the accounting without retiring
-// the handle, returning after Resume restores it. Use it around a wait
-// the clock cannot see (e.g. joining worker goroutines whose progress
-// needs virtual time): while suspended the goroutine does not hold up
-// jumps. The participant must not park while suspended.
-func (p *Participant) Suspend() {
-	c := p.c
-	if p.gone.Load() {
-		return
-	}
-	c.parts.Add(-1)
-	c.tryAdvance()
-}
-
-// Resume restores a registration removed by Suspend.
-func (p *Participant) Resume() {
-	if p.gone.Load() {
-		return
-	}
-	p.c.parts.Add(1)
 }
 
 // Hold blocks virtual-time jumps until Release, without registering a
@@ -187,17 +137,14 @@ func (c *Clock) Go(fn func(*Participant)) {
 // stop instant and teardown-path reads (session metrics, buffer
 // levels) are stable.
 func (c *Clock) Stop() {
-	c.jumpMu.Lock()
-	if c.stopped.Load() {
-		c.jumpMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stopped {
 		return
 	}
-	c.stopped.Store(true)
+	c.stopped = true
 	close(c.done)
-	for i := range c.shards {
-		c.shards[i].reset()
-	}
-	c.jumpMu.Unlock()
+	c.q.reset()
 }
 
 // Stopped reports whether Stop has been called. Blocking primitives
@@ -229,21 +176,20 @@ func (p *Participant) Sleep(d time.Duration) {
 }
 
 // SleepUntil parks the participant until the emulated instant t. The
-// park reuses the participant's wake channel and wheel node on the
-// participant's own shard, so the steady state allocates nothing and
-// contends with no other shard.
+// park reuses the participant's wake channel and queue node, so the
+// steady state allocates nothing.
 func (p *Participant) SleepUntil(t time.Time) {
 	c := p.c
-	sh := &c.shards[p.shard]
 	deadline := int64(t.Sub(c.base))
-	sh.mu.Lock()
-	if c.stopped.Load() || deadline <= c.virt.Load() {
-		sh.mu.Unlock()
+	c.mu.Lock()
+	if c.stopped || deadline <= c.virt.Load() {
+		c.mu.Unlock()
 		return
 	}
-	p.s = sleeper{deadline: deadline, seq: c.seq.Add(1), ch: p.wake}
-	sh.push(&p.s)
-	sh.mu.Unlock()
+	c.seq++
+	p.s = sleeper{deadline: deadline, seq: c.seq, ch: p.wake}
+	c.q.push(&p.s)
+	c.mu.Unlock()
 	// The sleeper becomes eligible to be popped only once idle is
 	// incremented: an advance requires idle == parts, and this
 	// goroutine is counted in parts but not yet in idle.
@@ -263,26 +209,26 @@ func (p *Participant) SleepUntil(t time.Time) {
 // the condition is re-evaluated and further jumps may fire immediately.
 //
 // The idle == parts check is a pair of atomic loads, re-evaluated under
-// the jump mutex on every loop iteration. A torn read can only produce
-// equality at instants where the condition genuinely held (every
-// counter transition toward equality triggers its own tryAdvance, and
-// transitions away from it mean the affected goroutine is runnable and
-// will re-check when it parks), so jumps stay deterministic.
+// mu on every loop iteration. A torn read can only produce equality at
+// instants where the condition genuinely held (every counter transition
+// toward equality triggers its own tryAdvance, and transitions away
+// from it mean the affected goroutine is runnable and will re-check
+// when it parks), so jumps stay deterministic.
 func (c *Clock) tryAdvance() {
-	// Due sleepers are collected into one batch under the jump mutex
-	// (taking each shard lock exactly once per jump) but their wake
-	// tokens are fanned out after every lock is released: a channel
-	// send can wake a goroutine (a futex syscall under contention), and
-	// doing that inside the critical section convoys other advance
-	// attempts behind it. Popping a sleeper decrements idle, so no
-	// further jump can fire until it parks again — sending its token
-	// late is indistinguishable from the goroutine being slow to run. A
-	// popped timer closes the condition too (the pending callback holds
-	// the clock) until the callback has run; the outer loop re-checks.
+	// Due sleepers are popped under mu but their wake tokens are fanned
+	// out after it is released: a channel send can wake a goroutine (a
+	// futex syscall under contention), and doing that inside the
+	// critical section convoys other advance attempts behind it, and a
+	// timer callback may re-enter Schedule. Popping a sleeper
+	// decrements idle, so no further jump can fire until it parks again
+	// — sending its token late is indistinguishable from the goroutine
+	// being slow to run. A popped timer closes the condition too (the
+	// pending callback holds the clock) until the callback has run; the
+	// outer loop re-checks.
 	for {
-		c.jumpMu.Lock()
+		c.mu.Lock()
 		fire := c.collectDue()
-		c.jumpMu.Unlock()
+		c.mu.Unlock()
 		if len(fire) == 0 {
 			return
 		}
@@ -304,76 +250,44 @@ func (c *Clock) tryAdvance() {
 	}
 }
 
-// wakeItem is a popped sleeper's wake action, snapshotted under the
-// jump lock. Fan-out must not touch the sleeper nodes themselves: the
-// moment the first token of a batch is delivered, a woken goroutine may
-// reuse its own node for the next park — or reschedule a popped Timer,
-// whose node would be rewritten mid-fan-out.
+// wakeItem is a popped sleeper's wake action, snapshotted under mu.
+// Fan-out must not touch the sleeper nodes themselves: the moment the
+// first token of a batch is delivered, a woken goroutine may reuse its
+// own node for the next park — or reschedule a popped Timer, whose node
+// would be rewritten mid-fan-out.
 type wakeItem struct {
 	ch chan struct{}
 	fn func()
 }
 
 // collectDue advances virtual time while every participant is parked,
-// collecting every due sleeper across shards into one (deadline, seq)
-// sorted batch and snapshotting its wake actions. The caller holds
-// jumpMu; the returned slice is the clock's reusable scratch, valid
-// until the next collectDue call. No next jump can start before this
-// batch's fan-out ends: every popped sleeper is off the idle count
-// until its token arrives and parks it again, and every popped timer
-// holds the clock until its callback has run.
+// popping every due sleeper in (deadline, seq) order and snapshotting
+// its wake action. The caller holds mu; the returned slice is the
+// clock's reusable scratch, valid until the next collectDue call. No
+// next jump can start before this batch's fan-out ends: every popped
+// sleeper is off the idle count until its token arrives and parks it
+// again, and every popped timer holds the clock until its callback has
+// run.
 func (c *Clock) collectDue() []wakeItem {
-	batch := c.batch[:0]
-	for !c.stopped.Load() && c.idle.Load() == c.parts.Load() {
-		// Lock-free earliest-deadline summary: one atomic load per
-		// shard names the next instant.
-		min := int64(sleeperNone)
-		for i := range c.shards {
-			if e := c.shards[i].earliest.Load(); e < min {
-				min = e
-			}
-		}
-		if min == sleeperNone {
-			break
-		}
+	fire := c.fire[:0]
+	for !c.stopped && len(c.q) > 0 && c.idle.Load() == c.parts.Load() {
 		virt := c.virt.Load()
-		if min > virt {
-			virt = min
+		if d := c.q[0].deadline; d > virt {
+			virt = d
 			c.virt.Store(virt)
 		}
-		// Pop only shards whose summary says they have due work: in the
-		// common case one shard owns the next instant and the other
-		// locks are never touched. The summary is exact while every
-		// participant is parked (nothing can push).
-		n0 := len(batch)
-		for i := range c.shards {
-			if c.shards[i].earliest.Load() <= virt {
-				batch = c.shards[i].popDue(virt, batch)
-			}
-		}
-		// Account the batch before re-checking the loop condition:
-		// sleepers return to the running state (idle--), and timers
-		// take a hold (parts++) released by tryAdvance after their
-		// callback runs.
-		for _, s := range batch[n0:] {
+		for len(c.q) > 0 && c.q[0].deadline <= virt {
+			s := c.q.remove(0)
+			fire = append(fire, wakeItem{ch: s.ch, fn: s.fn})
+			// Sleepers return to the running state (idle--); timers
+			// take a hold (parts++) released by tryAdvance after their
+			// callback runs.
 			if s.fn != nil {
 				c.parts.Add(1)
 			} else {
 				c.idle.Add(-1)
 			}
 		}
-	}
-	c.batch = batch
-	if len(batch) > 1 {
-		// Same-instant wakes fire in (deadline, seq) order — exactly the
-		// retired global heap's pop order — so event sequencing is
-		// unchanged by the wheel. c.batch is a persistent field, so the
-		// sort interface conversion does not allocate.
-		sort.Sort(&c.batch)
-	}
-	fire := c.fire[:0]
-	for _, s := range batch {
-		fire = append(fire, wakeItem{ch: s.ch, fn: s.fn})
 	}
 	c.fire = fire
 	return fire
@@ -392,29 +306,23 @@ func (c *Clock) collectDue() []wakeItem {
 //
 // Schedule and Stop may be called from any running goroutine. A timer
 // holds at most one pending schedule: Schedule replaces the previous
-// one. Stop cancels the pending schedule if the callback has not fired
-// yet; a callback that is already firing cannot be recalled (it is
-// idempotent in every consumer here).
+// one, removing its queue node in place and reusing it. Stop cancels
+// the pending schedule if the callback has not fired yet; a callback
+// that is already firing cannot be recalled (it is idempotent in every
+// consumer here).
 type Timer struct {
-	c     *Clock
-	fn    func()
-	shard uint32
+	c  *Clock
+	fn func()
 
 	mu sync.Mutex // orders Schedule/Stop against each other
-	s  *sleeper   // current node; recycled unless abandoned to overflow
+	s  sleeper    // queue node, reused by every schedule
 }
 
-// NewTimer returns an unscheduled timer firing fn, pinned to the next
-// round-robin wheel shard.
+// NewTimer returns an unscheduled timer firing fn.
 func (c *Clock) NewTimer(fn func()) *Timer {
-	return &Timer{c: c, fn: fn, shard: c.nextShard.Add(1) & (numShards - 1)}
-}
-
-// NewTimer returns an unscheduled timer firing fn, pinned to the
-// participant's own wheel shard: events the participant schedules stay
-// on the shard its parks already touch.
-func (p *Participant) NewTimer(fn func()) *Timer {
-	return &Timer{c: p.c, fn: fn, shard: p.shard}
+	t := &Timer{c: c, fn: fn}
+	t.s.idx = -1
+	return t
 }
 
 // Schedule (re)schedules the timer to fire at the emulated instant t,
@@ -434,46 +342,33 @@ func (t *Timer) Schedule(at time.Time) {
 	defer c.Release()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sh := &c.shards[t.shard]
-	sh.mu.Lock()
-	if t.s != nil && t.s.queued != sleeperIdle {
-		if !sh.cancel(t.s) {
-			t.s = nil // abandoned to the overflow heap
-		}
-	}
 	deadline := int64(at.Sub(c.base))
-	if c.stopped.Load() {
-		sh.mu.Unlock()
+	c.mu.Lock()
+	c.q.cancel(&t.s)
+	if c.stopped {
+		c.mu.Unlock()
 		return
 	}
 	if deadline <= c.virt.Load() {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		t.fn()
 		return
 	}
-	if t.s == nil {
-		t.s = &sleeper{}
-	}
-	*t.s = sleeper{deadline: deadline, seq: c.seq.Add(1), fn: t.fn}
-	sh.push(t.s)
-	sh.mu.Unlock()
+	c.seq++
+	t.s = sleeper{deadline: deadline, seq: c.seq, fn: t.fn}
+	c.q.push(&t.s)
+	c.mu.Unlock()
 }
 
 // Stop cancels the pending schedule, if any. It does not wait for a
 // callback that is already firing.
 func (t *Timer) Stop() {
-	c := t.c
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.s == nil {
-		return
-	}
-	sh := &c.shards[t.shard]
-	sh.mu.Lock()
-	if t.s.queued != sleeperIdle && !sh.cancel(t.s) {
-		t.s = nil // abandoned to the overflow heap
-	}
-	sh.mu.Unlock()
+	c := t.c
+	c.mu.Lock()
+	c.q.cancel(&t.s)
+	c.mu.Unlock()
 }
 
 // Cond is a clock-aware condition variable: waiting parks the caller in
@@ -486,7 +381,7 @@ func (t *Timer) Stop() {
 // must also be called with L held. Wait takes the caller's Participant
 // handle.
 //
-// Neither Wait nor wake touches any clock lock: parking is one atomic
+// Neither Wait nor wake touches the clock lock: parking is one atomic
 // increment (plus an advance attempt when the caller was the last
 // runner), waking one atomic decrement.
 type Cond struct {
@@ -525,7 +420,7 @@ func (cv *Cond) Wait(p *Participant) bool {
 	// Running it here is safe against lost wakeups because the waiter is
 	// already appended: any Signal/Broadcast issued from inside the
 	// advance sees it. And it is safe against a stale condition because
-	// tryAdvance re-checks idle == parts under the jump lock.
+	// tryAdvance re-checks idle == parts under the clock lock.
 	if advance {
 		c.tryAdvance()
 	}

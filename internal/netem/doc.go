@@ -156,44 +156,34 @@
 // is thus proportional to the connections open on it, not to every
 // connection a long run ever accepted.
 //
-// # Timer wheel
+// # Timer queue
 //
-// Pending deadlines live in a sharded hierarchical timer wheel rather
-// than one global heap, so deadline scheduling is not a single lock the
-// whole emulation serialises on:
+// Pending deadlines live in one timer queue: a binary min-heap of
+// sleeper nodes ordered by (deadline, seq), guarded by the clock's one
+// lock. seq is the scheduling order, so same-instant deadlines fire in
+// the order they were scheduled.
 //
-//   - Sharding is participant-affine: Register assigns each Participant
-//     one of the wheel's shards (round-robin), and every deadline park
-//     the participant makes touches only that shard's lock and cache
-//     lines, reusing the handle's embedded wheel node. Transient parks
-//     and timers are spread round-robin the same way. Two participants
-//     on different shards never contend on a park.
-//   - Each shard is a coarse-bucket wheel with an overflow level:
-//     ~1 ms buckets (deadlines keep full nanosecond resolution — the
-//     bucket width only coarsens the index, never the firing instant)
-//     spanning a ~268 ms horizon, with beyond-horizon deadlines in a
-//     per-shard min-heap that re-homes into buckets as the wheel
-//     advances. The dense deadline band (propagation delays, pacing
-//     quanta, think times) is an O(1) bucket append; only coarse
-//     session-scale waits pay a heap push, once.
-//   - The jump loop finds the next instant from a lock-free summary:
-//     each shard maintains its earliest pending deadline in an atomic,
-//     and the loop scans those (O(shards), no locks) before touching
-//     only the shards that actually own the instant.
-//   - Same-instant wakes are batched: all sleepers due at the jump
-//     instant across all shards are popped as one batch, and their wake
-//     tokens are fanned out after every shard lock is released, sorted
-//     by (deadline, seq) — the exact order the retired global heap
-//     popped in, so event sequencing (and with it every report byte) is
-//     unchanged. A differential test drives randomized schedules
-//     through the retired heap and the wheel and asserts identical
-//     firing sequences.
+//   - A deadline park pushes the participant's own embedded node, and a
+//     Timer pushes its own node: the steady state allocates nothing.
+//   - Every node records its heap index, so Timer.Stop and a
+//     re-Schedule remove the pending node in place, wherever it sits,
+//     and the next schedule reuses it.
+//   - The jump loop pops while the head is due. Pops come out in
+//     (deadline, seq) order, so a same-instant batch needs no sort. The
+//     wake tokens are snapshotted under the lock and fanned out after
+//     it is released, because a timer callback may schedule again.
+//   - A differential test drives randomized parks, cancels and
+//     reschedules through the queue and a container/heap reference and
+//     asserts identical firing sequences.
 //
-// The wheel also backs Timer, an event-at-an-instant callback that
+// One lock suffices: a fleet runs on a handful of goroutines, almost
+// every jump instant carries one event, and spreading the queue over
+// shards bought no measurable throughput.
+//
+// The queue also backs Timer, an event-at-an-instant callback that
 // replaces dedicated watcher goroutines (future conn aborts park no
 // goroutine at all): the jump loop runs the callback at the scheduled
-// instant, holding the clock until it completes, and Timer.Stop /
-// re-Schedule cancel the pending entry in place.
+// instant, holding the clock until it completes.
 //
 // # Timer-driven fault callbacks
 //
@@ -242,7 +232,7 @@
 // TryWriteStable and Conn.OnWritable to send, Interface.DialEvent to
 // connect and Listener.OnAcceptable to accept, with Loop to serialise
 // a machine's steps. No read, write, dial or accept parks a goroutine:
-// a whole session's I/O runs as a state machine stepped by timer-wheel
+// a whole session's I/O runs as a state machine stepped by timer
 // callbacks, and so does every server connection, so a fleet's
 // goroutine count is O(cores) instead of O(sessions × paths) — and a
 // server holds none at all. The rules extend the fault-callback rules
@@ -286,12 +276,12 @@
 // callback, with an edge's backhaul fills on httpx.EventTransport. The
 // Fig. 1 handshake probe in internal/bench is a machine too.
 //
-// Internally the participant/idle counters are atomics and the jump
-// mutex guards only the jump loop itself; wake tokens are delivered
-// outside every lock. Parks reuse the participant's wake channel and
-// wheel node, so steady-state parking allocates nothing
-// (TestWheelParkAllocs pins this, and bucket arrays are reused across
-// jumps).
+// Internally the participant/idle counters are atomics and the clock
+// lock guards only the timer queue and the jump loop; wake tokens are
+// delivered outside it. Parks reuse the participant's wake channel and
+// queue node, so steady-state parking allocates nothing
+// (TestWheelParkAllocs pins this, and TestTimerRescheduleAllocs pins
+// the same for a timer moved from far to near).
 //
 // # Pooling invariants
 //

@@ -156,7 +156,7 @@ type direction struct {
 
 	// Completion-API state (see event.go). readableCb/writableCb are
 	// the armed callbacks of the endpoint's reader and writer;
-	// readTimer is the wheel entry that fires readableCb at the head
+	// readTimer is the clock timer that fires readableCb at the head
 	// segment's arrival instant. retained holds segments consumed
 	// through readBuf whose borrowed views are still outstanding
 	// (released FIFO by release); relOff is the released prefix of the
@@ -182,9 +182,9 @@ type direction struct {
 	// that would arrive strictly after it are dropped in flight.
 	// Outcomes therefore never depend on goroutine scheduling order
 	// around the abort. abortTimer fires the armed callbacks at a
-	// future abort instant; it is a clock timer-wheel entry, not a
-	// goroutine, so scheduling (and re-scheduling, when an earlier
-	// abort supersedes) is a bucket write on the owner's shard.
+	// future abort instant; it is a clock timer, not a goroutine, so
+	// scheduling (and re-scheduling, when an earlier abort supersedes)
+	// moves one node in the clock's timer queue.
 	abortErr   error
 	abortTime  time.Time
 	abortTimer *Timer
@@ -440,7 +440,7 @@ func (w abortWake) dispatch() {
 	if w.watcher == nil {
 		return
 	}
-	// Future abort: a wheel timer fires the armed callbacks at the
+	// Future abort: a clock timer fires the armed callbacks at the
 	// abort instant, when the error becomes observable. An earlier abort
 	// superseding a later one reschedules the same timer (its old entry
 	// is cancelled in place); immediate aborts (the teardown hot path)
