@@ -22,7 +22,6 @@ import (
 
 	"repro"
 	"repro/internal/bench"
-	"repro/internal/netem"
 )
 
 func main() {
@@ -80,14 +79,14 @@ func main() {
 	}
 
 	if *outage > 0 {
-		defer tb.Inject(func(p *netem.Participant) {
-			p.Sleep(30 * time.Second)
+		tb.At(30*time.Second, func() {
 			fmt.Println("-- WiFi interface down")
 			tb.WiFi().SetAlive(false)
-			p.Sleep(*outage)
+		})
+		tb.At(30*time.Second+*outage, func() {
 			fmt.Println("-- WiFi interface back up")
 			tb.WiFi().SetAlive(true)
-		})()
+		})
 	}
 
 	fmt.Printf("streaming %s (%s scheduler, %s paths, %s profile)\n",

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/netem"
 )
 
 func main() {
@@ -39,14 +38,10 @@ func stream(w io.Writer, label string, sel msplayer.PathSelection) error {
 	defer tb.Close()
 
 	// 60 s into the session, WiFi disappears for 50 s: long enough to
-	// drain a full playout buffer. Testbed.Inject makes the outage land
-	// at a deterministic virtual instant.
-	defer tb.Inject(func(p *netem.Participant) {
-		p.Sleep(60 * time.Second)
-		tb.WiFi().SetAlive(false)
-		p.Sleep(50 * time.Second)
-		tb.WiFi().SetAlive(true)
-	})()
+	// drain a full playout buffer. Testbed.At makes the outage land at a
+	// deterministic virtual instant.
+	tb.At(60*time.Second, func() { tb.WiFi().SetAlive(false) })
+	tb.At(110*time.Second, func() { tb.WiFi().SetAlive(true) })
 
 	m, err := tb.Stream(context.Background(), msplayer.SessionConfig{
 		Scheduler: msplayer.NewHarmonicScheduler(msplayer.DefaultBaseChunk, msplayer.DefaultDelta),

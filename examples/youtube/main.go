@@ -15,7 +15,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"sync"
 
 	"repro"
 	"repro/internal/httpx"
@@ -41,32 +40,23 @@ func run(w io.Writer, _ []string) error {
 		fmt.Fprintf(w, "[%8.3fs] %s\n", clock.Now().Sub(t0).Seconds(), fmt.Sprintf(format, args...))
 	}
 
-	// This goroutine is the walkthrough's driver, registered with the
-	// emulation clock the way Player.Run registers a session's: each
-	// request runs as a step of a private event loop while the driver
-	// parks on a Cond, so virtual time advances only while it waits.
+	// This goroutine is the walkthrough's driver, as Player.Run is a
+	// session's: each request runs as a step of a private event loop
+	// while the driver fires the clock's events until it completes, so
+	// virtual time advances only while it waits.
 	driver := clock.Register()
 	defer driver.Unregister()
 	loop := netem.NewLoop()
-	var mu sync.Mutex
-	cond := netem.NewCond(clock, &mu)
-	await := func(issue func(done func())) {
+	await := func(issue func(done func())) error {
 		finished := false
-		loop.Do(func() {
-			issue(func() {
-				mu.Lock()
-				finished = true
-				cond.Broadcast()
-				mu.Unlock()
-			})
-		})
-		mu.Lock()
-		for !finished && cond.Wait(driver) {
+		loop.Do(func() { issue(func() { finished = true }) })
+		if !driver.Await(func() bool { return finished }) {
+			return errors.New("clock ran out of events mid-request")
 		}
-		mu.Unlock()
+		return nil
 	}
 	getRange := func(et *httpx.EventTransport, url string, from, to int64) (n int, err error) {
-		await(func(done func()) {
+		aerr := await(func(done func()) {
 			et.GetRangeViews(url, from, to, func(views [][]byte, release func(), rerr error) {
 				for _, v := range views {
 					n += len(v)
@@ -77,6 +67,9 @@ func run(w io.Writer, _ []string) error {
 				done()
 			})
 		})
+		if aerr != nil {
+			return 0, aerr
+		}
 		return n, err
 	}
 
@@ -97,12 +90,14 @@ func run(w io.Writer, _ []string) error {
 			status int
 			body   []byte
 		)
-		await(func(done func()) {
+		if aerr := await(func(done func()) {
 			et.Get(fmt.Sprintf("http://%s/watch?v=qjT4T2gU9sM", proxies[0]), func(s int, b []byte, gerr error) {
 				status, body, err = s, b, gerr
 				done()
 			})
-		})
+		}); aerr != nil {
+			return aerr
+		}
 		if err == nil && status != http.StatusOK {
 			err = fmt.Errorf("watch: status %d", status)
 		}

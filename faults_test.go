@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netem"
 	"repro/internal/videostore"
 )
 
@@ -25,15 +24,15 @@ func TestServerKillRestartReprobed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tb.Inject(func(ip *netem.Participant) {
-		ip.Sleep(time.Second)
+	tb.At(time.Second, func() {
 		tb.Cluster().Kill("video1.youtube.wifi.test:443")
 		tb.Cluster().Kill("video2.youtube.wifi.test:443")
-		ip.Sleep(2 * time.Second)
+	})
+	tb.At(3*time.Second, func() {
 		if err := tb.Cluster().Restart("video1.youtube.wifi.test:443"); err != nil {
 			t.Errorf("restart: %v", err)
 		}
-	})()
+	})
 	m, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatalf("stream did not recover after restart: %v", err)
@@ -90,12 +89,8 @@ func TestInterfaceRecoveryWakesBackoff(t *testing.T) {
 	// Down at 1 s fails the in-flight request and parks the path in
 	// backoff; up again 600 ms later lands inside the backoff window
 	// (250 ms, 500 ms, 1 s, ... plus jitter from the session seed).
-	defer tb.Inject(func(ip *netem.Participant) {
-		ip.Sleep(time.Second)
-		tb.WiFi().SetAlive(false)
-		ip.Sleep(600 * time.Millisecond)
-		tb.WiFi().SetAlive(true)
-	})()
+	tb.At(time.Second, func() { tb.WiFi().SetAlive(false) })
+	tb.At(1600*time.Millisecond, func() { tb.WiFi().SetAlive(true) })
 	m, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatalf("stream did not survive the interface flap: %v", err)
@@ -127,12 +122,11 @@ func TestBlackholeDeadlineFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tb.Inject(func(ip *netem.Participant) {
-		ip.Sleep(1200 * time.Millisecond)
+	tb.At(1200*time.Millisecond, func() {
 		if err := tb.Cluster().Blackhole("video1.youtube.wifi.test:443", true); err != nil {
 			t.Errorf("blackhole: %v", err)
 		}
-	})()
+	})
 	m, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatalf("stream wedged on the blackholed replica: %v", err)
@@ -177,18 +171,18 @@ func TestBreakerStopsPayingDeadlineOnDeadReplica(t *testing.T) {
 		// Blackhole BOTH wifi replicas at 1.2 s — blind rotation now
 		// burns a deadline on every attempt while the outage lasts —
 		// then recover video1 three seconds later.
-		defer tb.Inject(func(ip *netem.Participant) {
-			ip.Sleep(1200 * time.Millisecond)
+		tb.At(1200*time.Millisecond, func() {
 			for _, addr := range []string{"video1.youtube.wifi.test:443", "video2.youtube.wifi.test:443"} {
 				if err := tb.Cluster().Blackhole(addr, true); err != nil {
 					t.Errorf("blackhole: %v", err)
 				}
 			}
-			ip.Sleep(3 * time.Second)
+		})
+		tb.At(4200*time.Millisecond, func() {
 			if err := tb.Cluster().Blackhole("video1.youtube.wifi.test:443", false); err != nil {
 				t.Errorf("recover: %v", err)
 			}
-		})()
+		})
 		m, err := p.Run(context.Background())
 		if err != nil {
 			t.Fatalf("stream wedged on the blackholed replicas: %v", err)

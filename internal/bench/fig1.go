@@ -1,11 +1,11 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/handshake"
@@ -86,16 +86,19 @@ func measureBootstrap(rtt time.Duration, params handshake.Params) (eta, psi time
 	}), params)
 	defer srv.Close()
 
-	// The measuring goroutine registers and parks on the clock until
-	// each measurement's callback has run, so virtual time advances
-	// only while it waits and the measured η/ψ are deterministic.
+	// The measuring goroutine is the clock's driver: it runs events
+	// until each measurement's callback has fired, so virtual time
+	// advances only while it waits and the measured η/ψ are
+	// deterministic.
 	part := clock.Register()
 	defer part.Unregister()
 	link := netem.LinkParams{Rate: netem.Mbps(20), Delay: rtt / 2, SlowStart: true}
 	iface := network.NewInterface("probe", link, link)
 
 	start := clock.Now()
-	await(part, func(done func()) { secure(iface, "proxy.test:443", func(e error) { err = e; done() }) })
+	if aerr := await(part, func(done func()) { secure(iface, "proxy.test:443", func(e error) { err = e; done() }) }); aerr != nil {
+		return 0, 0, aerr
+	}
 	if err != nil {
 		return 0, 0, err
 	}
@@ -104,7 +107,7 @@ func measureBootstrap(rtt time.Duration, params handshake.Params) (eta, psi time
 	loop := netem.NewLoop()
 	et := httpx.NewEventTransport(iface, clock, loop)
 	start = clock.Now()
-	await(part, func(done func()) {
+	aerr := await(part, func(done func()) {
 		loop.Do(func() {
 			et.Get(fig1WatchURL, func(status int, got []byte, gerr error) {
 				switch {
@@ -118,6 +121,9 @@ func measureBootstrap(rtt time.Duration, params handshake.Params) (eta, psi time
 			})
 		})
 	})
+	if aerr != nil {
+		return 0, 0, aerr
+	}
 	if err != nil {
 		return 0, 0, err
 	}
@@ -196,19 +202,13 @@ func secure(iface *netem.Interface, addr string, done func(error)) {
 	}
 }
 
-// await parks p until the callback issue hands out has run.
-func await(p *netem.Participant, issue func(done func())) {
-	var mu sync.Mutex
-	cond := netem.NewCond(p.Clock(), &mu)
+// await drives the clock through p until the callback issue hands out
+// has run, or fails when the clock runs out of events first.
+func await(p *netem.Participant, issue func(done func())) error {
 	fired := false
-	issue(func() {
-		mu.Lock()
-		fired = true
-		cond.Broadcast()
-		mu.Unlock()
-	})
-	mu.Lock()
-	for !fired && cond.Wait(p) {
+	issue(func() { fired = true })
+	if !p.Await(func() bool { return fired }) {
+		return errors.New("fig1: clock ran out of events before the probe completed")
 	}
-	mu.Unlock()
+	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/netem"
 	"repro/internal/stats"
 )
 
@@ -74,12 +73,8 @@ func mobilityRun(seed int64, sel msplayer.PathSelection) (stallSecs float64, com
 	defer tb.Close()
 
 	// WiFi drops 30 s into the session and returns 45 s later.
-	defer tb.Inject(func(p *netem.Participant) {
-		p.Sleep(30 * time.Second)
-		tb.WiFi().SetAlive(false)
-		p.Sleep(45 * time.Second)
-		tb.WiFi().SetAlive(true)
-	})()
+	tb.At(30*time.Second, func() { tb.WiFi().SetAlive(false) })
+	tb.At(75*time.Second, func() { tb.WiFi().SetAlive(true) })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

@@ -14,8 +14,8 @@ import (
 
 // This file is the session engine: an MSPlayer session runs as state
 // machines that are steps of a netem.Loop, which a whole fleet may
-// share. A fleet of N sessions needs O(cores) goroutines instead of
-// O(N): each path is a callback machine over httpx.EventTransport
+// share. A fleet of N sessions runs on the clock's one driver instead
+// of O(N) goroutines: each path is a callback machine over httpx.EventTransport
 // (borrowed zero-copy reads included) and the gater is a timer machine.
 // Every state change a parked machine may be waiting on enqueues a
 // re-poll step (Player.kick), so machines act at the virtual instant of
@@ -34,9 +34,9 @@ type EventedSession struct {
 // on a live session ends it at the current instant. Idempotent.
 func (es *EventedSession) Interrupt() { es.interrupt(errClockStopped) }
 
-// interrupt is Interrupt with cause as the session error. The step may
-// run on whichever goroutine is draining the loop, so done may fire
-// after interrupt returns.
+// interrupt is Interrupt with cause as the session error. Called from
+// inside a loop step, the interrupt is deferred until that step
+// returns, so done may fire after interrupt returns.
 func (es *EventedSession) interrupt(cause error) {
 	es.s.loop.Do(func() { es.s.interrupt(cause) })
 }
@@ -68,9 +68,9 @@ type evSession struct {
 // RunEvented starts the session as event-loop machines on loop and
 // returns immediately. done is invoked from a loop step at the virtual
 // instant the last worker machine unwinds, with the sealed Metrics and
-// the session error. The caller keeps the clock alive (a registered
-// participant parked in a Cond, typically); if the clock stops before
-// the session completes, call Interrupt to collect the partial result.
+// the session error. The caller drives the clock (Participant.Await,
+// typically); if the clock stops before the session completes, call
+// Interrupt to collect the partial result.
 // Run is the synchronous wrapper that does both.
 func (p *Player) RunEvented(loop *netem.Loop, done func(*Metrics, error)) *EventedSession {
 	s := &evSession{p: p, loop: loop, done: done}

@@ -38,6 +38,10 @@ type PathConfig struct {
 // clock, so a retry without this sentinel would never resume.
 var errClockStopped = errors.New("core: emulation clock stopped")
 
+// errStalled ends a Run whose clock ran out of events before the
+// session finished.
+var errStalled = errors.New("core: session stalled with no pending event")
+
 // errSessionStopped is the abort error the player's teardown pipeline
 // schedules on in-flight connections: it surfaces in both endpoints'
 // reads and writes from the teardown instant on.

@@ -39,9 +39,8 @@ type Config struct {
 	// cycles have been measured (the Fig. 5 mode).
 	StopAfterRefills int
 	// OnRun, if set, is called in the session's first loop step, before
-	// any machine starts. The testbed uses it to anchor pending fault
-	// injections: their sleeps must not start running before the session
-	// exists.
+	// any machine starts. The testbed uses it to arm pending At events,
+	// so their offsets count from the session start.
 	OnRun func()
 	// Seed decorrelates the per-path backoff jitter streams across
 	// sessions. Zero is a valid seed; sessions sharing a seed draw
@@ -241,45 +240,37 @@ func (p *Player) seal(markDone bool) {
 
 // Run executes the session until its stop condition (or ctx
 // cancellation) and returns the collected metrics. It is the
-// synchronous convenience over RunEvented: the calling goroutine
-// registers with the emulation clock as the session's driver, starts
-// the machines on a private loop and parks on a Cond until they
-// complete, so in virtual mode the whole session advances
-// deterministically. The caller must not already hold a clock
-// Participant — registering twice would wedge the clock; such callers
-// use RunEvented and park themselves.
+// synchronous convenience over RunEvented: the calling goroutine claims
+// the clock's driver role, starts the machines on a private loop and
+// drives the clock until they complete, so the whole session advances
+// deterministically. ctx is checked between events; a cancellation ends
+// the session at the instant it is seen. The clock must not have a live
+// driver already (Register panics); such callers use RunEvented and
+// drive the clock themselves.
 func (p *Player) Run(ctx context.Context) (*Metrics, error) {
 	driver := p.clock.Register()
 	defer driver.Unregister()
 
-	type result struct {
-		m   *Metrics
-		err error
-	}
-	res := make(chan result, 1)
-	var mu sync.Mutex
-	cond := netem.NewCond(p.clock, &mu)
-	es := p.RunEvented(netem.NewLoop(), func(m *Metrics, err error) {
-		res <- result{m, err}
-		mu.Lock()
-		cond.Broadcast()
-		mu.Unlock()
+	var (
+		m    *Metrics
+		err  error
+		done bool
+	)
+	es := p.RunEvented(netem.NewLoop(), func(rm *Metrics, rerr error) {
+		m, err, done = rm, rerr, true
 	})
-	// Cancellation originates outside emulated time, so the relay is
-	// clock-invisible: it ends the session at whatever instant it lands.
-	stop := context.AfterFunc(ctx, func() { es.interrupt(ctx.Err()) })
-	defer stop()
-
-	mu.Lock()
-	for len(res) == 0 && cond.Wait(driver) {
+	driver.Await(func() bool { return done || ctx.Err() != nil })
+	// Each interrupt below finishes the session synchronously (no loop
+	// step is running) and is a no-op once it has completed.
+	switch {
+	case ctx.Err() != nil:
+		es.interrupt(ctx.Err())
+	case p.clock.Stopped():
+		es.Interrupt() // testbed closed mid-session: collect the partial result
+	default:
+		es.interrupt(errStalled) // no event left that could finish it
 	}
-	mu.Unlock()
-	// A false Wait is a stopped clock (testbed closed mid-session): no
-	// pending timer will fire, so collect the partial result. Interrupt
-	// is a no-op when the session already completed.
-	es.Interrupt()
-	r := <-res
-	return r.m, r.err
+	return m, err
 }
 
 // collect assembles the session Metrics from the sealed books. The

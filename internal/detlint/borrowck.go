@@ -27,11 +27,10 @@ var borrowParamFuncs = map[string]bool{
 }
 
 // spawnFuncs names call targets whose func-literal argument outlives
-// the call on another goroutine, a clock timer or a response
+// the call as a clock timer, a wall-clock callback or a response
 // continuation: capturing a borrowed view in one retains it beyond the
 // call.
 var spawnFuncs = map[string]bool{
-	"Go":        true, // Clock.Go
 	"NewTimer":  true, // Clock.NewTimer callbacks
 	"AfterFunc": true,
 	"After":     true, // httpx.After response continuations
@@ -47,8 +46,8 @@ var spawnFuncs = map[string]bool{
 //   - assignment into a struct field, slice/map element, or package
 //     variable (full borrows only — storing a pool buffer into an
 //     owning struct IS the pool handoff protocol);
-//   - capture by a closure handed to a go statement, Clock.Go, or a
-//     timer (the closure runs after the call returns);
+//   - capture by a closure handed to a go statement or a timer (the
+//     closure runs after the call returns);
 //   - append on a full borrow (spare capacity would let append write
 //     into the shared backing array; appending into a pool buffer the
 //     function itself just took from the pool is the owner's write);
@@ -266,7 +265,7 @@ func isSyncPool(pass *Pass, e ast.Expr) bool {
 }
 
 // spawnedFuncLit returns the func literal argument of a call whose
-// callee name marks deferred execution (Clock.Go, NewTimer, ...).
+// callee name marks deferred execution (NewTimer, After, ...).
 func spawnedFuncLit(call *ast.CallExpr) *ast.FuncLit {
 	name := callName(call)
 	if !spawnFuncs[name] {

@@ -8,9 +8,9 @@
 //     forbids time.Now, time.Sleep, time.After, time.Tick, time.Since,
 //     time.Until, time.NewTimer, time.NewTicker, time.AfterFunc.
 //     Emulated waiting and time reads must go through netem.Clock.
-//   - baredgo    — doc.go rule 2 (spawns ride Clock.Go or a Hold):
+//   - baredgo    — doc.go rule 2 (the emulation runs on its driver):
 //     forbids bare go statements in non-test files; a clock-invisible
-//     goroutine makes virtual-time jumps race the handoff.
+//     goroutine races the events the driver fires.
 //   - globalrand — the seeded-RNG rule (see the rand audit in
 //     netem/pipe.go and trace.go): forbids the process-global math/rand
 //     functions; all randomness derives from the scenario seed via

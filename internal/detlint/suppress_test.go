@@ -68,7 +68,11 @@ func TestParseDirective(t *testing.T) {
 // 25 → 17 when netem's blocking conn path went: the wall-clock
 // watchdogs around blocking reads and writes in the netem pipe,
 // network, alloc and rand-audit tests and the handshake test, −8.
-const wantSuppressions = 17
+// 17 → 9 when the clock became one driver draining a queue: Clock.Go's
+// own bare spawn (baredgo), and the clock, queue and httpx tests'
+// wall-clock deadlock watchdogs, wall-clock wait and stagger sleep,
+// which nothing can hang or race any more, −8.
+const wantSuppressions = 9
 
 // TestTreeCleanAndSuppressionCount runs the full suite over the whole
 // module, exactly as the CI detlint step does: zero unsuppressed

@@ -1,13 +1,13 @@
 // Package baredgo exercises detlint/baredgo: bare go statements are
-// findings, spawns routed through a Clock.Go-shaped API are not, and
-// _test.go files are exempt.
+// findings, work handed to a timer callback is not, and _test.go files
+// are exempt.
 package baredgo
 
-// clock mimics the netem.Clock registered-spawn API; the analyzer only
-// cares that the spawn is not a bare go statement.
+// clock mimics netem.Clock's timer API; the analyzer only cares that
+// the work is not a bare go statement.
 type clock struct{}
 
-func (clock) Go(fn func()) { fn() }
+func (clock) NewTimer(fn func()) { fn() }
 
 func bareLiteral() {
 	go func() {}() // want "bare go statement spawns a clock-invisible goroutine"
@@ -20,9 +20,9 @@ func bareNamed() {
 func helper() {}
 
 func viaClock(c clock) {
-	c.Go(helper) // registered spawn: not a finding
+	c.NewTimer(helper) // a clock callback: not a finding
 }
 
 func suppressed() {
-	go helper() //detlint:allow baredgo -- testdata: relay that originates outside emulated time
+	go helper() //detlint:allow baredgo -- testdata: an independent emulation with its own clock
 }

@@ -27,11 +27,13 @@ func (e *edgeCache) PageView(pg int64, wake func()) ([]byte, *flight) {
 
 func (f *flight) PageView() ([]byte, error) { return f.page, nil }
 
-// clock mimics the netem.Clock spawn API: closures handed to Go outlive
-// the calling function.
+// clock mimics netem.Clock's timer API: callbacks handed to NewTimer
+// outlive the calling function.
 type clock struct{}
 
-func (clock) Go(fn func()) { fn() }
+type timer struct{ fn func() }
+
+func (clock) NewTimer(fn func()) *timer { return &timer{fn} }
 
 // After mimics httpx.After: the continuation runs once the response's
 // bytes so far are on the wire, long after the call returns.
@@ -70,8 +72,8 @@ func goCapture(c *content) {
 
 func spawnCapture(clk clock, c *content) {
 	v := c.CachedSlice(0, 8)
-	clk.Go(func() {
-		use(v) // want "borrowed slice v captured by closure spawned via Go"
+	clk.NewTimer(func() {
+		use(v) // want "borrowed slice v captured by closure spawned via NewTimer"
 	})
 }
 
@@ -115,8 +117,8 @@ func poolOwnerWrites() []byte {
 // call, pool protocol or not.
 func poolSpawnCapture(clk clock) {
 	bp := pool.Get().(*[]byte)
-	clk.Go(func() {
-		use(*bp) // want "borrowed slice bp captured by closure spawned via Go"
+	clk.NewTimer(func() {
+		use(*bp) // want "borrowed slice bp captured by closure spawned via NewTimer"
 	})
 }
 
@@ -165,8 +167,8 @@ func readBufFieldStore(h *holder, c *evConn) {
 // past the callback that borrowed it.
 func readBufSpawnCapture(clk clock, c *evConn) {
 	v, _ := c.ReadBuf()
-	clk.Go(func() {
-		use(v) // want "borrowed slice v captured by closure spawned via Go"
+	clk.NewTimer(func() {
+		use(v) // want "borrowed slice v captured by closure spawned via NewTimer"
 	})
 }
 

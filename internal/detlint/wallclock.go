@@ -22,9 +22,9 @@ var wallclockForbidden = map[string]bool{
 
 // WallclockAnalyzer enforces netem/doc.go rule 1: emulation code must
 // never read or wait on the wall clock — all timing goes through
-// netem.Clock (Participant.Sleep/SleepUntil, Clock.Now, netem.Timer).
-// One time.Sleep in a registered goroutine wedges the waiter accounting;
-// one time.Now leaks machine time into reports. Code that measures wall
+// netem.Clock (Clock.Now, netem.Timer, the driver's SleepUntil and
+// Await). One time.Sleep stalls the driver in wall time; one time.Now
+// leaks machine time into reports. Code that measures wall
 // time on purpose (benchmark harnesses, test watchdogs) carries a
 // //detlint:allow wallclock directive naming why.
 var WallclockAnalyzer = &Analyzer{

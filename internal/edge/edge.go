@@ -279,9 +279,9 @@ func (e *Cache) Stats() Stats {
 	}
 }
 
-// Drain parks the caller until the edge's connection machines have
-// finished, parking the registered caller p, in deploy order.
-// After a true return the books are final.
+// Drain drives the clock through its driver p until the edge's
+// connection machines have finished, in deploy order. After a true
+// return the books are final.
 func (e *Cache) Drain(p *netem.Participant) bool {
 	e.mu.Lock()
 	srvs := append([]*httpx.Server(nil), e.srvs...)

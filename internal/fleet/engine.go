@@ -59,7 +59,7 @@ func deployEdgeTier(tb *msplayer.Testbed, spec *EdgeTierSpec,
 
 // faultPlan is the armed form of a scenario's fault plan: one window
 // record per fault, recovery marks written by the timer callbacks that
-// execute the recoveries. Callbacks fire on the clock's jump goroutine
+// execute the recoveries. Callbacks fire on the clock's driver
 // at exact virtual instants, so the records are deterministic per seed;
 // the mutex is only the cross-goroutine memory fence for the final
 // snapshot.
@@ -244,10 +244,9 @@ func Run(_ context.Context, sc Scenario) (*Report, error) {
 	defer tb.Close()
 
 	clock := tb.Clock()
-	// The scenario epoch: nothing is registered yet, so Now() cannot move
-	// before the driver registers below. Captured this early because the
-	// fault plan's backhaul windows are compiled into the edge links at
-	// deploy time.
+	// The scenario epoch: Now() cannot move before the driver drains the
+	// clock below. Captured this early because the fault plan's backhaul
+	// windows are compiled into the edge links at deploy time.
 	start := clock.Now()
 
 	// The edge tier deploys before any session exists, so listener and
@@ -291,22 +290,16 @@ func Run(_ context.Context, sc Scenario) (*Report, error) {
 			netem.LossWindow{From: start.Add(f.At), To: start.Add(f.At + f.Duration), Prob: f.Factor})
 	}
 
-	// The driver registers so virtual time stays pinned at the scenario
-	// epoch until every session's arrival timer is armed; otherwise early
-	// arrivals could burn virtual time before late cohorts exist.
-	driver := clock.Register()
-
 	// The fault plan arms before any session exists: timers created here
 	// get the lowest sequence numbers, so a fault onset sharing an
 	// instant with session activity executes first, deterministically.
 	faults, err := armFaults(tb, &sc, edges, start)
 	if err != nil {
-		driver.Unregister()
 		return nil, err
 	}
 
 	results := make([][]SessionResult, len(sc.Cohorts))
-	ev := newEventedRun(clock)
+	ev := newEventedRun()
 	for ci := range sc.Cohorts {
 		co := &sc.Cohorts[ci]
 		var servers map[string][]string
@@ -321,7 +314,6 @@ func Run(_ context.Context, sc Scenario) (*Report, error) {
 		arrivalRng := rand.New(rand.NewSource(mix(sc.Seed, int64(ci), -1)))
 		arrivals, err := co.Arrival.times(co.Sessions, arrivalRng)
 		if err != nil {
-			driver.Unregister()
 			return nil, err
 		}
 		for i := 0; i < co.Sessions; i++ {
@@ -335,6 +327,10 @@ func Run(_ context.Context, sc Scenario) (*Report, error) {
 			ev.arm(tb, &profile, co, servers, lossWins, i, arrivals[i], sessSeed, start, slot)
 		}
 	}
+	// Virtual time stays at the scenario epoch until every arrival timer
+	// is armed: only the driver moves it.
+	driver := clock.Register()
+	defer driver.Unregister()
 	ev.wait(driver)
 
 	// Ride out the fault horizon: recovery timers scheduled past the last
@@ -368,7 +364,6 @@ func Run(_ context.Context, sc Scenario) (*Report, error) {
 	for _, e := range edges {
 		edgeStats = append(edgeStats, e.Stats())
 	}
-	driver.Unregister()
 
 	rep := buildReport(sc, results, loads)
 	rep.Edges = edgeStats
@@ -391,16 +386,15 @@ func overlayLossWindows(lp *msplayer.LinkProfile, wins map[string][]netem.LossWi
 
 // eventedRun drives a scenario's sessions as event-loop state machines:
 // one shared netem.Loop for every session's machines, one arrival timer
-// per session, and a completion count the driver parks on. The whole
-// run needs O(cores) goroutines regardless of the session count, and
-// it references a session's player graph only while the session runs:
+// per session, and a completion count the driver awaits. The whole
+// run needs one goroutine regardless of the session count, and it
+// references a session's player graph only while the session runs:
 // live holds the handles of the sessions in flight, so what a run keeps
 // of a finished session is its SessionResult.
 type eventedRun struct {
 	loop *netem.Loop
 
 	mu        sync.Mutex
-	cond      *netem.Cond
 	remaining int
 	live      []*flight // unordered; wait sorts by seq
 	spawned   int
@@ -416,10 +410,8 @@ type flight struct {
 	pos int
 }
 
-func newEventedRun(clock *netem.Clock) *eventedRun {
-	ev := &eventedRun{loop: netem.NewLoop()}
-	ev.cond = netem.NewCond(clock, &ev.mu)
-	return ev
+func newEventedRun() *eventedRun {
+	return &eventedRun{loop: netem.NewLoop()}
 }
 
 // land removes f from live by swapping the last entry into its place.
@@ -456,11 +448,6 @@ func (ev *eventedRun) arm(tb *msplayer.Testbed, profile *msplayer.Profile, co *C
 		ev.mu.Lock()
 		ev.land(f)
 		ev.remaining--
-		if ev.remaining == 0 {
-			// Only the last completion wakes the driver: it has nothing
-			// to do before then.
-			ev.cond.Broadcast()
-		}
 		ev.mu.Unlock()
 	}
 	spawn := func() {
@@ -548,23 +535,19 @@ func (ev *eventedRun) arm(tb *msplayer.Testbed, profile *msplayer.Profile, co *C
 	clock.NewTimer(func() { ev.loop.Do(spawn) }).Schedule(start.Add(arrival))
 }
 
-// wait parks the driver until every armed session has completed. On a
-// stopped clock it interrupts the surviving sessions (collecting their
-// partial, sealed metrics) and marks never-arrived slots with
-// errClockStopped.
+// wait drives the clock until every armed session has completed. If
+// the clock stops (or runs out of events) first, it interrupts the
+// surviving sessions (collecting their partial, sealed metrics) and
+// marks never-arrived slots with errClockStopped.
 func (ev *eventedRun) wait(driver *netem.Participant) {
-	stopped := false
-	ev.mu.Lock()
-	for ev.remaining > 0 {
-		if !ev.cond.Wait(driver) {
-			stopped = true
-			break
-		}
-	}
-	if !stopped {
-		ev.mu.Unlock()
+	if driver.Await(func() bool {
+		ev.mu.Lock()
+		defer ev.mu.Unlock()
+		return ev.remaining == 0
+	}) {
 		return
 	}
+	ev.mu.Lock()
 	// Interrupt the survivors in spawn order. Interrupt is idempotent,
 	// and a session that completes meanwhile ignores it.
 	live := slices.Clone(ev.live)

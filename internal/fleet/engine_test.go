@@ -31,7 +31,7 @@ func newLiveRun(t *testing.T, sessions int) *liveRun {
 	t.Cleanup(tb.Close)
 	clock := tb.Clock()
 	start := clock.Now()
-	lr := &liveRun{tb: tb, ev: newEventedRun(clock), driver: clock.Register(),
+	lr := &liveRun{tb: tb, ev: newEventedRun(), driver: clock.Register(),
 		slots: make([]SessionResult, sessions)}
 	co := &Cohort{
 		Name:      "crowd",
@@ -72,9 +72,7 @@ func newLiveRun(t *testing.T, sessions int) *liveRun {
 }
 
 // finish waits the run out and returns its live-set size and check
-// count. Reading under ev.mu orders the reads after every completion;
-// the driver unregisters only afterwards, because a clock free to move
-// may run a probe.
+// count.
 func (lr *liveRun) finish() (live, checks int) {
 	lr.ev.wait(lr.driver)
 	lr.ev.mu.Lock()
@@ -111,10 +109,8 @@ func TestStoppedClockInterruptsLiveSessions(t *testing.T) {
 	const sessions = 30
 	lr := newLiveRun(t, sessions)
 	const stopAt = 1550 * time.Millisecond
-	lr.tb.Clock().Go(func(p *netem.Participant) {
-		p.Sleep(stopAt)
-		lr.tb.Close()
-	})
+	clock := lr.tb.Clock()
+	clock.NewTimer(lr.tb.Close).Schedule(clock.Now().Add(stopAt))
 	if live, _ := lr.finish(); live != 0 {
 		t.Fatalf("%d handles live after the interrupts", live)
 	}

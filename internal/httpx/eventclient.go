@@ -19,7 +19,7 @@ import (
 //
 // EventTransport runs each request as a netem completion-API state
 // machine on the session's event loop, so a fleet-scale population
-// holds O(cores) goroutines instead of O(sessions). Each machine plays
+// runs on the clock's one driver instead of O(sessions) goroutines. Each machine plays
 // the connection-level script of an HTTP/1.1 client over a secure
 // connection — the handshake script's message boundaries, one rendered
 // request write (byte-equal to net/http's Request.Write), response

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -168,13 +167,10 @@ func clientTrace(t *testing.T) []string {
 	}
 	epoch := clock.Now()
 
-	var mu sync.Mutex
 	var trace []string
 	record := func(format string, args ...any) {
-		mu.Lock()
 		trace = append(trace, fmt.Sprintf("%v "+format,
 			append([]any{clock.Now().Sub(epoch)}, args...)...))
-		mu.Unlock()
 	}
 
 	content := make([]byte, 1<<20)
@@ -218,26 +214,20 @@ func clientTrace(t *testing.T) []string {
 	iface := n.NewInterface("cli", lp, lp)
 
 	errSession := errors.New("session over")
-	done := make(chan struct{})
-	clock.Go(func(p *netem.Participant) {
-		defer close(done)
-		d := newDriver(p, iface)
-		et, loop := d.et, d.et.Loop()
-		// Armed by the registered driver: from the unregistered test
-		// goroutine, with every server loop already parked, the clock
-		// would be free to jump straight to the shutdown.
-		clock.NewTimer(func() { loop.Do(func() { et.Shutdown(errSession) }) }).
-			Schedule(epoch.Add(16*time.Second + 200*time.Millisecond))
-		cd := &clientDriver{clock: clock, et: et, record: record}
-		d.await(func(finish func()) { clientWorkload(cd, epoch, srv2, srv.SetBlackhole, finish) })
-	})
-	<-done
+	p := clock.Register()
+	defer p.Unregister()
+	d := newDriver(p, iface)
+	et, loop := d.et, d.et.Loop()
+	clock.NewTimer(func() { loop.Do(func() { et.Shutdown(errSession) }) }).
+		Schedule(epoch.Add(16*time.Second + 200*time.Millisecond))
+	cd := &clientDriver{clock: clock, et: et, record: record}
+	d.await(func(finish func()) { clientWorkload(cd, epoch, srv2, srv.SetBlackhole, finish) })
+	if d.stalled {
+		t.Fatal("the clock ran out of events before the workload finished")
+	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	out := append([]string(nil), trace...)
-	sort.Strings(out)
-	return out
+	sort.Strings(trace)
+	return trace
 }
 
 // TestEventClientMatchesBlockingTimeline is the client's timeline

@@ -17,7 +17,7 @@ import (
 // Connection machine.
 //
 // Each accepted connection runs as a netem.Timer-driven state machine
-// on the clock's jump goroutine, so a fleet-scale origin or edge tier
+// on the clock's driver, so a fleet-scale origin or edge tier
 // holds O(servers) goroutines instead of O(connections). The machine
 // reproduces the connection-level behaviour of a goroutine blocked in
 // net.Conn calls — the handshake script's message boundaries and Δ₁/Δ₂
@@ -82,7 +82,7 @@ var crlfcrlf = []byte("\r\n\r\n")
 
 // eventConn is one connection's state machine. All mutation happens in
 // loop steps (netem.Loop serializes them and defers reentrant wakes),
-// which run on the clock's jump goroutine or synchronously on a
+// which run on the clock's driver or synchronously on a
 // mutating caller — never parked.
 type eventConn struct {
 	s    *Server
@@ -212,7 +212,6 @@ func (ec *eventConn) finish() {
 	s := ec.s
 	s.mu.Lock()
 	s.active--
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 

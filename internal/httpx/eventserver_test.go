@@ -9,10 +9,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -22,7 +22,7 @@ import (
 
 // refClient is the server trace's reference client: net/http's own
 // request writer and response parser over one keep-alive connection,
-// read and written through a blockingConn that parks the participant p,
+// read and written through a blockingConn driven by the clock's driver p,
 // after the emulated secure handshake. A nonzero timeout arms a clock
 // timer per request that aborts the connection with ErrRequestTimeout.
 type refClient struct {
@@ -102,30 +102,22 @@ func (c *refClient) stopDeadline() {
 // close closes the pooled connection.
 func (c *refClient) close() { c.fail(nil) }
 
-// blockingConn reads and writes a netem.Conn for a registered
-// participant that parks between attempts: each Read or Write tries the
-// completion API and, when it cannot make progress, parks p on a
-// netem.Cond until one of the conn's readiness callbacks fires. Read
-// copies each borrowed view out and releases it at once; flow control
-// is charged when the view is borrowed, so the copy moves no instant.
+// blockingConn reads and writes a netem.Conn for the clock's driver p,
+// which drives the clock between attempts: each Read or Write tries the
+// completion API and, when it cannot make progress, runs the clock's
+// events until one of the conn's readiness callbacks fires. Read copies
+// each borrowed view out and releases it at once; flow control is
+// charged when the view is borrowed, so the copy moves no instant.
 type blockingConn struct {
 	c      *netem.Conn
 	p      *netem.Participant
-	mu     sync.Mutex
-	cond   *netem.Cond
 	ready  bool   // a readiness callback fired since the last attempt
 	unread []byte // arrived bytes copied out of their view, not yet read
 }
 
 func newBlockingConn(p *netem.Participant, c *netem.Conn) *blockingConn {
 	b := &blockingConn{c: c, p: p}
-	b.cond = netem.NewCond(p.Clock(), &b.mu)
-	wake := func() {
-		b.mu.Lock()
-		b.ready = true
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	}
+	wake := func() { b.ready = true }
 	c.OnReadable(wake)
 	c.OnWritable(wake)
 	return b
@@ -133,20 +125,13 @@ func newBlockingConn(p *netem.Participant, c *netem.Conn) *blockingConn {
 
 // attempt clears the ready flag before an attempt, so a callback firing
 // during it is not lost.
-func (b *blockingConn) attempt() {
-	b.mu.Lock()
-	b.ready = false
-	b.mu.Unlock()
-}
+func (b *blockingConn) attempt() { b.ready = false }
 
-// wait parks p until a callback has fired since the last attempt.
+// wait drives the clock until a callback has fired since the last
+// attempt.
 func (b *blockingConn) wait() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for !b.ready {
-		if !b.cond.Wait(b.p) {
-			return net.ErrClosed
-		}
+	if !b.p.Await(func() bool { return b.ready }) {
+		return net.ErrClosed
 	}
 	return nil
 }
@@ -185,28 +170,19 @@ func (b *blockingConn) Write(p []byte) (int, error) {
 	}
 }
 
-// dialBlocking dials addr from iface and parks p until the dial
-// completes.
+// dialBlocking dials addr from iface and drives the clock through p
+// until the dial completes.
 func dialBlocking(p *netem.Participant, iface *netem.Interface, addr string) (*netem.Conn, error) {
-	var mu sync.Mutex
-	cond := netem.NewCond(p.Clock(), &mu)
 	var conn *netem.Conn
 	var derr error
 	done := false
 	if err := iface.DialEvent(addr, func(c *netem.Conn, err error) {
-		mu.Lock()
 		conn, derr, done = c, err, true
-		cond.Broadcast()
-		mu.Unlock()
 	}); err != nil {
 		return nil, err
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for !done {
-		if !cond.Wait(p) {
-			return nil, net.ErrClosed
-		}
+	if !p.Await(func() bool { return done }) {
+		return nil, net.ErrClosed
 	}
 	return conn, derr
 }
@@ -258,13 +234,10 @@ func serverTrace(t *testing.T) []string {
 	}
 	epoch := clock.Now()
 
-	var mu sync.Mutex
 	var trace []string
 	record := func(format string, args ...any) {
-		mu.Lock()
 		trace = append(trace, fmt.Sprintf("%v "+format,
 			append([]any{clock.Now().Sub(epoch)}, args...)...))
-		mu.Unlock()
 	}
 
 	pre := make([]byte, 200)
@@ -332,73 +305,62 @@ func serverTrace(t *testing.T) []string {
 	// The aborter kills the interface mid-/big-transfer at a fixed
 	// instant; the client quantizes the /big request start so the abort
 	// lands at the same virtual offset into the transfer on every run.
-	// Both spawn under one hold: otherwise the clock could jump to the
-	// aborter's wake before the client exists.
-	clock.Hold()
-	clock.Go(func(p *netem.Participant) {
-		p.SleepUntil(epoch.Add(10*time.Second + 500*time.Millisecond))
+	clock.NewTimer(func() {
 		iface.SetAlive(false)
 		record("iface down")
-	})
+	}).Schedule(epoch.Add(10*time.Second + 500*time.Millisecond))
 
-	done := make(chan struct{})
-	clock.Go(func(p *netem.Participant) {
-		defer close(done)
-		c := &refClient{p: p, iface: iface, addr: "srv.test:443"}
-		get := func(path string) {
-			url := "http://srv.test:443" + path
-			resp, err := c.do(http.MethodGet, url)
-			if err != nil {
-				record("GET %s err=Get %q: %v", path, url, err)
-				return
-			}
-			body, rerr := io.ReadAll(resp.Body)
-			c.finish(resp, rerr)
-			var sum uint64
-			for _, b := range body {
-				sum = sum*131 + uint64(b)
-			}
-			record("GET %s status=%d len=%d sum=%d readErr=%v", path, resp.StatusCode, len(body), sum, rerr)
-		}
-		get("/stable")
-		get("/stable") // keep-alive reuse
-		get("/chunked")
-		if resp, err := c.do(http.MethodHead, "http://srv.test:443/stable"); err == nil {
-			c.finish(resp, nil)
-			record("HEAD /stable len=%d err=%v", resp.ContentLength, err)
-		}
-		p.SleepUntil(epoch.Add(10 * time.Second))
-		get("/big") // aborted mid-body by the interface loss at 10.5s
-		iface.SetAlive(true)
-
-		// Blackholed server: the request deadline is the only way out.
-		p.SleepUntil(epoch.Add(12 * time.Second))
-		srv.SetBlackhole(true)
-		c.timeout = 2 * time.Second
-		get("/stable")
-		srv.SetBlackhole(false)
-		c.timeout = 0
-		get("/stable") // fresh conn, healthy again
-
-		c.close()
-		if !srv.Drain(p) {
-			record("drain failed")
+	p := clock.Register()
+	defer p.Unregister()
+	c := &refClient{p: p, iface: iface, addr: "srv.test:443"}
+	get := func(path string) {
+		url := "http://srv.test:443" + path
+		resp, err := c.do(http.MethodGet, url)
+		if err != nil {
+			record("GET %s err=Get %q: %v", path, url, err)
 			return
 		}
-		record("drained")
-	})
-	clock.Release()
-	<-done
+		body, rerr := io.ReadAll(resp.Body)
+		c.finish(resp, rerr)
+		var sum uint64
+		for _, b := range body {
+			sum = sum*131 + uint64(b)
+		}
+		record("GET %s status=%d len=%d sum=%d readErr=%v", path, resp.StatusCode, len(body), sum, rerr)
+	}
+	get("/stable")
+	get("/stable") // keep-alive reuse
+	get("/chunked")
+	if resp, err := c.do(http.MethodHead, "http://srv.test:443/stable"); err == nil {
+		c.finish(resp, nil)
+		record("HEAD /stable len=%d err=%v", resp.ContentLength, err)
+	}
+	p.SleepUntil(epoch.Add(10 * time.Second))
+	get("/big") // aborted mid-body by the interface loss at 10.5s
+	iface.SetAlive(true)
 
-	mu.Lock()
-	defer mu.Unlock()
-	// Same-instant records from different goroutines may interleave
-	// differently run to run (the clock pins instants, not intra-instant
-	// scheduling); compare as a sorted multiset — every record carries
-	// its virtual instant, so the comparison still pins the timeline.
-	out := append([]string(nil), trace...)
-	sort.Strings(out)
-	return out
+	// Blackholed server: the request deadline is the only way out.
+	p.SleepUntil(epoch.Add(12 * time.Second))
+	srv.SetBlackhole(true)
+	c.timeout = 2 * time.Second
+	get("/stable")
+	srv.SetBlackhole(false)
+	c.timeout = 0
+	get("/stable") // fresh conn, healthy again
+
+	c.close()
+	if srv.Drain(p) {
+		record("drained")
+	} else {
+		record("drain failed")
+	}
+
+	// The pinned trace is a sorted multiset, recorded when the client
+	// and the aborter ran on goroutines whose same-instant records could
+	// interleave either way; every record carries its virtual instant,
+	// so the sorted comparison still pins the timeline.
+	sort.Strings(trace)
+	return trace
 }
 
 // TestEventServerMatchesBlockingTimeline is the byte-identity contract:
@@ -480,22 +442,20 @@ func TestEventServerGoroutineFootprint(t *testing.T) {
 
 	lp := netem.LinkParams{Rate: netem.Mbps(50), Delay: time.Millisecond}
 	const conns = 64
-	done := make(chan error, conns)
+	p := clock.Register()
+	defer p.Unregister()
+	before := runtime.NumGoroutine()
 	for i := 0; i < conns; i++ {
-		iface := n.NewInterface(fmt.Sprintf("cli%d", i), lp, lp)
-		clock.Go(func(p *netem.Participant) {
-			_, _, err := newDriver(p, iface).get("http://srv.test:443/")
-			done <- err
-			// Keep the pooled conn open; the server side must not hold a
-			// goroutine for it. The transport is abandoned, not shut
-			// down, until the test ends.
-			p.SleepUntil(clock.Now().Add(time.Hour))
-		})
-	}
-	for i := 0; i < conns; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+		// Each transport keeps its pooled conn open; the server side must
+		// not hold a goroutine for it. The transports are abandoned, not
+		// shut down, until the test ends.
+		d := newDriver(p, n.NewInterface(fmt.Sprintf("cli%d", i), lp, lp))
+		if _, _, err := d.get("http://srv.test:443/"); err != nil || d.stalled {
+			t.Fatalf("request %d: %v (stalled %v)", i, err, d.stalled)
 		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d open connections started %d goroutines", conns, after-before)
 	}
 	srv.mu.Lock()
 	active := srv.active

@@ -9,10 +9,10 @@
 // it as a state machine stepped by clock callbacks (eventserver.go): handlers run inline and never block, and a handler
 // that must wait continues through After. EventTransport runs each
 // request the same way on the caller's netem.Loop (eventclient.go).
-// Nothing in the HTTP path parks outside the clock's accounting, which
-// is what lets virtual time jump deterministically (net/http's
-// Transport and Server would park their internal goroutines on plain
-// channels, invisible to the clock). Connections are persistent, so
+// Nothing in the HTTP path parks a goroutine, which is what lets one
+// driver run the whole exchange deterministically on the clock
+// (net/http's Transport and Server would park their internal goroutines
+// on plain channels, invisible to the clock). Connections are persistent, so
 // each range request after the first costs one request round trip,
 // exactly as in the paper.
 //

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sync"
 	"testing"
 	"time"
 
@@ -50,67 +49,48 @@ func (r readerAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// driver issues requests on an EventTransport from a registered
-// goroutine, the way Player.Run drives a session: each request starts
-// as a step on the transport's loop and the participant parks on a
-// clock Cond until the completion callback fires.
+// driver issues requests on an EventTransport as the clock's driver,
+// the way Player.Run drives a session: each request starts as a step on
+// the transport's loop and the driver runs the clock's events until the
+// completion callback fires.
 type driver struct {
-	p        *netem.Participant
-	et       *EventTransport
-	mu       sync.Mutex
-	cond     *netem.Cond
-	finished bool
+	p       *netem.Participant
+	et      *EventTransport
+	stalled bool // an await ran out of events before its callback
 }
 
 // newDriver returns a driver for p over a fresh EventTransport on
 // iface with a private loop.
 func newDriver(p *netem.Participant, iface *netem.Interface) *driver {
-	d := &driver{p: p, et: NewEventTransport(iface, p.Clock(), netem.NewLoop())}
-	d.cond = netem.NewCond(p.Clock(), &d.mu)
-	return d
+	return &driver{p: p, et: NewEventTransport(iface, p.Clock(), netem.NewLoop())}
 }
 
-// runDriver runs fn on a clock-registered goroutine with a driver over
-// a fresh EventTransport on iface, shuts the transport down when fn
-// returns, and waits with a wall-clock watchdog against emulator
-// deadlock. fn reports failures through its error.
+// runDriver runs fn as the clock's driver with a driver over a fresh
+// EventTransport on iface and shuts the transport down when fn returns.
+// fn reports failures through its error.
 func runDriver(t *testing.T, iface *netem.Interface, fn func(d *driver) error) {
 	t.Helper()
-	clock := iface.Network().Clock()
-	done := make(chan error, 1)
-	clock.Go(func(p *netem.Participant) {
-		d := newDriver(p, iface)
-		err := fn(d)
-		d.et.Loop().Do(func() { d.et.Shutdown(nil) })
-		done <- err
-	})
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("clock goroutine did not finish (wedged session?)")
+	p := iface.Network().Clock().Register()
+	defer p.Unregister()
+	d := newDriver(p, iface)
+	err := fn(d)
+	d.et.Loop().Do(func() { d.et.Shutdown(nil) })
+	if d.stalled {
+		t.Fatal("the clock ran out of events before a request completed")
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// await runs issue as a loop step and parks until it calls finish.
+// await runs issue as a loop step and drives the clock until it calls
+// finish.
 func (d *driver) await(issue func(finish func())) {
-	d.mu.Lock()
-	d.finished = false
-	d.mu.Unlock()
-	d.et.Loop().Do(func() {
-		issue(func() {
-			d.mu.Lock()
-			d.finished = true
-			d.cond.Broadcast()
-			d.mu.Unlock()
-		})
-	})
-	d.mu.Lock()
-	for !d.finished && d.cond.Wait(d.p) {
+	finished := false
+	d.et.Loop().Do(func() { issue(func() { finished = true }) })
+	if !d.p.Await(func() bool { return finished }) {
+		d.stalled = true
 	}
-	d.mu.Unlock()
 }
 
 // getRange fetches the inclusive range [from, to] of url, copying the

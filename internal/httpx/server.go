@@ -44,10 +44,9 @@ type Server struct {
 
 	// Connection accounting behind the Drain barrier. Machines finish in
 	// clock callbacks, so their exits land at emulated instants; a
-	// drainer parked on cond therefore joins them on the clock, with no
+	// draining driver therefore joins them on the clock, with no
 	// wall-clock polling.
 	mu     sync.Mutex
-	cond   *netem.Cond
 	active int // connection machines not yet finished
 }
 
@@ -82,12 +81,11 @@ func WithEventLoop() ServerOption { return func(*Server) {} }
 // before reading requests. Close the returned server to stop.
 //
 // Handlers run inline in the connection's clock callbacks and must
-// never block: no clock sleeps, no Cond waits, no blocking I/O. A
-// handler that has to wait — for pacing, for a cache fill — stages what
-// it has written and continues through After.
+// never block: no clock waits, no blocking I/O. A handler that has to
+// wait — for pacing, for a cache fill — stages what it has written and
+// continues through After.
 func Serve(clock *netem.Clock, l *netem.Listener, h http.Handler, hs handshake.Params, opts ...ServerOption) *Server {
 	s := &Server{clock: clock, l: l, h: h, hs: hs}
-	s.cond = netem.NewCond(clock, &s.mu)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -113,22 +111,19 @@ func (s *Server) Close() error { return s.l.Close() }
 // Safe to call from a netem.Timer callback: it only flips a flag.
 func (s *Server) SetBlackhole(on bool) { s.blackhole.Store(on) }
 
-// Drain parks the registered caller p until every connection machine
-// has finished, waiting on the emulation clock. The caller must guarantee no new
-// connections will arrive — every client is gone or shut down —
-// otherwise the drain chases a moving target. It returns false when the
-// clock stopped before the machines finished. After a true return, all
+// Drain drives the clock through p until every connection machine has
+// finished. The caller must guarantee no new connections will arrive —
+// every client is gone or shut down — otherwise the drain chases a
+// moving target. It returns false when the clock stopped, or ran out of
+// events, before the machines finished. After a true return, all
 // request accounting (WithRequestHooks done callbacks included) has
 // been published.
 func (s *Server) Drain(p *netem.Participant) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.active > 0 {
-		if !s.cond.Wait(p) {
-			return s.active == 0
-		}
-	}
-	return true
+	return p.Await(func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.active == 0
+	})
 }
 
 // responseWriter frames a response into the connection machine's stage

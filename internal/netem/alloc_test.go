@@ -5,6 +5,9 @@ import (
 	"time"
 )
 
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
 // TestIdleConnReleasesDeliveredMemory pins the ring-buffer fix for the
 // old `queue = queue[1:]` re-slicing: delivered segments must release
 // their payload buffers immediately, so a long-lived connection that
@@ -49,8 +52,7 @@ func TestIdleConnReleasesDeliveredMemory(t *testing.T) {
 // steady-state path of a netem conn — pooled segment buffers, reusable
 // ring slots, borrowed views, readiness callbacks — must not allocate
 // per transferred block. The old per-segment allocations cost ~25
-// allocations per 256 KB; the pooled path is bounded well under one
-// allocation per op on average.
+// allocations per 256 KB.
 func TestSteadyStateTransferAllocs(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
@@ -58,8 +60,8 @@ func TestSteadyStateTransferAllocs(t *testing.T) {
 	defer drv.Unregister()
 	p := LinkParams{Rate: Mbps(100), Delay: time.Millisecond, SendBuf: 1 << 20}
 	client, server := Pipe(clock, p, p, "c", "s")
-	// Close before the participant unregisters: the pump would keep an
-	// unattended clock busy forever.
+	// Close before the driver unregisters: the pump would keep the
+	// queue busy forever.
 	defer server.Close()
 	defer client.Close()
 
@@ -87,16 +89,24 @@ func TestSteadyStateTransferAllocs(t *testing.T) {
 	})
 	pump()
 	readBlock := func() {
-		for want := got + block; got < want; {
-			drv.Sleep(time.Millisecond)
+		want := got + block
+		if !drv.Await(func() bool { return got >= want }) {
+			t.Fatal("transfer stopped")
 		}
 	}
-	// Warm the pools, the rings and the timer queue's backing array:
-	// 16 blocks are ~340 ms of line time.
-	for i := 0; i < 16; i++ {
+	// Warm the pools, the rings and the timer queue's backing array.
+	for i := 0; i < 2; i++ {
 		readBlock()
 	}
-	if avg := testing.AllocsPerRun(20, readBlock); avg > 4 {
-		t.Fatalf("steady-state transfer allocates %.1f times per %d KB block, want <= 4", avg, block>>10)
+	// Measured: 0.00 per block at GOMAXPROCS 1, 2 and 4 (go1.24,
+	// linux/amd64); the ceiling is that rounded up, at least 1. Under
+	// the race detector, whose pool drops read 0 to 2 over 40 runs, the
+	// ceiling stays at the 4 it was before.
+	limit := 1.0
+	if raceEnabled {
+		limit = 4
+	}
+	if avg := testing.AllocsPerRun(20, readBlock); avg > limit {
+		t.Fatalf("steady-state transfer allocates %.1f times per %d KB block, want <= %.0f", avg, block>>10, limit)
 	}
 }

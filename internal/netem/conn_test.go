@@ -81,8 +81,8 @@ func TestConnImmediateAbortDrainsArrivedData(t *testing.T) {
 	if _, err := server.TryWrite([]byte("tail")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	drv.Sleep(50 * time.Millisecond) // segment arrives at ~10 ms
-	client.Abort(errDown)            // t=50ms: arrived data survives
+	drv.SleepUntil(clock.Now().Add(50 * time.Millisecond)) // segment arrives at ~10 ms
+	client.Abort(errDown)                                  // t=50ms: arrived data survives
 
 	received, termErr, _ := drainEvented(client)
 	if *termErr != errDown {

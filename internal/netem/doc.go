@@ -10,54 +10,52 @@
 // of MSPlayer is exercised end to end.
 //
 // All emulated waiting goes through a Clock: a deterministic
-// discrete-event clock driven by waiter accounting. Connections,
-// servers and session machines hold no goroutine: they run as
-// callbacks on the clock (see "Timer-driven state machines"). Every
-// goroutine that waits on emulated time — a test, example or fleet
-// driver, an injected event timeline, a drain barrier — registers with
-// the clock (Clock.Register or Clock.Go), receiving a *Participant
-// handle, and parks only through clock-visible primitives:
-// Participant.Sleep/SleepUntil for deadline waits and Cond.Wait for
-// waits on a callback. The instant every registered participant is
-// parked, the clock jumps to the earliest pending deadline, runs the
-// timers and wakes the sleepers that become due. There are no
-// wall-clock sleeps and no quiescence polling, so hours of emulated
-// streaming complete as fast as the CPU allows and the event order is
-// bit-for-bit reproducible across machines and load conditions.
+// discrete-event queue that one driver drains. Connections, servers and
+// session machines hold no goroutine: they run as callbacks on the
+// clock (see "Timer-driven state machines"), and every wait — a
+// propagation delay, a request deadline, an injected fault — is a
+// Timer. The driver fires the timers in (deadline, seq) order on its
+// own goroutine, so hours of emulated streaming complete as fast as the
+// CPU allows and the event order is bit-for-bit reproducible across
+// machines and load conditions. There are no wall-clock sleeps and no
+// quiescence polling.
 //
-// # Participant handles
+// # Driving the clock
 //
-// The Participant handle is the unit of clock accounting, introduced to
-// make the hot path O(1) at fleet scale (the previous design parsed the
-// goroutine id out of runtime.Stack on every park and looked it up in a
-// global registration map under the clock lock). The rules:
+// A clock has one driver at a time: the goroutine that holds the
+// Participant Clock.Register returns (a test, an example's main, the
+// fleet engine, Player.Run). Virtual time moves only inside the
+// driver's two calls:
 //
-//  1. Registered goroutines must never park invisibly (bare channel
-//     operations, time.Sleep): the clock would refuse to jump while
-//     they wait. Park through the goroutine's Participant or pass it to
-//     Cond.Wait. The no-wall-clock half of this rule is mechanically
-//     enforced by detlint/wallclock (see internal/detlint): time.Now,
-//     time.Sleep, time.After and friends are findings outside
-//     //detlint:allow-justified sites.
-//  2. Goroutines are spawned with Clock.Go (or under a Hold), so the
-//     clock cannot jump during the handoff between spawner and spawnee;
-//     Go passes the new goroutine its Participant. Mechanically
-//     enforced by detlint/baredgo: a bare go statement in a non-test
-//     file is a finding.
-//  3. Wake-ups transfer accounting to the wakee at signal time
-//     (Cond.Signal pre-credits the waiter), so there is no window in
-//     which a runnable goroutine is invisible to the clock.
-//  4. A Participant belongs to one goroutine at a time, and a
-//     registered goroutine holds exactly one: code called on behalf of
-//     an already-registered caller takes the caller's handle (see
-//     Cond.Wait, httpx.Server.Drain) instead of registering again — a
-//     second registration for the same goroutine would deadlock the
-//     accounting.
+//   - Participant.SleepUntil(t) fires every event due at or before t,
+//     then sets Now to t.
+//   - Participant.Await(done) fires events until done() holds, then
+//     finishes the current instant and returns true. It returns false
+//     when the clock stops or the queue empties first: nothing is left
+//     that could make done() hold. A false Await is final — callers turn
+//     it into an error, never into a retry — so a run cannot hang: a
+//     driver whose machines wedge returns as soon as the queue drains.
 //
-// Only registered goroutines park: every blocking primitive takes the
-// caller's Participant. A goroutine outside the emulation (a test, an
-// example's main) registers first and parks through its handle, or
-// drives the emulation entirely through Timers and Loops.
+// Everything between those calls — scheduling timers, dialing, issuing
+// loop steps — happens at a frozen instant. The rules:
+//
+//  1. Nothing parks. No time.Sleep, no channel wait, no wall-clock read:
+//     a goroutine that waits in wall time stalls the driver, and one
+//     that reads the wall clock leaks machine time into results.
+//     Mechanically enforced by detlint/wallclock (see
+//     internal/detlint): time.Now, time.Sleep, time.After and friends
+//     are findings outside //detlint:allow-justified sites.
+//  2. The emulation runs on one goroutine, the driver. A go statement
+//     would run model code beside it, racing the events it fires.
+//     Mechanically enforced by detlint/baredgo: a bare go statement in
+//     a non-test file is a finding. Independent emulations, each with
+//     its own clock, may run side by side.
+//  3. One driver per clock: Register panics while a driver is live.
+//     Code that waits on behalf of the driver takes its Participant
+//     (httpx.Server.Drain, Testbed.Drain) instead of registering again.
+//  4. Callbacks never drive the clock: a timer or readiness callback
+//     that called SleepUntil or Await would run events from inside an
+//     event.
 //
 // # Shutdown and draining
 //
@@ -82,23 +80,20 @@
 //     so redundant abort sources (a teardown sweep, a per-request
 //     cancellation watcher, interface loss) commute.
 //
-// Who initiates, and what parks where: an initiator that is RUNNABLE
-// and registered (a fleet session's teardown, a fault injector) pins
-// virtual time while it sweeps its connections, so every abort in the
-// sweep lands at one deterministic instant T; every machine reading or
-// writing a cut connection learns of it through its armed readiness
-// callbacks and observes err by the rules above, at instants the clock
-// alone decides. The only
-// scheduling races left are between goroutines runnable at the very
-// same virtual instant, which the abort protocol makes commute.
+// Who initiates: an initiator (a fleet session's teardown, a fault
+// timer) runs at one instant T while the clock stands still, so every
+// abort in its sweep lands at T; every machine reading or writing a cut
+// connection learns of it through its armed readiness callbacks and
+// observes err by the rules above, at instants the clock alone decides.
+// Events due at the same instant run one at a time in (deadline, seq)
+// order, and the abort protocol makes their order commute.
 //
-// That last sentence is a property of this protocol, not of the clock,
-// and reading it as the latter is how the retired goroutine session
-// engine went red off a one-core box. The clock pins virtual time while
-// any participant is runnable, but it does not order two participants
-// that are runnable at the same instant — the Go scheduler does, in
-// wall time. The goroutine engine ran each MSPlayer path as its own
-// participant, and both paths of a session shared the chunk manager:
+// The retired goroutine session engine shows why same-instant order must
+// be a function of virtual time. The waiter-accounted clock it ran on
+// pinned virtual time while any participant was runnable, but it did not
+// order two participants runnable at the same instant — the Go
+// scheduler did, in wall time. The goroutine engine ran each MSPlayer
+// path as its own participant, and both paths of a session shared the chunk manager:
 // whenever both were runnable at one instant — Broadcast awake together
 // by a gate flip or a delivery, or failed together by one replica kill
 // — whichever goroutine reached the chunk mutex first took the
@@ -123,17 +118,17 @@
 // The servers have since followed: every connection is a machine, and
 // an edge's single-flight waiters resume in the order they parked.
 //
-// Clock.Stop is the out-of-band big hammer for ending an emulation from outside
-// emulated time: it wakes every parked waiter and freezes Now() at the
-// stop instant in both clock modes, so post-stop accessors read one
-// stable time instead of a wall clock that keeps running.
+// Clock.Stop ends an emulation from a callback (Testbed.Close from an
+// At event) or after the driver returned: pending events are dropped,
+// the driver returns after the event that stopped it, and Now stays at
+// the stop instant, so post-stop accessors read one stable time.
 //
 // Consumers build drain barriers on these semantics: httpx.Server
-// counts its connection machines and Server.Drain parks a caller (via
-// Cond) until they finish, origin.Cluster.Drain chains that across
-// every server, and the fleet engine joins that barrier on the clock
-// after its sessions finish, then samples the per-origin books exactly
-// once — final, settled, and bit-identical per seed, with no wall-clock
+// counts its connection machines and Server.Drain awaits their count
+// reaching zero, origin.Cluster.Drain chains that across every server,
+// and the fleet engine joins that barrier on the clock after its
+// sessions finish, then samples the per-origin books exactly once —
+// final, settled, and bit-identical per seed, with no wall-clock
 // quiescence polling anywhere.
 //
 // # Connection lifetime
@@ -158,32 +153,25 @@
 //
 // # Timer queue
 //
-// Pending deadlines live in one timer queue: a binary min-heap of
-// sleeper nodes ordered by (deadline, seq), guarded by the clock's one
-// lock. seq is the scheduling order, so same-instant deadlines fire in
-// the order they were scheduled.
+// Pending events live in one timer queue: a binary min-heap of Timers
+// ordered by (deadline, seq). seq is the scheduling order, so
+// same-instant deadlines fire in the order they were scheduled.
 //
-//   - A deadline park pushes the participant's own embedded node, and a
-//     Timer pushes its own node: the steady state allocates nothing.
-//   - Every node records its heap index, so Timer.Stop and a
+//   - A Timer is its own queue node: the steady state allocates
+//     nothing.
+//   - Every timer records its heap index, so Timer.Stop and a
 //     re-Schedule remove the pending node in place, wherever it sits,
 //     and the next schedule reuses it.
-//   - The jump loop pops while the head is due. Pops come out in
-//     (deadline, seq) order, so a same-instant batch needs no sort. The
-//     wake tokens are snapshotted under the lock and fanned out after
-//     it is released, because a timer callback may schedule again.
-//   - A differential test drives randomized parks, cancels and
+//   - The driver pops one event at a time, moves Now to its deadline
+//     and runs its callback; the timer is off the queue first, so the
+//     callback may reschedule it.
+//   - A differential test drives randomized schedules, cancels and
 //     reschedules through the queue and a container/heap reference and
 //     asserts identical firing sequences.
 //
-// One lock suffices: a fleet runs on a handful of goroutines, almost
-// every jump instant carries one event, and spreading the queue over
-// shards bought no measurable throughput.
-//
-// The queue also backs Timer, an event-at-an-instant callback that
-// replaces dedicated watcher goroutines (future conn aborts park no
-// goroutine at all): the jump loop runs the callback at the scheduled
-// instant, holding the clock until it completes.
+// The queue needs no lock: one goroutine owns it. Almost every instant
+// carries one event, so neither shards nor batches would have anything
+// to work on.
 //
 // # Timer-driven fault callbacks
 //
@@ -194,28 +182,20 @@
 // schedule, so two runs of the same plan fail identically. Callbacks
 // run under tight rules:
 //
-//  1. A callback executes on whichever goroutine performs the jump, at
-//     the popped instant, under a clock hold collectDue took for it.
+//  1. A callback executes on the driver at the popped instant.
 //     Same-instant timers fire in (deadline, seq) order, so arming
 //     order decides firing order at a shared instant.
-//  2. Callbacks must not park — no Sleep, no Cond.Wait, no emulated
-//     I/O. The clock is held; a parking callback wedges the jump loop.
-//     Broadcast, signal, abort, schedule another timer: fine. Follow-up
-//     work that must park (an edge cold-restart re-deploying a server)
-//     is done synchronously only if the API is documented park-free
-//     (origin.Cluster.Restart is), otherwise deferred to a registered
-//     goroutine woken by the callback.
-//  3. Callbacks may take emulation locks — abort a conn, flip a
-//     server's blackhole flag — because every park site releases its
-//     lock before advancing the clock: Cond.Wait appends its waiter,
-//     unlocks L, and only then attempts the advance that may run
-//     callbacks inline. (A callback firing under the parker's L would
-//     self-deadlock; a connection callback signalling the very Cond a
-//     driver waits on is the canonical case.)
-//  4. No bare goroutines from callbacks: anything spawned goes through
-//     Clock.Go, same as everywhere else (detlint/baredgo enforces it),
-//     or the spawned work would be invisible to the accounting and the
-//     clock could jump past it.
+//  2. Callbacks must not drive the clock — no SleepUntil, no Await —
+//     and must not block. Abort a conn, flip a server's blackhole flag,
+//     schedule another timer, enqueue a Loop step: fine. Follow-up work
+//     (an edge cold-restart re-deploying a server) is done synchronously
+//     only if the API is documented park-free (origin.Cluster.Restart
+//     is).
+//  3. Callbacks may take emulation locks: nothing else runs while they
+//     do, and no lock is held across an event.
+//  4. No goroutines from callbacks: the spawned work would run beside
+//     the driver at an instant the Go scheduler picks
+//     (detlint/baredgo enforces it).
 //  5. Resilience state (core's circuit breakers, health scores, hedge
 //     service windows) is never read or written from a timer callback.
 //     The hedge timer's callback only aborts the in-flight conn at the
@@ -223,7 +203,7 @@
 //     observed by the path's driving context (its event-loop step),
 //     which alone advances breaker/hedge state at selection and
 //     completion instants. Callbacks mutating that state would make the
-//     outcome depend on where a jump happened to run a timer.
+//     outcome depend on which events share an instant with the timer.
 //
 // # Timer-driven state machines
 //
@@ -233,15 +213,14 @@
 // connect and Listener.OnAcceptable to accept, with Loop to serialise
 // a machine's steps. No read, write, dial or accept parks a goroutine:
 // a whole session's I/O runs as a state machine stepped by timer
-// callbacks, and so does every server connection, so a fleet's
-// goroutine count is O(cores) instead of O(sessions × paths) — and a
+// callbacks, and so does every server connection, so a fleet runs on
+// its driver's goroutine alone instead of O(sessions × paths) — and a
 // server holds none at all. The rules extend the fault-callback rules
 // above:
 //
-//  1. Readiness callbacks fire on the clock's jump goroutine (or
-//     synchronously on a mutating caller) under a clock hold and must
-//     not park — no Sleep, no Cond.Wait. Drain, re-arm, schedule,
-//     signal a Cond, hand the rest to a Loop step: fine.
+//  1. Readiness callbacks fire on the clock's driver (or synchronously
+//     on a mutating caller) and must not park or drive the clock.
+//     Drain, re-arm, schedule, hand the rest to a Loop step: fine.
 //  2. Callbacks are level triggers, not edge counts: a firing may be
 //     spurious and one firing may cover many arrivals. Consumers drain
 //     until ReadBuf returns (nil, nil) (or TryWrite stops accepting)
@@ -276,12 +255,11 @@
 // callback, with an edge's backhaul fills on httpx.EventTransport. The
 // Fig. 1 handshake probe in internal/bench is a machine too.
 //
-// Internally the participant/idle counters are atomics and the clock
-// lock guards only the timer queue and the jump loop; wake tokens are
-// delivered outside it. Parks reuse the participant's wake channel and
-// queue node, so steady-state parking allocates nothing
-// (TestWheelParkAllocs pins this, and TestTimerRescheduleAllocs pins
-// the same for a timer moved from far to near).
+// Nothing on the clock takes a lock: the driver owns the queue, Now and
+// every Loop. A driven timer reuses its own queue node, so steady-state
+// driving allocates nothing (TestWheelParkAllocs pins this, and
+// TestTimerRescheduleAllocs pins the same for a timer moved from far to
+// near).
 //
 // # Pooling invariants
 //

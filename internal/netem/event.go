@@ -15,14 +15,13 @@ import (
 // TryWrite and is called back through OnWritable when space frees;
 // dials complete through DialEvent's callback and accepts through
 // Listener.OnAcceptable's. A whole session's I/O therefore runs as a
-// state machine on the clock's jump goroutine.
+// state machine on the clock's driver.
 //
 // Rules (see also netem/doc.go, "Timer-driven state machines"):
 //
-//   - OnReadable/OnWritable callbacks fire on the clock's jump
-//     goroutine (or synchronously on a mutating caller) under a clock
-//     hold and MUST NOT park. Drain, re-arm, hand off — never Sleep or
-//     Wait.
+//   - OnReadable/OnWritable callbacks fire on the clock's driver (or
+//     synchronously on a mutating caller) and MUST NOT drive the
+//     clock. Drain, re-arm, hand off — never SleepUntil or Await.
 //   - A callback is a level trigger, not an edge count: it may fire
 //     spuriously, and one firing may cover many arrivals. Consumers
 //     drain until ReadBuf returns nil (or TryWrite stops accepting)
@@ -273,7 +272,7 @@ func (d *direction) tryWrite(p []byte, stable bool) (int, error) {
 
 // DialEvent establishes an emulated connection to addr through this
 // interface, charging one round trip for the TCP three-way handshake.
-// cb is invoked exactly once — on the clock's jump goroutine when the
+// cb is invoked exactly once — on the clock's driver when the
 // round trip ends (or synchronously, when it is zero) — with the
 // connected endpoint or the dial error. Immediate failures (interface
 // down, connection refused, partition) are returned directly and cb is
@@ -329,38 +328,22 @@ func (i *Interface) DialEvent(addr string, cb func(*Conn, error)) error {
 // another step (directly or through a callback chain that re-enters
 // the same machine) is deferred until the running step returns, so
 // machines can call into connections — whose callbacks may call
-// straight back — without reentrant locking. Do never parks and may
-// execute fn on the calling goroutine or on whichever goroutine is
-// currently draining the loop.
+// straight back — without reentrant locking. Do never parks: fn runs
+// on the caller, at once or after the steps queued before it. A Loop
+// belongs to its clock's goroutine, like everything else on the clock.
 type Loop struct {
-	mu      chanMutex
 	running bool
 	q       []func()
 }
 
-// chanMutex is a tiny mutex that the Loop can hand off between
-// goroutines without tripping sync.Mutex's unlock-of-unlocked checks
-// in the drain-migration pattern. Implemented over a 1-buffered
-// channel; zero value ready after init via ensure.
-type chanMutex struct {
-	ch chan struct{}
-}
-
-func (m *chanMutex) lock()   { m.ch <- struct{}{} }
-func (m *chanMutex) unlock() { <-m.ch }
-
 // NewLoop returns a ready Loop.
-func NewLoop() *Loop {
-	return &Loop{mu: chanMutex{ch: make(chan struct{}, 1)}}
-}
+func NewLoop() *Loop { return &Loop{} }
 
 // Do enqueues fn and, unless a step is already running, drains the
 // queue. fn must not park.
 func (l *Loop) Do(fn func()) {
-	l.mu.lock()
 	l.q = append(l.q, fn)
 	if l.running {
-		l.mu.unlock()
 		return
 	}
 	l.running = true
@@ -369,10 +352,7 @@ func (l *Loop) Do(fn func()) {
 		copy(l.q, l.q[1:])
 		l.q[len(l.q)-1] = nil
 		l.q = l.q[:len(l.q)-1]
-		l.mu.unlock()
 		step()
-		l.mu.lock()
 	}
 	l.running = false
-	l.mu.unlock()
 }

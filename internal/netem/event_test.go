@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"sync"
 	"testing"
 	"time"
 )
@@ -71,24 +70,14 @@ func pumpEvented(c *Conn, closeAfter bool, slabs ...[]byte) *error {
 	return werr
 }
 
-// await parks p until the callback it hands to issue has run.
+// await drives p until the callback it hands to issue has run.
 func await(p *Participant, issue func(done func())) {
-	var mu sync.Mutex
-	cond := NewCond(p.Clock(), &mu)
 	fired := false
-	issue(func() {
-		mu.Lock()
-		fired = true
-		cond.Broadcast()
-		mu.Unlock()
-	})
-	mu.Lock()
-	for !fired && cond.Wait(p) {
-	}
-	mu.Unlock()
+	issue(func() { fired = true })
+	p.Await(func() bool { return fired })
 }
 
-// dial dials addr from iface and parks p until the dial completes.
+// dial dials addr from iface and drives p until the dial completes.
 func dial(p *Participant, iface *Interface, addr string) (c *Conn, err error) {
 	await(p, func(done func()) {
 		err = iface.DialEvent(addr, func(conn *Conn, derr error) {

@@ -212,10 +212,9 @@ type Listener struct {
 
 // OnAcceptable installs fn as the listener's accept callback. fn
 // receives the server endpoint of every connection dialed to the
-// listener from then on, at the connect instant, on the goroutine
-// completing the dial (the clock's jump goroutine, under a clock hold),
-// before the dialer's own callback runs. Like every readiness callback
-// it must not park: arm the endpoint's callbacks and return. A
+// listener from then on, at the connect instant, on the clock's
+// driver, before the dialer's own callback runs. Like every readiness
+// callback it must not park: arm the endpoint's callbacks and return. A
 // connection completed while no callback is installed is established
 // but never served, like a socket in a listen backlog nobody accepts.
 func (l *Listener) OnAcceptable(fn func(*Conn)) {

@@ -252,7 +252,7 @@ func TestListenerForgetsClosedPairs(t *testing.T) {
 		received, termErr, _ := drainEvented(c)
 		c.TryWrite(msg)
 		// Ample time for the request and its reply to cross.
-		drv.Sleep(10 * time.Millisecond)
+		drv.SleepUntil(clock.Now().Add(10 * time.Millisecond))
 		if received.String() != string(msg) {
 			t.Fatalf("cycle %d: read %q, %v", i, received, *termErr)
 		}
@@ -268,7 +268,7 @@ func TestListenerForgetsClosedPairs(t *testing.T) {
 		}
 		c.Close()
 		// Let the echo server see EOF and close its end.
-		drv.Sleep(10 * time.Millisecond)
+		drv.SleepUntil(clock.Now().Add(10 * time.Millisecond))
 	}
 	if got := heldPairs(l); got != 0 {
 		t.Fatalf("after %d closed connections the listener holds %d", cycles, got)
@@ -315,7 +315,7 @@ func TestListenerCloseCutsHalfClosedPair(t *testing.T) {
 	}
 	start := clock.Now()
 	received, termErr, doneAt := drainEvented(c)
-	drv.Sleep(60 * time.Millisecond)
+	drv.SleepUntil(clock.Now().Add(60 * time.Millisecond))
 	if serverClosed.IsZero() || serverClosed.After(clock.Now()) {
 		t.Fatal("server had not closed by the kill instant")
 	}
@@ -323,7 +323,7 @@ func TestListenerCloseCutsHalfClosedPair(t *testing.T) {
 		t.Fatalf("%d pairs held while the client is mid-response, want 1", held)
 	}
 	l.Close()
-	drv.Sleep(time.Second)
+	drv.SleepUntil(clock.Now().Add(time.Second))
 	if !errors.Is(*termErr, ErrServerDown) {
 		t.Fatalf("client read error = %v, want ErrServerDown", *termErr)
 	}

@@ -195,7 +195,7 @@ func TestPipeSendBufferBlocksWriter(t *testing.T) {
 		t.Fatalf("first write accepted %d of %d bytes (err %v), want the %d-byte send buffer's worth", n, len(buf), err, p.SendBuf)
 	}
 	// Nobody reads: a second of line time frees no space.
-	drv.Sleep(time.Second)
+	drv.SleepUntil(clock.Now().Add(time.Second))
 	if k, err := server.TryWrite(buf[n:]); k != 0 || err != nil {
 		t.Fatalf("write into a full, undrained send buffer accepted %d bytes (err %v)", k, err)
 	}

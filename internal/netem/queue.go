@@ -1,27 +1,14 @@
 package netem
 
 // This file holds the virtual clock's timer queue: one binary min-heap
-// of pending deadlines ordered by (deadline, seq), guarded by Clock.mu.
-// Pops come out in exactly the order the emulator's determinism rests
-// on — earliest deadline first, same-instant ties in scheduling order —
-// so a jump batch needs no sort. Every node records its heap index, so
-// a timer's cancel or reschedule removes its node in place and the node
-// is reused: the steady state allocates nothing.
+// of pending timers ordered by (deadline, seq). Pops come out in
+// exactly the order the emulator's determinism rests on — earliest
+// deadline first, same-instant ties in scheduling order. Every timer
+// records its heap index, so a cancel or reschedule removes it in place
+// and the steady state allocates nothing.
 
-// sleeper is one pending deadline entry: a parked goroutine's wake
-// token target (ch != nil) or a timer callback (fn != nil). Nodes are
-// owned by their Participant or Timer and reused across parks.
-type sleeper struct {
-	deadline int64 // ns offset from the clock base
-	seq      int64 // scheduling order; breaks same-instant ties
-	ch       chan struct{}
-	fn       func() // timer callback, run on the jump goroutine
-	idx      int    // position in the queue; -1 when not queued
-}
-
-// queue is a binary min-heap over (deadline, seq). The caller holds
-// Clock.mu for every operation.
-type queue []*sleeper
+// queue is a binary min-heap of timers over (deadline, seq).
+type queue []*Timer
 
 func (q queue) less(i, j int) bool {
 	if q[i].deadline != q[j].deadline {
@@ -66,18 +53,18 @@ func (q queue) down(i int) {
 	}
 }
 
-// push enqueues s.
-func (q *queue) push(s *sleeper) {
-	s.idx = len(*q)
-	*q = append(*q, s)
-	q.up(s.idx)
+// push enqueues t.
+func (q *queue) push(t *Timer) {
+	t.idx = len(*q)
+	*q = append(*q, t)
+	q.up(t.idx)
 }
 
-// remove dequeues the node at position i and returns it; pop is
+// remove dequeues the timer at position i and returns it; pop is
 // remove(0).
-func (q *queue) remove(i int) *sleeper {
+func (q *queue) remove(i int) *Timer {
 	old := *q
-	s := old[i]
+	t := old[i]
 	n := len(old) - 1
 	if i != n {
 		old.swap(i, n)
@@ -88,22 +75,21 @@ func (q *queue) remove(i int) *sleeper {
 		q.down(i)
 		q.up(i)
 	}
-	s.idx = -1
-	return s
+	t.idx = -1
+	return t
 }
 
-// cancel dequeues s if it is queued.
-func (q *queue) cancel(s *sleeper) {
-	if s.idx >= 0 {
-		q.remove(s.idx)
+// cancel dequeues t if it is queued.
+func (q *queue) cancel(t *Timer) {
+	if t.idx >= 0 {
+		q.remove(t.idx)
 	}
 }
 
-// reset drops every pending entry (Clock.Stop): parked waiters are woken
-// through the clock's done channel instead.
+// reset drops every pending timer (Clock.Stop).
 func (q *queue) reset() {
-	for i, s := range *q {
-		s.idx = -1
+	for i, t := range *q {
+		t.idx = -1
 		(*q)[i] = nil
 	}
 	*q = (*q)[:0]

@@ -11,7 +11,7 @@ import (
 // This file differentially tests the clock's timer queue against the
 // reference it must agree with: one container/heap ordered by
 // (deadline, seq), cancelling lazily. The virtual clock's determinism
-// contract says the queue fires sleepers in exactly the sequence that
+// contract says the queue fires timers in exactly the sequence that
 // heap pops them — including same-instant ties, cancellations and
 // reschedules — so randomized schedules are driven through both
 // structures and the firing sequences compared element-by-element
@@ -72,8 +72,8 @@ func (h *refHeap) popDue(t int64) []*refEntry {
 	return due
 }
 
-// min and popDue on the queue are the jump loop's own steps
-// (Clock.collectDue), minus the participant accounting.
+// min and popDue on the queue are the driver's own steps (Clock.step
+// repeated through one instant).
 func (q *queue) min() int64 {
 	if len(*q) == 0 {
 		return none
@@ -81,8 +81,8 @@ func (q *queue) min() int64 {
 	return (*q)[0].deadline
 }
 
-func (q *queue) popDue(t int64) []*sleeper {
-	var due []*sleeper
+func (q *queue) popDue(t int64) []*Timer {
+	var due []*Timer
 	for len(*q) > 0 && (*q)[0].deadline <= t {
 		due = append(due, q.remove(0))
 	}
@@ -103,7 +103,7 @@ func (q queue) check(t *testing.T, where string) {
 	}
 }
 
-// TestWheelMatchesRetiredHeap drives a randomized schedule — parks at
+// TestWheelMatchesRetiredHeap drives a randomized schedule — timers at
 // mixed distances (sub-millisecond, the dense ~268 ms band, beyond it,
 // far future), same-instant ties, timer cancellations (the abort path)
 // and reschedules that move a live node to a new deadline — through
@@ -126,7 +126,7 @@ func TestWheelMatchesRetiredHeap(t *testing.T) {
 
 		type entry struct {
 			refS *refEntry
-			qS   *sleeper
+			qS   *Timer
 		}
 		var (
 			virt int64
@@ -138,7 +138,7 @@ func TestWheelMatchesRetiredHeap(t *testing.T) {
 			// Two nodes with identical ordering keys, one per structure:
 			// the structures take ownership of what they queue.
 			rs := &refEntry{deadline: deadline, seq: seq}
-			qs := &sleeper{deadline: deadline, seq: seq}
+			qs := &Timer{deadline: deadline, seq: seq}
 			heap.Push(ref, rs)
 			q.push(qs)
 			live = append(live, entry{refS: rs, qS: qs})
@@ -158,7 +158,7 @@ func TestWheelMatchesRetiredHeap(t *testing.T) {
 
 		for op := 0; op < opsPerSeed; op++ {
 			switch k := rng.Intn(12); {
-			case k < 5: // park
+			case k < 5: // schedule
 				d := newDeadline()
 				push(d)
 				if rng.Intn(3) == 0 { // same-instant tie
@@ -243,34 +243,24 @@ func TestWheelMatchesRetiredHeap(t *testing.T) {
 	}
 }
 
-// TestTimerFiresAtScheduledInstant pins the goroutine-free timer path:
-// the callback runs at exactly the scheduled virtual instant, ordered
-// with sleeping participants, and a Stop before the instant suppresses
-// it.
+// TestTimerFiresAtScheduledInstant pins the timer path: the callback
+// runs at exactly the scheduled virtual instant, and a Stop before the
+// instant suppresses it.
 func TestTimerFiresAtScheduledInstant(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	start := clock.Now()
 
-	firedAt := make(chan time.Duration, 1)
-	done := make(chan struct{})
-	// Scheduling happens on a registered goroutine, as in real use: the
-	// scheduler is a live participant, so the clock cannot jump until it
-	// parks — anchoring the timer to the instant of the schedule.
-	clock.Go(func(p *Participant) {
-		timer := p.Clock().NewTimer(func() { firedAt <- clock.Now().Sub(start) })
-		timer.Schedule(start.Add(30 * time.Millisecond))
-		p.Sleep(50 * time.Millisecond)
-		close(done)
-	})
-	<-done
-	select {
-	case d := <-firedAt:
-		if d != 30*time.Millisecond {
-			t.Fatalf("timer fired at +%v, want +30ms", d)
-		}
-	default:
-		t.Fatal("timer never fired although virtual time passed its instant")
+	var firedAt time.Duration = -1
+	clock.NewTimer(func() { firedAt = clock.Now().Sub(start) }).Schedule(start.Add(30 * time.Millisecond))
+	stopped := clock.NewTimer(func() { t.Error("stopped timer fired") })
+	stopped.Schedule(start.Add(20 * time.Millisecond))
+	stopped.Stop()
+	drv.SleepUntil(start.Add(50 * time.Millisecond))
+	if firedAt != 30*time.Millisecond {
+		t.Fatalf("timer fired at +%v, want +30ms", firedAt)
 	}
 }
 
@@ -280,77 +270,61 @@ func TestTimerFiresAtScheduledInstant(t *testing.T) {
 func TestTimerStopAndReschedule(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 	start := clock.Now()
 
 	var fired []time.Duration
-	mu := make(chan struct{}, 1)
-	mu <- struct{}{}
-	timer := clock.NewTimer(func() {
-		<-mu
-		fired = append(fired, clock.Now().Sub(start))
-		mu <- struct{}{}
-	})
-
-	far := clock.NewTimer(func() {
-		<-mu
-		fired = append(fired, clock.Now().Sub(start))
-		mu <- struct{}{}
-	})
+	record := func() { fired = append(fired, clock.Now().Sub(start)) }
+	timer := clock.NewTimer(record)
+	far := clock.NewTimer(record)
 	stopped := clock.NewTimer(func() { t.Error("stopped timer fired") })
 
-	done := make(chan struct{})
-	// All scheduling happens on a registered goroutine (as in real use —
-	// otherwise an idle clock jumps to each schedule the moment it is
-	// made).
-	clock.Go(func(p *Participant) {
-		stopped.Schedule(start.Add(10 * time.Millisecond))
-		stopped.Stop()
+	stopped.Schedule(start.Add(10 * time.Millisecond))
+	stopped.Stop()
 
-		// Schedule at +40ms, then move earlier to +20ms: only +20ms fires.
-		timer.Schedule(start.Add(40 * time.Millisecond))
-		timer.Schedule(start.Add(20 * time.Millisecond))
+	// Schedule at +40ms, then move earlier to +20ms: only +20ms fires.
+	timer.Schedule(start.Add(40 * time.Millisecond))
+	timer.Schedule(start.Add(20 * time.Millisecond))
 
-		// A far-future schedule moved near: the node is removed from
-		// wherever it sits in the queue and pushed again.
-		far.Schedule(start.Add(10 * time.Second))
-		far.Schedule(start.Add(25 * time.Millisecond))
+	// A far-future schedule moved near: the timer is removed from
+	// wherever it sits in the queue and pushed again.
+	far.Schedule(start.Add(10 * time.Second))
+	far.Schedule(start.Add(25 * time.Millisecond))
 
-		p.Sleep(60 * time.Millisecond)
-		close(done)
-	})
-	<-done
-	<-mu
-	defer func() { mu <- struct{}{} }()
+	drv.SleepUntil(start.Add(60 * time.Millisecond))
 	if len(fired) != 2 || fired[0] != 20*time.Millisecond || fired[1] != 25*time.Millisecond {
 		t.Fatalf("fired at %v, want [20ms 25ms]", fired)
 	}
 }
 
-// TestWheelParkAllocs guards the zero-alloc park path: steady-state
-// deadline parks of a registered participant — a queue push reusing
-// the participant's node, the jump, and the wake — must not allocate,
-// and the queue's backing array must be reused across jumps.
+// TestWheelParkAllocs guards the zero-alloc drive path: a timer that
+// reschedules itself from its own callback, drained by the driver's
+// SleepUntil, must not allocate, and the queue's backing array must be
+// reused across instants.
 func TestWheelParkAllocs(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
+	drv := clock.Register()
+	defer drv.Unregister()
 
-	result := make(chan float64, 1)
-	clock.Go(func(p *Participant) {
-		p.Sleep(time.Millisecond) // warm the queue's backing array
-		result <- testing.AllocsPerRun(200, func() {
-			// Mixed distances, sub-millisecond and a few milliseconds,
-			// both reuse the participant's node.
-			p.Sleep(100 * time.Microsecond)
-			p.Sleep(3 * time.Millisecond)
-		})
-	})
-	select {
-	case avg := <-result:
-		if avg > 0 {
-			t.Fatalf("steady-state park allocates %.2f times per park pair, want 0", avg)
+	near := true
+	var tick *Timer
+	tick = clock.NewTimer(func() {
+		// Mixed distances, sub-millisecond and a few milliseconds, both
+		// reuse the timer's own node.
+		if near = !near; near {
+			tick.Schedule(clock.Now().Add(100 * time.Microsecond))
+		} else {
+			tick.Schedule(clock.Now().Add(3 * time.Millisecond))
 		}
-	case <-time.After(10 * time.Second): //detlint:allow wallclock -- test watchdog against emulator deadlock runs on wall time
-		t.Fatal("park loop did not finish")
+	})
+	tick.Schedule(clock.Now().Add(time.Millisecond))
+	drv.SleepUntil(clock.Now().Add(10 * time.Millisecond)) // warm the queue's backing array
+	if avg := testing.AllocsPerRun(200, func() {
+		drv.SleepUntil(clock.Now().Add(4 * time.Millisecond))
+	}); avg > 0 {
+		t.Fatalf("steady-state drive allocates %.2f times per 4 ms, want 0", avg)
 	}
 }
 
@@ -360,18 +334,13 @@ func TestWheelParkAllocs(t *testing.T) {
 func TestTimerRescheduleAllocs(t *testing.T) {
 	clock := NewVirtualClock()
 	defer clock.Stop()
-
-	result := make(chan float64, 1)
-	clock.Go(func(p *Participant) {
-		timer := clock.NewTimer(func() { t.Error("stopped timer fired") })
-		result <- testing.AllocsPerRun(100, func() {
-			now := clock.Now()
-			timer.Schedule(now.Add(10 * time.Second))
-			timer.Schedule(now.Add(time.Millisecond))
-			timer.Stop()
-		})
-	})
-	if avg := <-result; avg > 0 {
+	timer := clock.NewTimer(func() { t.Error("stopped timer fired") })
+	if avg := testing.AllocsPerRun(100, func() {
+		now := clock.Now()
+		timer.Schedule(now.Add(10 * time.Second))
+		timer.Schedule(now.Add(time.Millisecond))
+		timer.Stop()
+	}); avg > 0 {
 		t.Fatalf("far-to-near reschedule and stop allocate %.2f times per op, want 0", avg)
 	}
 }

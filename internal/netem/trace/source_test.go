@@ -164,61 +164,6 @@ var lognormalPin = []struct {
 	{-9116441232749114785, 1057278022, 0x3fe632de2ac685f7},
 }
 
-// randomWalkPin is RandomWalk(1e6, 2e5, 2e6, 500 ms, seed 55) queried
-// every 500 ms from epoch for 200 steps, recorded the same way.
-var randomWalkPin = [200]uint64{
-	0x412e848000000000, 0x412e2f0062092819, 0x412c79ea30aed3d6, 0x4129dc59a067de03,
-	0x4129813ac08f8e1b, 0x412e4cc2eb2d3c9b, 0x412a68a66580bcb2, 0x412aef5d24f4f1f3,
-	0x412d8f878ec9122b, 0x41304c6044b75e10, 0x4130d84ab8923177, 0x4130366e9f3a53e7,
-	0x4130c17dbe0f6e8f, 0x4133537a04bab35f, 0x41328b58b92ac595, 0x41303d68f78afc25,
-	0x412e7b1f6cfda1de, 0x4132bb5a87eaffd5, 0x4130b52d7d5c1b32, 0x4130106c4b7b95dd,
-	0x412d85538a352cc1, 0x412f0aec742088f4, 0x41305ccc2cc5bdc8, 0x4130262be42d344b,
-	0x4131027776f61c8b, 0x4133ca65110929f1, 0x413362fd563600b5, 0x4131ad846de90ff1,
-	0x41301e194b9addb4, 0x412a19ebef4fe18c, 0x412b56bfe9776213, 0x412c70977b96167b,
-	0x412b0681aa322f68, 0x4131e1260abe0f6a, 0x4133699af89ff111, 0x41328fe560938ce9,
-	0x412f88e1df0245e6, 0x412cc70153ce46f5, 0x412f786d82d32b98, 0x412f07b809595d34,
-	0x412de793a0fa392b, 0x412bfeab96fa5f1e, 0x412e3c73708aa48a, 0x41303e38d6ec761f,
-	0x412dc2c135a75412, 0x412c5a6d202feb67, 0x4130a2b84c612e69, 0x41310fa8102df51d,
-	0x412dda6e36dcfa66, 0x412cd461edc1981b, 0x4131428e76d4acdd, 0x4130c2a265119c55,
-	0x413027cd8774d577, 0x412d9bcf7564d4f1, 0x412e748d8f96bf64, 0x4130b18ec31665ef,
-	0x412ee7cad73df13b, 0x412b0f9667ebbb00, 0x41316e7763d9bde3, 0x4131e5f3cfd7774e,
-	0x412ef08b34ca70e2, 0x412e7abcd52e188d, 0x41301ca2d05c3d90, 0x413085fd61d60f05,
-	0x4130477bce5f3661, 0x412e865313de3478, 0x4130120eea833f4e, 0x412f35526363faff,
-	0x412f1cd4a9924e0b, 0x412b822c18fd2c0e, 0x412d171a826730c4, 0x41315bc2d364fd1d,
-	0x4130a74107e5d6d5, 0x412ad51e7fbaf038, 0x412a9e792323fe8c, 0x412ff70fcf706566,
-	0x412f2bdfae6168f6, 0x412dc7ca80c82abd, 0x412cfd75a0a3b4fc, 0x412dacefad61fcab,
-	0x41309164322a7002, 0x412f1b2a341e4a94, 0x412b2d2b5143db0c, 0x412cf33819fa7589,
-	0x412f88853c080224, 0x412b3d3322e50d86, 0x4129ebca527e98e8, 0x412c18fc3502e6a6,
-	0x412cde22f7d7c4e6, 0x412c2efcdfffbfb9, 0x412a4e1982321ba8, 0x412fb2364e67e94a,
-	0x413190729e85c9b1, 0x4130b9b54a1f68d2, 0x412cb433652e77eb, 0x412fa3499fc876c6,
-	0x41318d6edfe5b185, 0x4130171211ce5581, 0x412ebf572e767fd3, 0x4130d67f1a412d0f,
-	0x413173ef8061d046, 0x4130ac6d104e0104, 0x412e0aff61efbfd0, 0x4130727c0cebffaa,
-	0x4130ef71f2c4c52e, 0x4130437e9587ddd3, 0x412d4577753ec0e0, 0x412bbc772f88268a,
-	0x41313f65ef5d28e0, 0x41303605cb1b75b7, 0x413026f272d77b31, 0x412ce3dd63cd6805,
-	0x413076add42c0881, 0x41310e16da6dcafe, 0x412f7a85b34ea617, 0x413123f0f29058f3,
-	0x41303eb2c104816b, 0x413068c3f2c3ae64, 0x412c73bb548fe462, 0x412c27678293e952,
-	0x412ed262e47c4259, 0x412dd812fdcfb93c, 0x412f398d31d741e0, 0x412cd820b7e2ed63,
-	0x412f11a234daf4dd, 0x413116b709bb27c4, 0x4130af30d3c54735, 0x413293f0e4f57db8,
-	0x412f1bf32f965c19, 0x4130960982d169e6, 0x412e49fa1370e1af, 0x413129580a00a5b9,
-	0x412f74cb5b00e266, 0x412f5fbbec1ae69d, 0x412c5c8504b326c4, 0x412a856c951d8093,
-	0x412e9d4b6f98103e, 0x412ddbae1eefa82c, 0x412fdb15572497c8, 0x412ca8a6539440fc,
-	0x41305f5cfdb24c5f, 0x41327d0abb984c63, 0x4131ba4bb3a3451b, 0x413368233b5768f9,
-	0x413155e7594b3ac2, 0x4134161564431bdf, 0x4131c38917dfd2b1, 0x41314bd15c7a8056,
-	0x412e1791dca3e798, 0x412f6e00ffbcd7cf, 0x413095c7962fc03c, 0x41301c249b67d59d,
-	0x4131e85e1006416c, 0x412f894eec34ad27, 0x413068ed84098310, 0x412e49fad7fb6703,
-	0x412c4eb941f7844e, 0x4129637a4d51b62c, 0x412a5d0b3c143ddd, 0x412c9353950eff09,
-	0x412a53874f337718, 0x412ebb3ea1e0d5b8, 0x412facfd52f81730, 0x412f54de2cfe2679,
-	0x412b1c551de5f227, 0x4129eeaff1ed7b67, 0x412ba0e6e68a61d7, 0x412bb31b720556f2,
-	0x412a239289602192, 0x4127d534f36f6c15, 0x4129ec4a64e2fc33, 0x412d9014b719c0f2,
-	0x412a5d98485fc549, 0x412f5365db118246, 0x412e52ee55366d35, 0x412fa63183533746,
-	0x412b4bd403fb0587, 0x412a580a95b6f2ee, 0x412c6df6fbb56860, 0x412c29a36b6b4fc9,
-	0x412cbce74846591b, 0x4129f0190eda02bd, 0x412c4aea29545c5f, 0x4130b32cd1f7f4e9,
-	0x412dd5f0404b858c, 0x41289627213e5dea, 0x4123313c99d9c4fc, 0x41272356065a46cf,
-	0x4124fa178f4a3c62, 0x41267eda2a3ce88d, 0x4129612cb28b2ba3, 0x412af6cdb3ee9410,
-	0x412cfcbd54247047, 0x412c3fb08fcbaf1c, 0x412e52ae11cdbddb, 0x412e27db05cf7bb0,
-	0x412dd66272d1506c, 0x412a3db13bd6fe44, 0x412d2d4e66579e9a, 0x41325261e615580c,
-}
-
 func TestNoiseValuePin(t *testing.T) {
 	const interval = 200 * time.Millisecond
 	for _, p := range lognormalPin {
@@ -226,13 +171,6 @@ func TestNoiseValuePin(t *testing.T) {
 		got := r.RateAt(time.Unix(0, p.slot*interval.Nanoseconds()))
 		if math.Float64bits(got) != p.bits {
 			t.Errorf("Lognormal seed %d slot %d = %#016x, pinned %#016x", p.seed, p.slot, math.Float64bits(got), p.bits)
-		}
-	}
-	w := RandomWalk(1e6, 2e5, 2e6, 500*time.Millisecond, 55)
-	for i, want := range randomWalkPin {
-		got := w.RateAt(epoch.Add(time.Duration(i) * 500 * time.Millisecond))
-		if math.Float64bits(got) != want {
-			t.Fatalf("RandomWalk step %d = %#016x, pinned %#016x", i, math.Float64bits(got), want)
 		}
 	}
 }

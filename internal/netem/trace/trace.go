@@ -2,14 +2,13 @@
 //
 // A Rate maps an emulated instant to the instantaneous link rate in bytes
 // per second. Profiles compose: Scale, Clamp and Sum build complex shapes
-// (e.g. an LTE-like random walk with periodic dips plus a mobility outage)
-// out of simple parts.
+// (e.g. a lognormal-noise LTE rate with periodic dips plus a mobility
+// outage) out of simple parts.
 package trace
 
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -125,55 +124,6 @@ func Lognormal(base Rate, sigma float64, interval time.Duration, seed int64) Rat
 // first NormFloat64 of the math/rand stream seeded with seed ^ slot·φ.
 func slotNormal(seed, slot int64) float64 {
 	return rand.New(NewSource(seed ^ slot*0x7E3779B97F4A7C15)).NormFloat64()
-}
-
-// RandomWalk produces a mean-reverting multiplicative random walk around
-// mean, bounded to [min, max], resampled every interval. It mimics LTE
-// cell-load dynamics: sustained excursions rather than white noise.
-//
-// Randomness invariant: each step's rng is derived from (seed, slot)
-// and the walk state is guarded by a mutex; replaying from the anchor
-// makes any query a deterministic function of (seed, anchor slot,
-// query slot) regardless of query interleaving across sessions.
-func RandomWalk(mean, min, max float64, interval time.Duration, seed int64) Rate {
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	var mu sync.Mutex
-	anchor := int64(-1) // slot of the first query; the walk starts there
-	lastSlot := int64(-1)
-	lastVal := mean
-	step := func(slot int64, from float64) float64 {
-		r := from + 0.25*(mean-from) + slotNormal(seed, slot)*0.1*mean
-		if r < min {
-			r = min
-		}
-		if r > max {
-			r = max
-		}
-		return r
-	}
-	return RateFunc(func(t time.Time) float64 {
-		slot := t.UnixNano() / interval.Nanoseconds()
-		mu.Lock()
-		defer mu.Unlock()
-		if anchor < 0 {
-			anchor = slot
-			lastSlot = slot - 1
-		}
-		if slot <= anchor {
-			return mean // at or before the walk's origin
-		}
-		if slot < lastSlot {
-			// Query behind the frontier: replay the walk from the anchor.
-			lastSlot, lastVal = anchor-1, mean
-		}
-		for s := lastSlot + 1; s <= slot; s++ {
-			lastVal = step(s-anchor, lastVal)
-		}
-		lastSlot = slot
-		return lastVal
-	})
 }
 
 // Clamp bounds a profile to [min, max].

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -204,42 +203,6 @@ func BenchmarkLognormalHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink += r.RateAt(epoch.Add(time.Duration(i&1023) * time.Microsecond))
-	}
-}
-
-func TestRandomWalkBoundsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := RandomWalk(1e6, 2e5, 2e6, 500*time.Millisecond, seed)
-		for off := time.Duration(0); off < time.Minute; off += 250 * time.Millisecond {
-			v := r.RateAt(epoch.Add(off))
-			if v < 2e5 || v > 2e6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRandomWalkConsistentAcrossQueryOrder(t *testing.T) {
-	// Re-querying earlier instants on the same instance must replay the
-	// identical walk (the walk is anchored at the first query).
-	r := RandomWalk(1e6, 1e5, 5e6, time.Second, 9)
-	var forward []float64
-	for off := time.Duration(0); off < 10*time.Second; off += time.Second {
-		forward = append(forward, r.RateAt(epoch.Add(off)))
-	}
-	for i := len(forward) - 1; i >= 0; i-- {
-		off := time.Duration(i) * time.Second
-		if got := r.RateAt(epoch.Add(off)); got != forward[i] {
-			t.Fatalf("walk differs at +%v: %v vs %v", off, got, forward[i])
-		}
-	}
-	// And the anchor instant itself returns the mean.
-	if got := r.RateAt(epoch); got != forward[0] {
-		t.Fatalf("anchor value changed: %v vs %v", got, forward[0])
 	}
 }
 

@@ -300,14 +300,14 @@ func (c *Cluster) Loads() []ServerLoad {
 	return out
 }
 
-// Drain parks the caller until every server's connection machines have
-// finished, parking the registered caller p on the emulation clock.
-// Call it after every client is gone or shut down — e.g.
-// after a fleet's sessions have torn down their transports — and before
-// sampling Loads: a true return guarantees InFlight is zero everywhere
-// and every request's disposition has been recorded, so one Loads call
-// observes final, exact books. Returns false when the emulation clock
-// stopped before the books closed.
+// Drain drives the emulation clock through its driver p until every
+// server's connection machines have finished. Call it after every
+// client is gone or shut down — e.g. after a fleet's sessions have torn
+// down their transports — and before sampling Loads: a true return
+// guarantees InFlight is zero everywhere and every request's
+// disposition has been recorded, so one Loads call observes final,
+// exact books. Returns false when the emulation clock stopped, or ran
+// out of events, before the books closed.
 func (c *Cluster) Drain(p *netem.Participant) bool {
 	settled := true
 	for _, inst := range c.snapshot() {

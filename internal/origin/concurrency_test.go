@@ -1,19 +1,20 @@
 package origin
 
 import (
+	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/netem"
 	"repro/internal/videostore"
 )
 
 // TestConcurrentWatchAndRange drives many concurrent clients — each with
 // its own interface, as a fleet run does — against one shared Cluster:
-// every watch must issue a working token, every range fetch must return
-// the catalog's exact bytes, and the whole run must be race-clean.
+// every watch must issue a working token and every range fetch must
+// return the catalog's exact bytes.
 func TestConcurrentWatchAndRange(t *testing.T) {
 	const (
 		clients        = 12
@@ -31,8 +32,11 @@ func TestConcurrentWatchAndRange(t *testing.T) {
 	v, _ := videostore.DefaultCatalog().Get("shortclip01")
 	content := v.Content(videostore.HD720)
 
+	// Each client is a callback chain on its own transport and loop —
+	// watch, then rangesPerFetch ranges — and all of them run at once,
+	// interleaved on the one driver.
 	errs := make([]error, clients)
-	var wg sync.WaitGroup
+	finished := 0
 	for i := 0; i < clients; i++ {
 		i := i
 		network := "wifi"
@@ -42,48 +46,73 @@ func TestConcurrentWatchAndRange(t *testing.T) {
 		iface := n.NewInterface(network,
 			netem.LinkParams{Rate: netem.Mbps(20), Delay: 10 * time.Millisecond, Seed: int64(i)},
 			netem.LinkParams{Rate: netem.Mbps(20), Delay: 10 * time.Millisecond, Seed: int64(i) + 7})
-		wg.Add(1)
-		clock.Go(func(cp *netem.Participant) {
-			defer wg.Done()
-			errs[i] = func() error {
-				c := newClient(cp, iface)
-				defer c.close()
-				info, err := c.watch(cluster, network, "shortclip01")
+		loop := netem.NewLoop()
+		et := httpx.NewEventTransport(iface, clock, loop)
+		done := func(err error) {
+			errs[i] = err
+			et.Shutdown(nil)
+			finished++
+		}
+		var info *VideoInfo
+		r := 0
+		var fetch func()
+		fetch = func() {
+			if r == rangesPerFetch {
+				done(nil)
+				return
+			}
+			// Tokens issued under contention must verify on every
+			// replica of the issuing network.
+			server := info.VideoServers[r%len(info.VideoServers)]
+			lo := int64(i*1000 + r*100)
+			hi := lo + 499
+			r++
+			et.GetRangeViews(info.PlaybackURL(server, 22), lo, hi, func(views [][]byte, release func(), err error) {
 				if err != nil {
-					return err
+					done(fmt.Errorf("range %s [%d-%d]: %w", server, lo, hi, err))
+					return
+				}
+				var body []byte
+				for _, v := range views {
+					body = append(body, v...)
+				}
+				release()
+				want := make([]byte, hi-lo+1)
+				content.ReadAt(want, lo)
+				if !bytes.Equal(body, want) {
+					done(fmt.Errorf("range [%d-%d]: %d bytes differ from the catalog's %d", lo, hi, len(body), len(want)))
+					return
+				}
+				fetch()
+			})
+		}
+		proxy, err := cluster.ProxyAddr(network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop.Do(func() {
+			et.Get("http://"+proxy+"/watch?v=shortclip01", func(status int, body []byte, err error) {
+				if info, err = decodeWatch(status, body, err); err != nil {
+					done(err)
+					return
 				}
 				if info.Network != network {
-					return fmt.Errorf("network = %q, want %q", info.Network, network)
+					done(fmt.Errorf("network = %q, want %q", info.Network, network))
+					return
 				}
 				if len(info.VideoServers) == 0 {
-					return fmt.Errorf("no video servers")
+					done(fmt.Errorf("no video servers"))
+					return
 				}
-				// Tokens issued under contention must verify on every
-				// replica of the issuing network.
-				for r := 0; r < rangesPerFetch; r++ {
-					server := info.VideoServers[r%len(info.VideoServers)]
-					lo := int64(i*1000 + r*100)
-					hi := lo + 499
-					body, err := c.getRange(info.PlaybackURL(server, 22), lo, hi)
-					if err != nil {
-						return fmt.Errorf("range %s [%d-%d]: %w", server, lo, hi, err)
-					}
-					want := make([]byte, hi-lo+1)
-					content.ReadAt(want, lo)
-					if len(body) != len(want) {
-						return fmt.Errorf("range length = %d, want %d", len(body), len(want))
-					}
-					for j := range want {
-						if body[j] != want[j] {
-							return fmt.Errorf("content mismatch at offset %d", lo+int64(j))
-						}
-					}
-				}
-				return nil
-			}()
+				fetch()
+			})
 		})
 	}
-	wg.Wait()
+	drv := clock.Register()
+	defer drv.Unregister()
+	if !drv.Await(func() bool { return finished == clients }) {
+		t.Fatalf("the clock ran out of events with %d of %d clients finished", finished, clients)
+	}
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("client %d: %v", i, err)
@@ -94,8 +123,6 @@ func TestConcurrentWatchAndRange(t *testing.T) {
 	// shut its transport down before returning, so the cluster's drain
 	// barrier closes the books on the clock — no wall-clock settle
 	// polling.
-	drv := clock.Register()
-	defer drv.Unregister()
 	if !cluster.Drain(drv) {
 		t.Fatal("cluster drain did not settle")
 	}
@@ -125,23 +152,34 @@ func TestConcurrentTokenIssuanceDistinct(t *testing.T) {
 		err  error
 	}
 	results := make([]out, 8)
-	var wg sync.WaitGroup
+	finished := 0
 	for i := range results {
 		i := i
 		iface, network := wifi, "wifi"
 		if i%2 == 1 {
 			iface, network = lte, "lte"
 		}
-		wg.Add(1)
-		cluster.net.Clock().Go(func(cp *netem.Participant) {
-			defer wg.Done()
-			c := newClient(cp, iface)
-			defer c.close()
-			info, err := c.watch(cluster, network, "shortclip01")
-			results[i] = out{info, err}
+		proxy, err := cluster.ProxyAddr(network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop := netem.NewLoop()
+		et := httpx.NewEventTransport(iface, cluster.net.Clock(), loop)
+		loop.Do(func() {
+			et.Get("http://"+proxy+"/watch?v=shortclip01", func(status int, body []byte, err error) {
+				info, err := decodeWatch(status, body, err)
+				results[i] = out{info, err}
+				et.Shutdown(nil)
+				finished++
+			})
 		})
 	}
-	wg.Wait()
+	onClock(t, cluster.net.Clock(), func(p *netem.Participant) error {
+		if !p.Await(func() bool { return finished == len(results) }) {
+			return errStalled
+		}
+		return nil
+	})
 	for i, r := range results {
 		if r.err != nil {
 			t.Fatalf("fetch %d: %v", i, r.err)

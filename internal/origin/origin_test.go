@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -36,58 +35,50 @@ func testDeployment(t *testing.T, cfg ClusterConfig) (*Cluster, *netem.Network, 
 	return c, n, wifi, lte
 }
 
-// client issues requests on an EventTransport from a registered
-// goroutine, the way Player.Run drives a session: each request starts
-// as a step on the transport's loop and the participant parks on a
-// clock Cond until the completion callback fires.
+// client issues requests on an EventTransport as the clock's driver,
+// the way Player.Run drives a session: each request starts as a step on
+// the transport's loop and the driver runs the clock's events until the
+// completion callback fires.
 type client struct {
-	p        *netem.Participant
-	et       *httpx.EventTransport
-	mu       sync.Mutex
-	cond     *netem.Cond
-	finished bool
+	p  *netem.Participant
+	et *httpx.EventTransport
 }
 
 func newClient(p *netem.Participant, iface *netem.Interface) *client {
-	c := &client{p: p, et: httpx.NewEventTransport(iface, p.Clock(), netem.NewLoop())}
-	c.cond = netem.NewCond(p.Clock(), &c.mu)
-	return c
+	return &client{p: p, et: httpx.NewEventTransport(iface, p.Clock(), netem.NewLoop())}
 }
 
-// await runs issue as a loop step and parks until it calls finish.
-func (c *client) await(issue func(finish func())) {
-	c.mu.Lock()
-	c.finished = false
-	c.mu.Unlock()
-	c.et.Loop().Do(func() {
-		issue(func() {
-			c.mu.Lock()
-			c.finished = true
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		})
-	})
-	c.mu.Lock()
-	for !c.finished && c.cond.Wait(c.p) {
+// errStalled reports a request the clock ran out of events under.
+var errStalled = errors.New("the clock ran out of events before the request completed")
+
+// await runs issue as a loop step and drives the clock until it calls
+// finish.
+func (c *client) await(issue func(finish func())) error {
+	finished := false
+	c.et.Loop().Do(func() { issue(func() { finished = true }) })
+	if !c.p.Await(func() bool { return finished }) {
+		return errStalled
 	}
-	c.mu.Unlock()
+	return nil
 }
 
 // get issues a bodyless GET.
 func (c *client) get(url string) (status int, body []byte, err error) {
-	c.await(func(finish func()) {
+	if aerr := c.await(func(finish func()) {
 		c.et.Get(url, func(s int, b []byte, gerr error) {
 			status, body, err = s, b, gerr
 			finish()
 		})
-	})
+	}); aerr != nil {
+		return 0, nil, aerr
+	}
 	return status, body, err
 }
 
 // getRange fetches the inclusive range [from, to] of url, copying the
 // borrowed views out before releasing them.
 func (c *client) getRange(url string, from, to int64) (body []byte, err error) {
-	c.await(func(finish func()) {
+	aerr := c.await(func(finish func()) {
 		c.et.GetRangeViews(url, from, to, func(views [][]byte, release func(), rerr error) {
 			if err = rerr; err == nil {
 				for _, v := range views {
@@ -98,6 +89,9 @@ func (c *client) getRange(url string, from, to int64) (body []byte, err error) {
 			finish()
 		})
 	})
+	if aerr != nil {
+		return nil, aerr
+	}
 	return body, err
 }
 
@@ -107,7 +101,11 @@ func (c *client) watch(cluster *Cluster, network, videoID string) (*VideoInfo, e
 	if err != nil {
 		return nil, err
 	}
-	status, body, err := c.get("http://" + proxy + "/watch?v=" + videoID)
+	return decodeWatch(c.get("http://" + proxy + "/watch?v=" + videoID))
+}
+
+// decodeWatch decodes a /watch response.
+func decodeWatch(status int, body []byte, err error) (*VideoInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("watch: %w", err)
 	}
@@ -124,18 +122,18 @@ func (c *client) watch(cluster *Cluster, network, videoID string) (*VideoInfo, e
 // close shuts the client's transport down.
 func (c *client) close() { c.et.Loop().Do(func() { c.et.Shutdown(nil) }) }
 
-// onClock runs fn on a clock-registered goroutine and waits for it.
+// onClock runs fn as the clock's driver.
 func onClock(t *testing.T, clock *netem.Clock, fn func(p *netem.Participant) error) {
 	t.Helper()
-	done := make(chan error, 1)
-	clock.Go(func(p *netem.Participant) { done <- fn(p) })
-	if err := <-done; err != nil {
+	p := clock.Register()
+	defer p.Unregister()
+	if err := fn(p); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// withClient runs fn with a client over iface on a clock-registered
-// goroutine and shuts the client down afterwards.
+// withClient runs fn with a client over iface as the clock's driver and
+// shuts the client down afterwards.
 func withClient(t *testing.T, iface *netem.Interface, fn func(c *client) error) {
 	t.Helper()
 	onClock(t, iface.Network().Clock(), func(p *netem.Participant) error {
@@ -314,9 +312,8 @@ func TestThrottlePacesAfterBurst(t *testing.T) {
 	info := fetchInfo(t, cluster, wifi, "wifi", "shortclip01")
 	url := info.PlaybackURL(info.VideoServers[0], 22)
 
-	// A registered driver pins virtual time while the fetch is armed and
-	// then parks until well past its completion, so the completion
-	// instant is a pure function of the emulation.
+	// The driver runs the clock until well past the fetch's completion,
+	// so the completion instant is a pure function of the emulation.
 	clock := n.Clock()
 	drv := clock.Register()
 	defer drv.Unregister()

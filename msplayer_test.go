@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netem"
 	"repro/internal/videostore"
 )
 
@@ -153,10 +152,7 @@ func TestServerFailoverMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill the primary WiFi replica shortly after the stream starts.
-	defer tb.Inject(func(ip *netem.Participant) {
-		ip.Sleep(1500 * time.Millisecond)
-		tb.Cluster().Kill("video1.youtube.wifi.test:443")
-	})()
+	tb.At(1500*time.Millisecond, func() { tb.Cluster().Kill("video1.youtube.wifi.test:443") })
 	m, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatalf("stream failed despite failover replica: %v", err)
@@ -184,10 +180,8 @@ func TestInterfaceOutageStreamSurvivesOnLTE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tb.Inject(func(ip *netem.Participant) {
-		ip.Sleep(1200 * time.Millisecond)
-		tb.WiFi().SetAlive(false) // walk out of WiFi range, never return
-	})()
+	// Walk out of WiFi range, never return.
+	tb.At(1200*time.Millisecond, func() { tb.WiFi().SetAlive(false) })
 	m, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatalf("stream failed despite LTE path: %v", err)
@@ -281,10 +275,7 @@ func TestStreamReturnsOnCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	defer tb.Inject(func(ip *netem.Participant) {
-		ip.Sleep(5 * time.Second) // long after both bootstraps completed
-		cancel()
-	})()
+	tb.At(5*time.Second, cancel) // long after both bootstraps completed
 	m, err := tb.Stream(ctx, SessionConfig{
 		Scheduler: NewHarmonicScheduler(256<<10, 0.05),
 		Paths:     BothPaths,
@@ -313,10 +304,7 @@ func TestStreamReturnsOnCancel(t *testing.T) {
 // instead of hanging on timers that will never fire.
 func TestStreamReturnsOnTestbedClose(t *testing.T) {
 	tb := newTB(t, steadyProfile(6))
-	defer tb.Inject(func(ip *netem.Participant) {
-		ip.Sleep(3 * time.Second) // mid pre-buffering
-		tb.Close()
-	})()
+	tb.At(3*time.Second, tb.Close) // mid pre-buffering
 	m, err := tb.Stream(context.Background(), SessionConfig{
 		Scheduler: NewHarmonicScheduler(256<<10, 0.05),
 		Paths:     BothPaths,
@@ -330,5 +318,32 @@ func TestStreamReturnsOnTestbedClose(t *testing.T) {
 	if m.Elapsed != 3*time.Second || m.TotalBytes == 0 || m.PreBufferDone {
 		t.Fatalf("partial metrics not sealed at the stop instant: elapsed=%v bytes=%d prebuffered=%v",
 			m.Elapsed, m.TotalBytes, m.PreBufferDone)
+	}
+}
+
+// TestAtAnchorsToSessionStart: an At event fires offset after the start
+// of the next session — not after the At call — and only once.
+func TestAtAnchorsToSessionStart(t *testing.T) {
+	tb := newTB(t, steadyProfile(4))
+	clock := tb.Clock()
+	epoch := clock.Now()
+	var fired []time.Duration
+	tb.At(2*time.Second, func() { fired = append(fired, clock.Now().Sub(epoch)) })
+	// Seven idle seconds pass before the session starts.
+	drv := clock.Register()
+	drv.SleepUntil(epoch.Add(7 * time.Second))
+	drv.Unregister()
+	cfg := SessionConfig{
+		Scheduler: NewHarmonicScheduler(256<<10, 0.05),
+		Paths:     BothPaths,
+		Video:     "shortclip01",
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := tb.Stream(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(fired) != 1 || fired[0] != 9*time.Second {
+		t.Fatalf("At fired at %v, want once at +9s (session start +7s, offset 2s)", fired)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -65,8 +64,8 @@ type Profile struct {
 	// Seed varies the stochastic components between repetitions. A
 	// profile is fully deterministic per seed:
 	// repeated runs produce bit-identical metrics regardless of machine
-	// or load, because virtual time only advances when every registered
-	// emulation participant is parked.
+	// or load, because virtual time only advances as one driver fires
+	// the clock's events in order.
 	Seed int64
 	// EventLoop has no effect.
 	//
@@ -135,8 +134,13 @@ type Testbed struct {
 	cluster *origin.Cluster
 	client  *Client // default client (session 0)
 
-	injectMu   sync.Mutex
-	injectRels []func() // pending Inject holds, released at session start
+	at []atEvent // At events waiting for the next session start
+}
+
+// atEvent is one pending At call.
+type atEvent struct {
+	offset time.Duration
+	fn     func()
 }
 
 // NewTestbed deploys a testbed from the profile.
@@ -249,60 +253,46 @@ func (c *Client) LTE() *netem.Interface { return c.lte }
 // Testbed returns the testbed the client is attached to.
 func (c *Client) Testbed() *Testbed { return c.tb }
 
-// Inject spawns fn on a clock-registered goroutine, for fault
-// injection (Interface.SetAlive, Cluster.Kill) at deterministic virtual
-// instants; fn parks through the Participant handle it receives. A
-// clock hold pins virtual time until the next session starts on this
-// testbed (a session releases pending holds in its first step), so
-// fn's sleeps cannot run down before the session exists. The returned
-// release function drops the hold for the error path where no session
-// ever starts; defer it:
+// At schedules fn for offset after the start of the next session on
+// this testbed, for fault injection (Interface.SetAlive, Cluster.Kill,
+// Close) at deterministic virtual instants. The timer is armed in the
+// session's first step, so the timeline anchors to the session start;
+// an At with no session after it never fires. fn runs as a clock
+// callback and must not drive the clock:
 //
-//	defer tb.Inject(func(p *netem.Participant) {
-//		p.Sleep(30 * time.Second)
-//		tb.WiFi().SetAlive(false)
-//	})()
+//	tb.At(30*time.Second, func() { tb.WiFi().SetAlive(false) })
 //	m, err := tb.Stream(ctx, cfg)
-func (tb *Testbed) Inject(fn func(*netem.Participant)) (release func()) {
-	tb.clock.Hold()
-	var once sync.Once
-	rel := func() { once.Do(tb.clock.Release) }
-	tb.injectMu.Lock()
-	tb.injectRels = append(tb.injectRels, rel)
-	tb.injectMu.Unlock()
-	tb.clock.Go(fn)
-	return rel
+func (tb *Testbed) At(offset time.Duration, fn func()) {
+	tb.at = append(tb.at, atEvent{offset, fn})
 }
 
-// sessionStarted releases pending Inject holds; wired into every
-// session's OnRun so injected timelines anchor to the session start.
+// sessionStarted arms the pending At events; wired into every session's
+// OnRun so they anchor to the session start.
 func (tb *Testbed) sessionStarted() {
-	tb.injectMu.Lock()
-	rels := tb.injectRels
-	tb.injectRels = nil
-	tb.injectMu.Unlock()
-	for _, rel := range rels {
-		rel()
+	now := tb.clock.Now()
+	for _, a := range tb.at {
+		tb.clock.NewTimer(a.fn).Schedule(now.Add(a.offset))
 	}
+	tb.at = nil
 }
 
-// Drain parks the caller until the origin cluster's connection
-// machines have finished, parking the registered caller p on the
-// emulation clock. Call it after every session has completed —
-// session teardown aborts its connections at deterministic virtual
-// instants, so the server side unwinds on the clock too — and before
-// sampling Cluster().Loads(): a true return guarantees the per-server
-// books are final and exact. Returns false when the clock stopped
-// before the books closed.
+// Drain drives the clock through p until the origin cluster's
+// connection machines have finished. Call it after every session has
+// completed — session teardown aborts its connections at deterministic
+// virtual instants, so the server side unwinds on the clock too — and
+// before sampling Cluster().Loads(): a true return guarantees the
+// per-server books are final and exact. Returns false when the clock
+// stopped, or ran out of events, before the books closed.
 func (tb *Testbed) Drain(p *netem.Participant) bool {
 	return tb.cluster.Drain(p)
 }
 
 // Close tears the testbed down: origin servers shut down (aborting
-// their connections) and the clock stops, waking any remaining sleepers
-// in either clock mode. Now() is frozen at the stop instant, so
-// post-close accessors (session metrics, buffer levels) read a stable
-// emulated time.
+// their connections) and the clock stops, ending a running driver's
+// wait. Now() is frozen at the stop instant, so post-close accessors
+// (session metrics, buffer levels) read a stable emulated time. Close
+// may be called from a clock callback (an At event) to end a session
+// mid-run.
 func (tb *Testbed) Close() {
 	tb.cluster.Close()
 	tb.clock.Stop()
@@ -416,11 +406,11 @@ func (c *Client) NewSession(cfg SessionConfig) (*core.Player, error) {
 }
 
 // Stream runs a session on this client to completion and returns its
-// metrics, parking the calling goroutine on the testbed clock meanwhile
-// (see core.Player.Run). The caller must not already be registered with
-// the clock; registered callers — a fleet driver running many sessions —
-// use StreamEvented. A cancelled ctx or a closed testbed ends the
-// session early with the partial metrics sealed at that instant.
+// metrics, driving the testbed clock on the calling goroutine meanwhile
+// (see core.Player.Run). The clock must not have a live driver already;
+// a driver running many sessions — the fleet engine — uses
+// StreamEvented. A cancelled ctx or a closed testbed ends the session
+// early with the partial metrics sealed at that instant.
 func (c *Client) Stream(ctx context.Context, cfg SessionConfig) (*Metrics, error) {
 	p, err := c.NewSession(cfg)
 	if err != nil {
@@ -431,10 +421,9 @@ func (c *Client) Stream(ctx context.Context, cfg SessionConfig) (*Metrics, error
 
 // StreamEvented starts a session on this client as event-loop state
 // machines on loop and returns immediately; done receives the metrics
-// at the virtual instant the session ends. The caller (or some other
-// registered participant) must keep the clock alive while the session
-// runs; on a stopped clock, Interrupt the returned handle to collect
-// the partial result.
+// at the virtual instant the session ends. The caller drives the clock
+// while the session runs; on a stopped clock, Interrupt the returned
+// handle to collect the partial result.
 func (c *Client) StreamEvented(loop *netem.Loop, cfg SessionConfig, done func(*Metrics, error)) (*EventedSession, error) {
 	p, err := c.NewSession(cfg)
 	if err != nil {
