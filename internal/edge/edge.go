@@ -123,7 +123,8 @@ type Cache struct {
 	cfg      Config // post-defaults, for Restart
 	clock    *netem.Clock
 	catalog  *videostore.Catalog
-	secret   []byte
+	tokens   *origin.TokenMAC // verifies client tokens, signs fill tokens
+	xEdge    []string         // the X-Edge header value, shared by every response
 	tokenTTL time.Duration
 	policy   string
 	pageSize int64
@@ -172,7 +173,8 @@ func Deploy(n *netem.Network, cfg Config) (*Cache, error) {
 		cfg:      cfg,
 		clock:    clock,
 		catalog:  cfg.Catalog,
-		secret:   cfg.Secret,
+		tokens:   origin.NewTokenMAC(cfg.Secret),
+		xEdge:    []string{cfg.Name},
 		tokenTTL: cfg.TokenTTL,
 		policy:   cfg.Policy,
 		pageSize: cfg.PageSize,
@@ -321,22 +323,21 @@ type netHandler struct {
 // supported; anything else is a 501.
 func (h *netHandler) handlePlayback(w http.ResponseWriter, r *http.Request) {
 	e := h.e
-	q := r.URL.Query()
-	id := q.Get("v")
-	v, err := e.catalog.Get(id)
+	q := origin.ParsePlaybackQuery(r.URL.RawQuery)
+	v, err := e.catalog.Get(q.V)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if q.Get("net") != h.network {
-		http.Error(w, fmt.Sprintf("edge: token network %q not valid on %q", q.Get("net"), h.network), http.StatusForbidden)
+	if q.Net != h.network {
+		http.Error(w, fmt.Sprintf("edge: token network %q not valid on %q", q.Net, h.network), http.StatusForbidden)
 		return
 	}
-	if err := origin.VerifyToken(e.secret, id, h.network, q.Get("token"), q.Get("expire"), e.clock.Now()); err != nil {
+	if err := e.tokens.Verify(q.V, h.network, q.Token, q.Expire, e.clock.Now()); err != nil {
 		http.Error(w, err.Error(), http.StatusForbidden)
 		return
 	}
-	itag, err := strconv.Atoi(q.Get("itag"))
+	itag, err := strconv.Atoi(q.Itag)
 	if err != nil {
 		http.Error(w, "edge: bad itag", http.StatusBadRequest)
 		return
@@ -351,7 +352,7 @@ func (h *netHandler) handlePlayback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "edge: only GET is served", http.StatusNotImplemented)
 		return
 	}
-	from, to, ok := parsePlainRange(r.Header.Get("Range"))
+	from, to, ok := origin.ParsePlainRange(r.Header.Get("Range"))
 	if !ok {
 		http.Error(w, "edge: only plain single-range GETs are served", http.StatusNotImplemented)
 		return
@@ -361,13 +362,10 @@ func (h *netHandler) handlePlayback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hw := w.Header()
-	hw.Set("Content-Type", "video/mp4")
-	hw.Set("Accept-Ranges", "bytes")
-	hw.Set("X-Edge", e.name)
-	hw.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", from, to, size))
-	hw.Set("Content-Length", strconv.FormatInt(to-from+1, 10))
+	origin.SetRangeHead(hw, from, to, size)
+	hw["X-Edge"] = e.xEdge
 	w.WriteHeader(http.StatusPartialContent)
-	p := &playback{e: e, w: w, sw: w.(stableWriter), video: id, itag: itag, size: size, off: from, to: to}
+	p := &playback{e: e, w: w, sw: w.(origin.StableWriter), video: q.V, itag: itag, size: size, off: from, to: to}
 	p.next = p.step
 	httpx.After(w, p.next)
 }
@@ -384,7 +382,7 @@ func (h *netHandler) handlePlayback(w http.ResponseWriter, r *http.Request) {
 type playback struct {
 	e       *Cache
 	w       http.ResponseWriter
-	sw      stableWriter
+	sw      origin.StableWriter
 	video   string
 	itag    int
 	size    int64
@@ -435,7 +433,7 @@ func (p *playback) write(pg int64, page []byte) {
 	n := min(pstart+int64(len(page))-1, p.to) - p.off + 1
 	view := page[p.off-pstart : p.off-pstart+n]
 	for len(view) > 0 {
-		k := min(len(view), rangeChunk)
+		k := min(len(view), origin.RangeChunk)
 		p.sw.WriteStable(view[:k])
 		view = view[k:]
 	}
@@ -495,7 +493,7 @@ func (e *Cache) fill(s *store, key pageKey, f *flight, pstart, plen int64) {
 	info := origin.VideoInfo{
 		VideoID: key.video,
 		Network: nw.Name,
-		Token:   origin.SignToken(e.secret, key.video, expire, nw.Name),
+		Token:   e.tokens.Sign(key.video, expire, nw.Name),
 		Expire:  expire.Unix(),
 	}
 	url := info.PlaybackURL(nw.Upstream, key.itag)
@@ -514,42 +512,4 @@ func (e *Cache) fill(s *store, key pageKey, f *flight, pstart, plen int64) {
 			s.complete(key, f, data, err)
 		})
 	})
-}
-
-// rangeChunk mirrors the origin's 32 KB response write strides, so
-// pacing and flush behaviour downstream of an edge looks like the
-// origin's.
-const rangeChunk = 32 << 10
-
-// stableWriter is implemented by httpx response writers for body bytes
-// that are immutable and outlive the response.
-type stableWriter interface {
-	WriteStable(b []byte) (int, error)
-}
-
-// parsePlainRange parses the closed single-range form the players send
-// ("bytes=a-b", both ends explicit).
-func parsePlainRange(s string) (from, to int64, ok bool) {
-	const pfx = "bytes="
-	if len(s) <= len(pfx) || s[:len(pfx)] != pfx {
-		return 0, 0, false
-	}
-	dash := -1
-	for i := len(pfx); i < len(s); i++ {
-		if s[i] == '-' {
-			dash = i
-			break
-		}
-	}
-	if dash < 0 {
-		return 0, 0, false
-	}
-	var err error
-	if from, err = strconv.ParseInt(s[len(pfx):dash], 10, 64); err != nil || from < 0 {
-		return 0, 0, false
-	}
-	if to, err = strconv.ParseInt(s[dash+1:], 10, 64); err != nil || to < from {
-		return 0, 0, false
-	}
-	return from, to, true
 }

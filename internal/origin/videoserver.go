@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -29,10 +30,10 @@ type ThrottleConfig struct {
 // tokens minted by the network's web proxy and answers HTTP range
 // requests exactly like the Apache servers in the paper's testbed.
 type VideoServer struct {
-	name     string // replica address, for logs/metrics
+	replica  []string // the replica address: every response's X-Replica value
 	network  string
 	catalog  *videostore.Catalog
-	secret   []byte
+	tokens   *TokenMAC
 	clock    *netem.Clock
 	throttle *ThrottleConfig
 }
@@ -40,8 +41,8 @@ type VideoServer struct {
 // NewVideoServer builds a replica for the given access network.
 func NewVideoServer(name, network string, catalog *videostore.Catalog, secret []byte,
 	clock *netem.Clock, throttle *ThrottleConfig) *VideoServer {
-	return &VideoServer{name: name, network: network, catalog: catalog,
-		secret: secret, clock: clock, throttle: throttle}
+	return &VideoServer{replica: []string{name}, network: network, catalog: catalog,
+		tokens: NewTokenMAC(secret), clock: clock, throttle: throttle}
 }
 
 // Handler returns the server's HTTP handler, serving
@@ -49,26 +50,44 @@ func NewVideoServer(name, network string, catalog *videostore.Catalog, secret []
 func (s *VideoServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/videoplayback", s.handlePlayback)
-	return mux
+	return playbackRoute{s: s, mux: mux}
+}
+
+// playbackRoute sends requests for /videoplayback straight to the
+// handler mux would send them to. The module's go 1.21 line selects
+// the Go 1.21 ServeMux, whose lookup concatenates host and path per
+// request, an allocation once the two exceed 32 bytes, as every
+// replica's address does. Every other request — another or an unclean
+// path, CONNECT, "*" — goes through mux and gets its answer.
+type playbackRoute struct {
+	s   *VideoServer
+	mux *http.ServeMux
+}
+
+func (p playbackRoute) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/videoplayback" && r.Method != http.MethodConnect && r.RequestURI != "*" {
+		p.s.handlePlayback(w, r)
+		return
+	}
+	p.mux.ServeHTTP(w, r)
 }
 
 func (s *VideoServer) handlePlayback(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	id := q.Get("v")
-	v, err := s.catalog.Get(id)
+	q := ParsePlaybackQuery(r.URL.RawQuery)
+	v, err := s.catalog.Get(q.V)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if q.Get("net") != s.network {
-		http.Error(w, fmt.Sprintf("origin: token network %q not valid on %q", q.Get("net"), s.network), http.StatusForbidden)
+	if q.Net != s.network {
+		http.Error(w, fmt.Sprintf("origin: token network %q not valid on %q", q.Net, s.network), http.StatusForbidden)
 		return
 	}
-	if err := VerifyToken(s.secret, id, s.network, q.Get("token"), q.Get("expire"), s.clock.Now()); err != nil {
+	if err := s.tokens.Verify(q.V, s.network, q.Token, q.Expire, s.clock.Now()); err != nil {
 		http.Error(w, err.Error(), http.StatusForbidden)
 		return
 	}
-	itag, err := strconv.Atoi(q.Get("itag"))
+	itag, err := strconv.Atoi(q.Itag)
 	if err != nil {
 		http.Error(w, "origin: bad itag", http.StatusBadRequest)
 		return
@@ -78,25 +97,30 @@ func (s *VideoServer) handlePlayback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	w.Header().Set("X-Replica", s.name)
-	content := v.Content(f)
+	w.Header()["X-Replica"] = s.replica
 	if s.throttle != nil {
 		w = &pacedWriter{ResponseWriter: w, clock: s.clock,
 			burst: s.throttle.BurstBytes,
 			rate:  s.throttle.RateFactor * f.BytesPerSecond()}
 	}
-	if serveCachedRange(w, r, content) {
+	// serveCachedRange keeps no reference to its Content, so that one
+	// lives on the stack; only the fallback hands one to ServeContent.
+	if serveCachedRange(w, r, v.Content(f)) {
 		return
 	}
-	http.ServeContent(w, r, v.ID+".mp4", time.Unix(0, 0), content)
+	// Set here, the type does not depend on the host's MIME table,
+	// which has no .mp4 entry on a machine without /etc/mime.types.
+	w.Header()["Content-Type"] = videoMP4
+	http.ServeContent(w, r, v.ID+".mp4", time.Unix(0, 0), v.Content(f))
 }
 
-// rangeChunk mirrors the 32 KB scratch io.Copy and the httpx response
+// RangeChunk mirrors the 32 KB scratch io.Copy and the httpx response
 // writer stream bodies through: serving cached page views in the same
 // write-call sizes keeps every downstream behaviour that observes call
 // granularity — Trickle pacing sleeps, bufio flush boundaries —
-// identical to the ServeContent path.
-const rangeChunk = 32 << 10
+// identical to the ServeContent path. Edge caches write in the same
+// strides, so what lies downstream of an edge looks like the origin.
+const RangeChunk = 32 << 10
 
 // serveCachedRange answers the hot-path playback request — a plain
 // single-range GET, no preconditions, inside the content page cache —
@@ -116,18 +140,14 @@ func serveCachedRange(w http.ResponseWriter, r *http.Request, content *videostor
 		h.Get("If-Range") != "" {
 		return false
 	}
-	from, to, ok := parsePlainRange(h.Get("Range"))
+	from, to, ok := ParsePlainRange(h.Get("Range"))
 	size := content.Size()
 	if !ok || to >= size || !content.Cached(from, to-from+1) {
 		return false
 	}
-	hw := w.Header()
-	hw.Set("Content-Type", "video/mp4")
 	// No Last-Modified: ServeContent treats the Unix epoch modtime the
 	// playback handler passes as "unknown" and omits the header.
-	hw.Set("Accept-Ranges", "bytes")
-	hw.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", from, to, size))
-	hw.Set("Content-Length", strconv.FormatInt(to-from+1, 10))
+	SetRangeHead(w.Header(), from, to, size)
 	w.WriteHeader(http.StatusPartialContent)
 	// The body streams in the exact strides the ServeContent path
 	// produced — 32 KB from the range start, unaligned — so write-call
@@ -136,17 +156,21 @@ func serveCachedRange(w http.ResponseWriter, r *http.Request, content *videostor
 	// straddling a page edge goes through one pooled copy and a plain
 	// write (the scratch buffer is reused, so it must not be aliased
 	// into delivery segments) rather than perturbing the call sizes.
-	sw, _ := w.(stableWriter)
+	sw, _ := w.(StableWriter)
 	var scratch *[]byte
+	defer func() { // once, not per stride: a defer in the loop is heap-allocated
+		if scratch != nil {
+			rangeBufPool.Put(scratch)
+		}
+	}()
 	for off := from; off <= to; {
-		n := min(int64(rangeChunk), to-off+1)
+		n := min(int64(RangeChunk), to-off+1)
 		var err error
 		if view := content.CachedSlice(off, int(n)); view != nil && sw != nil {
 			_, err = sw.WriteStable(view)
 		} else {
 			if scratch == nil {
 				scratch = rangeBufPool.Get().(*[]byte)
-				defer rangeBufPool.Put(scratch)
 			}
 			buf := (*scratch)[:n]
 			if _, rerr := content.ReadAt(buf, off); rerr != nil {
@@ -162,37 +186,65 @@ func serveCachedRange(w http.ResponseWriter, r *http.Request, content *videostor
 	return true
 }
 
-// stableWriter is implemented by httpx response writers (and the paced
+// The constant values of a 206 head, shared by every response. Each
+// slice has len == cap, so a later Header.Add copies rather than
+// writing into it; nothing writes a header value in place.
+var (
+	videoMP4   = []string{"video/mp4"}
+	bytesRange = []string{"bytes"}
+)
+
+// SetRangeHead sets the head http.ServeContent writes for the 206
+// answer to "Range: bytes=from-to" of a size-byte video/mp4 body with
+// no modification time: Content-Type, Accept-Ranges, Content-Range and
+// Content-Length. The constant values are shared slices; the two
+// numeric ones are cut from one string backed by one two-value array,
+// the only allocations. The header writer sorts the keys, so setting
+// them by assignment leaves the wire bytes unchanged.
+func SetRangeHead(h http.Header, from, to, size int64) {
+	var buf [80]byte
+	b := append(buf[:0], "bytes "...)
+	b = strconv.AppendInt(b, from, 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, to, 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, size, 10)
+	cut := len(b)
+	b = strconv.AppendInt(b, to-from+1, 10)
+	vals := string(b)
+	pair := &[2]string{vals[:cut], vals[cut:]}
+	h["Content-Type"] = videoMP4
+	h["Accept-Ranges"] = bytesRange
+	h["Content-Range"] = pair[0:1:1]
+	h["Content-Length"] = pair[1:2:2]
+}
+
+// StableWriter is implemented by httpx response writers (and the paced
 // wrapper) for body bytes that are immutable and outlive the response.
-type stableWriter interface {
+type StableWriter interface {
 	WriteStable(b []byte) (int, error)
 }
 
 // rangeBufPool holds scratch for range strides that straddle a content
 // page boundary.
 var rangeBufPool = sync.Pool{
-	New: func() any { b := make([]byte, rangeChunk); return &b },
+	New: func() any { b := make([]byte, RangeChunk); return &b },
 }
 
-// parsePlainRange parses exactly the closed single-range form the
+// ParsePlainRange parses exactly the closed single-range form the
 // players send ("bytes=a-b", both ends explicit). Anything else —
 // suffix, open-ended, multiple ranges, malformed — is left to
 // ServeContent's full parser.
-func parsePlainRange(s string) (from, to int64, ok bool) {
+func ParsePlainRange(s string) (from, to int64, ok bool) {
 	const pfx = "bytes="
 	if len(s) <= len(pfx) || s[:len(pfx)] != pfx {
 		return 0, 0, false
 	}
-	dash := -1
-	for i := len(pfx); i < len(s); i++ {
-		if s[i] == '-' {
-			dash = i
-			break
-		}
-	}
+	dash := strings.IndexByte(s[len(pfx):], '-')
 	if dash < 0 {
 		return 0, 0, false
 	}
+	dash += len(pfx)
 	var err error
 	if from, err = strconv.ParseInt(s[len(pfx):dash], 10, 64); err != nil || from < 0 {
 		return 0, 0, false
@@ -231,7 +283,7 @@ func (p *pacedWriter) WriteStable(b []byte) (int, error) {
 	p.pace(len(b))
 	var n int
 	var err error
-	if sw, ok := p.ResponseWriter.(stableWriter); ok {
+	if sw, ok := p.ResponseWriter.(StableWriter); ok {
 		n, err = sw.WriteStable(b)
 	} else {
 		n, err = p.ResponseWriter.Write(b)

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/netem"
@@ -53,7 +55,7 @@ type WebProxy struct {
 	network  string // access network served, e.g. "wifi"
 	catalog  *videostore.Catalog
 	servers  func() []string // live video-server addresses in the network
-	secret   []byte
+	tokens   *TokenMAC
 	tokenTTL time.Duration
 	clock    *netem.Clock
 }
@@ -67,7 +69,7 @@ func NewWebProxy(network string, catalog *videostore.Catalog, servers func() []s
 	}
 	return &WebProxy{
 		network: network, catalog: catalog, servers: servers,
-		secret: secret, tokenTTL: ttl, clock: clock,
+		tokens: NewTokenMAC(secret), tokenTTL: ttl, clock: clock,
 	}
 }
 
@@ -80,7 +82,7 @@ func (p *WebProxy) Handler() http.Handler {
 }
 
 func (p *WebProxy) handleWatch(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("v")
+	id := ParsePlaybackQuery(r.URL.RawQuery).V
 	v, err := p.catalog.Get(id)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
@@ -94,7 +96,7 @@ func (p *WebProxy) handleWatch(w http.ResponseWriter, r *http.Request) {
 		LengthSeconds: int64(v.Duration.Seconds()),
 		VideoServers:  p.servers(),
 		Network:       p.network,
-		Token:         SignToken(p.secret, v.ID, expire, p.network),
+		Token:         p.tokens.Sign(v.ID, expire, p.network),
 		Expire:        expire.Unix(),
 		ClientAddr:    r.RemoteAddr,
 	}
@@ -130,15 +132,91 @@ var jsonPadding = func() string {
 }()
 
 // PlaybackURL synthesizes the videoplayback URL for a given server
-// address and format, as MSPlayer does after decoding the JSON.
+// address and format, as MSPlayer does after decoding the JSON. The
+// bytes are url.Values' encoding: keys in sorted order, each value
+// query-escaped (the decimal integers need no escaping), built in one
+// buffer.
 func (info *VideoInfo) PlaybackURL(serverAddr string, itag int) string {
-	q := url.Values{}
-	q.Set("v", info.VideoID)
-	q.Set("itag", fmt.Sprint(itag))
-	q.Set("token", info.Token)
-	q.Set("expire", fmt.Sprint(info.Expire))
-	q.Set("net", info.Network)
-	return fmt.Sprintf("http://%s/videoplayback?%s", serverAddr, q.Encode())
+	var num [20]byte
+	var b strings.Builder
+	b.Grow(len("http:///videoplayback?expire=&itag=&net=&token=&v=") + len(serverAddr) +
+		2*len(num) + len(info.Network) + len(info.Token) + len(info.VideoID))
+	b.WriteString("http://")
+	b.WriteString(serverAddr)
+	b.WriteString("/videoplayback?expire=")
+	b.Write(strconv.AppendInt(num[:0], info.Expire, 10))
+	b.WriteString("&itag=")
+	b.Write(strconv.AppendInt(num[:0], int64(itag), 10))
+	b.WriteString("&net=")
+	b.WriteString(url.QueryEscape(info.Network))
+	b.WriteString("&token=")
+	b.WriteString(url.QueryEscape(info.Token))
+	b.WriteString("&v=")
+	b.WriteString(url.QueryEscape(info.VideoID))
+	return b.String()
+}
+
+// PlaybackQuery holds the parameters of a videoplayback request.
+type PlaybackQuery struct {
+	V, Itag, Token, Expire, Net string
+}
+
+// ParsePlaybackQuery reads the videoplayback parameters out of a raw
+// query in one scan, without building url.Values. Each field is what
+// url.ParseQuery(raw).Get gives for its key: the first value wins,
+// pairs containing ';' are skipped, only keys and values holding '%'
+// or '+' are unescaped, and a pair that fails to unescape is skipped.
+func ParsePlaybackQuery(raw string) PlaybackQuery {
+	var q PlaybackQuery
+	var seen uint8
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+			continue
+		}
+		key, value, _ := strings.Cut(pair, "=")
+		key, ok := queryUnescape(key)
+		if !ok {
+			continue
+		}
+		f, bit := q.field(key)
+		if f == nil || seen&bit != 0 {
+			continue
+		}
+		if value, ok = queryUnescape(value); ok {
+			*f = value
+			seen |= bit
+		}
+	}
+	return q
+}
+
+// field maps a query key to its field and a bit of its own.
+func (q *PlaybackQuery) field(key string) (*string, uint8) {
+	switch key {
+	case "v":
+		return &q.V, 1 << 0
+	case "itag":
+		return &q.Itag, 1 << 1
+	case "token":
+		return &q.Token, 1 << 2
+	case "expire":
+		return &q.Expire, 1 << 3
+	case "net":
+		return &q.Net, 1 << 4
+	}
+	return nil, 0
+}
+
+// queryUnescape is url.QueryUnescape, called only where it can change
+// s.
+func queryUnescape(s string) (string, bool) {
+	if strings.IndexByte(s, '%') < 0 && strings.IndexByte(s, '+') < 0 {
+		return s, true
+	}
+	u, err := url.QueryUnescape(s)
+	return u, err == nil
 }
 
 // ContentLengthFor returns the advertised size for itag, or an error if

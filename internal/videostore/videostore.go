@@ -79,9 +79,11 @@ func (v *Video) Size(f Format) int64 { return f.BytesFor(v.Duration) }
 // the given format, usable with http.ServeContent. Bytes are a pure
 // function of (video ID, itag, offset) so range responses fetched over
 // different paths and different replicas agree exactly, which lets tests
-// verify multi-source reassembly byte for byte.
+// verify multi-source reassembly byte for byte. Content is small
+// enough to inline, so a caller that keeps no reference to the result
+// gets it on the stack.
 func (v *Video) Content(f Format) *Content {
-	return &Content{seed: contentSeed(v.ID, f.Itag), size: v.Size(f)}
+	return &Content{seed: contentSeed(v.ID, f.Itag), size: f.BytesFor(v.Duration)}
 }
 
 func contentSeed(id string, itag int) uint64 {
