@@ -19,6 +19,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"sync"
 
 	"repro/internal/netem"
 	"repro/internal/origin"
@@ -33,14 +34,26 @@ func main() {
 	clock := netem.NewVirtualClock()
 	defer clock.Stop()
 	catalog := videostore.DefaultCatalog()
-	secret := []byte("msplayer-local-origin")
 
-	// One mux serving both the proxy role (/watch) and the video role
-	// (/videoplayback): replicas are pointless on a single host.
-	self := *addr
-	proxy := origin.NewWebProxy(*network, catalog, func() []string { return []string{self} },
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("origin listening on http://%s (videos: %v)", *addr, catalog.IDs())
+	log.Fatal((&http.Server{Handler: newHandler(*addr, *network, catalog, clock)}).Serve(l))
+}
+
+// newHandler serves both the proxy role (/watch) and the video role
+// (/videoplayback) from one mux: replicas are pointless on a single
+// host. The servers keep request-path state (each owns an
+// origin.TokenMAC) that the emulation drives from one goroutine, while
+// net/http serves each connection on its own, so the mux runs one
+// request at a time.
+func newHandler(self, network string, catalog *videostore.Catalog, clock *netem.Clock) http.Handler {
+	secret := []byte("msplayer-local-origin")
+	proxy := origin.NewWebProxy(network, catalog, func() []string { return []string{self} },
 		secret, origin.TokenTTL, clock)
-	video := origin.NewVideoServer(self, *network, catalog, secret, clock, nil)
+	video := origin.NewVideoServer(self, network, catalog, secret, clock, nil)
 
 	mux := http.NewServeMux()
 	mux.Handle("/watch", proxy.Handler())
@@ -51,11 +64,17 @@ func main() {
 			fmt.Fprintf(w, "  /watch?v=%s\n", id)
 		}
 	})
+	return &serialized{h: mux}
+}
 
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("origin listening on http://%s (videos: %v)", *addr, catalog.IDs())
-	log.Fatal((&http.Server{Handler: mux}).Serve(l))
+// serialized runs one request at a time through h.
+type serialized struct {
+	mu sync.Mutex
+	h  http.Handler
+}
+
+func (s *serialized) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.h.ServeHTTP(w, r)
 }

@@ -212,9 +212,7 @@ func (e *Cache) listen() error {
 		}
 		e.addrs[nw.Name] = addr
 		h := &netHandler{e: e, network: nw.Name}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/videoplayback", h.handlePlayback)
-		srv := httpx.Serve(e.clock, l, mux, e.cfg.Handshake)
+		srv := httpx.Serve(e.clock, l, h, e.cfg.Handshake)
 		e.mu.Lock()
 		e.srvs = append(e.srvs, srv)
 		e.mu.Unlock()
@@ -314,6 +312,16 @@ func (e *Cache) Close() {
 type netHandler struct {
 	e       *Cache
 	network string
+}
+
+// ServeHTTP routes the edge's one path, /videoplayback, and answers
+// every other with 404, as the origin's video servers do.
+func (h *netHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/videoplayback" {
+		http.NotFound(w, r)
+		return
+	}
+	h.handlePlayback(w, r)
 }
 
 // handlePlayback answers GET /videoplayback exactly like an origin

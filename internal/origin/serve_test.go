@@ -281,30 +281,3 @@ func FuzzPlaybackQuery(f *testing.F) {
 		}
 	})
 }
-
-// TestHandlerRoutesLikeServeMux checks that VideoServer.Handler answers
-// every request shape as a plain ServeMux with the same route does.
-func TestHandlerRoutesLikeServeMux(t *testing.T) {
-	clock := netem.NewVirtualClock()
-	t.Cleanup(clock.Stop)
-	s := NewVideoServer("video0.youtube.wifi.test:443", "wifi", videostore.DefaultCatalog(), []byte("k"), clock, nil)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/videoplayback", s.handlePlayback)
-	for _, tc := range []struct{ method, target string }{
-		{http.MethodGet, "/videoplayback?v=nosuchvideo"},
-		{http.MethodGet, "/videoplayback/"},
-		{http.MethodGet, "//videoplayback"},
-		{http.MethodGet, "/x/../videoplayback"},
-		{http.MethodGet, "/watch"},
-		{http.MethodConnect, "/videoplayback"},
-		{http.MethodOptions, "*"},
-	} {
-		want, got := httptest.NewRecorder(), httptest.NewRecorder()
-		mux.ServeHTTP(want, httptest.NewRequest(tc.method, tc.target, nil))
-		s.Handler().ServeHTTP(got, httptest.NewRequest(tc.method, tc.target, nil))
-		if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) || got.Body.String() != want.Body.String() {
-			t.Errorf("%s %s: %d %v %q, ServeMux %d %v %q", tc.method, tc.target,
-				got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
-		}
-	}
-}

@@ -34,8 +34,12 @@ func VerifyToken(secret []byte, videoID, network, token, expireUnix string, now 
 // TokenMAC signs and verifies access tokens under one secret. It keys
 // one HMAC-SHA256 at construction and reuses it, with its message and
 // digest buffers, for every token, so a check on the request path
-// allocates nothing. A TokenMAC is not safe for concurrent use: each
-// server owns one and calls it from the clock's driver only.
+// allocates nothing. A TokenMAC is not safe for concurrent use, and
+// each VideoServer, WebProxy and edge Cache owns one, so their handlers
+// must not run concurrently: in the emulation the clock's one driver
+// runs them all, and a net/http server, which serves each connection
+// on its own goroutine, must run them one request at a time, as
+// cmd/origin does.
 type TokenMAC struct {
 	mac hash.Hash
 	buf []byte // the signed message, then its digest

@@ -46,30 +46,16 @@ func NewVideoServer(name, network string, catalog *videostore.Catalog, secret []
 }
 
 // Handler returns the server's HTTP handler, serving
-// GET /videoplayback?v=<id>&itag=<n>&token=<t>&expire=<unix>&net=<name>.
+// GET /videoplayback?v=<id>&itag=<n>&token=<t>&expire=<unix>&net=<name>
+// and answering every other path with 404: a replica has one route.
 func (s *VideoServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/videoplayback", s.handlePlayback)
-	return playbackRoute{s: s, mux: mux}
-}
-
-// playbackRoute sends requests for /videoplayback straight to the
-// handler mux would send them to. The module's go 1.21 line selects
-// the Go 1.21 ServeMux, whose lookup concatenates host and path per
-// request, an allocation once the two exceed 32 bytes, as every
-// replica's address does. Every other request — another or an unclean
-// path, CONNECT, "*" — goes through mux and gets its answer.
-type playbackRoute struct {
-	s   *VideoServer
-	mux *http.ServeMux
-}
-
-func (p playbackRoute) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/videoplayback" && r.Method != http.MethodConnect && r.RequestURI != "*" {
-		p.s.handlePlayback(w, r)
-		return
-	}
-	p.mux.ServeHTTP(w, r)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/videoplayback" {
+			http.NotFound(w, r)
+			return
+		}
+		s.handlePlayback(w, r)
+	})
 }
 
 func (s *VideoServer) handlePlayback(w http.ResponseWriter, r *http.Request) {

@@ -80,8 +80,11 @@ func (v *Video) Size(f Format) int64 { return f.BytesFor(v.Duration) }
 // function of (video ID, itag, offset) so range responses fetched over
 // different paths and different replicas agree exactly, which lets tests
 // verify multi-source reassembly byte for byte. Content is small
-// enough to inline, so a caller that keeps no reference to the result
-// gets it on the stack.
+// enough to inline (it spells out Size's body to stay so), so a caller
+// that keeps no reference to the result gets it on the stack: one heap
+// allocation less per range request, ≈ 22 per flashcrowd session.
+// internal/origin's TestCachedRangeRequestAllocs fails if it stops
+// inlining.
 func (v *Video) Content(f Format) *Content {
 	return &Content{seed: contentSeed(v.ID, f.Itag), size: f.BytesFor(v.Duration)}
 }
