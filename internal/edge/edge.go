@@ -135,6 +135,10 @@ type Cache struct {
 	mu   sync.Mutex
 	srvs []*httpx.Server // every incarnation's servers, deploy order
 	old  []*store        // stores retired by Restart; their books still count
+
+	// free holds finished playbacks for the next /videoplayback body.
+	// Handlers and their continuations run on the clock's one driver.
+	free []*playback
 }
 
 // Deploy builds and starts an edge cache on n.
@@ -373,9 +377,31 @@ func (h *netHandler) handlePlayback(w http.ResponseWriter, r *http.Request) {
 	origin.SetRangeHead(hw, from, to, size)
 	hw["X-Edge"] = e.xEdge
 	w.WriteHeader(http.StatusPartialContent)
-	p := &playback{e: e, w: w, sw: w.(origin.StableWriter), video: q.V, itag: itag, size: size, off: from, to: to}
-	p.next = p.step
+	p := e.newPlayback()
+	*p = playback{e: e, w: w, sw: w.(origin.StableWriter), video: q.V, itag: itag, size: size, off: from, to: to, next: p.next}
 	httpx.After(w, p.next)
+}
+
+// newPlayback takes a finished playback off the free list, or makes one
+// and binds its continuation once, so a range request allocates
+// neither.
+func (e *Cache) newPlayback() *playback {
+	if n := len(e.free); n > 0 {
+		p := e.free[n-1]
+		e.free = e.free[:n-1]
+		return p
+	}
+	p := &playback{}
+	p.next = p.step
+	return p
+}
+
+// done returns p, whose body has ended, to the free list. p's
+// continuation has run for the last time: nothing calls it again.
+func (p *playback) done() {
+	e := p.e
+	*p = playback{next: p.next}
+	e.free = append(e.free, p)
 }
 
 // playback is one /videoplayback body in flight. It streams page by
@@ -410,6 +436,7 @@ func (p *playback) step(written int64, err error, resume func()) {
 		p.served = written
 	}
 	if err != nil || p.off > p.to {
+		p.done()
 		resume()
 		return
 	}
@@ -418,6 +445,7 @@ func (p *playback) step(written int64, err error, resume func()) {
 		p.f = nil
 		view, ferr := f.PageView()
 		if ferr != nil {
+			p.done()
 			resume() // the fill failed: the response ends short
 			return
 		}

@@ -52,6 +52,16 @@ type EventTransport struct {
 	idle   map[string][]*evClientConn
 	live   map[*evClientConn]struct{}
 	closed error
+
+	// The last URL a request targeted and what it parsed to: a path
+	// fetches every chunk from the same URL.
+	lastURL                     string
+	lastAddr, lastHost, lastURI string
+
+	// freeViews holds the view slices of released 206 bodies, emptied,
+	// for the next body's views: every machine runs on this transport's
+	// one loop, so a plain free list serves.
+	freeViews [][][]byte
 }
 
 // NewEventTransport builds an event-loop transport over iface whose
@@ -130,14 +140,8 @@ func (t *EventTransport) Shutdown(err error) {
 // body byte and retires the connection (the body is never read).
 // Transport errors arrive unwrapped.
 func (t *EventTransport) Get(url string, cb func(status int, body []byte, err error)) {
-	rq := &evReq{done: func(res *evResult, err error) {
-		if err != nil {
-			cb(0, nil, err)
-			return
-		}
-		cb(res.status, res.body, nil)
-	}}
-	if !rq.target(url) {
+	rq := &evReq{done: getDone, getCB: cb}
+	if !t.target(rq, url) {
 		cb(0, nil, fmt.Errorf("httpx: invalid url %q", url))
 		return
 	}
@@ -146,52 +150,68 @@ func (t *EventTransport) Get(url string, cb func(status int, body []byte, err er
 
 // GetRangeViews fetches the inclusive byte range [from, to] of url and
 // delivers the 206 body as borrowed views of the connection's arrived
-// segments. The views are valid until release is called (from a loop
-// step); releasing returns the bytes to the pipe's segment pool,
-// completing the zero-copy read path. Any status but 206 fails with a
-// *StatusError carrying up to 512 bytes of the error body; a 206 of
-// the wrong length fails too.
+// segments. The views, and the slice that holds them, are valid until
+// release is called (from a loop step); releasing returns the bytes to
+// the pipe's segment pool, completing the zero-copy read path, and the
+// slice to the transport for a later body. Any status but 206 fails
+// with a *StatusError carrying up to 512 bytes of the error body; a 206
+// of the wrong length fails too.
 func (t *EventTransport) GetRangeViews(url string, from, to int64, cb func(views [][]byte, release func(), err error)) {
 	if to < from {
 		cb(nil, nil, fmt.Errorf("httpx: invalid range %d-%d", from, to))
 		return
 	}
 	rq := &evReq{
+		done:      rangeDone,
+		rangeCB:   cb,
+		url:       url,
 		hasRange:  true,
 		rangeFrom: from,
 		rangeTo:   to,
 	}
-	rq.done = func(res *evResult, err error) {
-		if err != nil {
-			cb(nil, nil, err)
-			return
-		}
-		if res.status != 206 {
-			// Non-206: the collected (≤512-byte) prefix becomes the
-			// StatusError message.
-			cb(nil, nil, &StatusError{Code: res.status,
-				Msg: fmt.Sprintf("range %d-%d of %s: %.80s", from, to, url, res.body)})
-			return
-		}
-		want := to - from + 1
-		if res.bodyN != want {
-			cb(nil, nil, fmt.Errorf("httpx: range %d-%d returned %d bytes, want %d", from, to, res.bodyN, want))
-			return
-		}
-		if res.views == nil {
-			// Collect fallback (chunked or mis-declared 206, never produced
-			// by the emulated origin): hand the copy over as a single view.
-			body := res.body
-			cb([][]byte{body}, func() {}, nil)
-			return
-		}
-		cb(res.views, res.release, nil)
-	}
-	if !rq.target(url) {
+	if !t.target(rq, url) {
 		cb(nil, nil, fmt.Errorf("httpx: invalid url %q", url))
 		return
 	}
 	t.startRequest(rq)
+}
+
+// getDone delivers a Get's result to its callback.
+func getDone(rq *evReq, res evResult, err error) {
+	if err != nil {
+		rq.getCB(0, nil, err)
+		return
+	}
+	rq.getCB(res.status, res.body, nil)
+}
+
+// rangeDone delivers a GetRangeViews result to its callback.
+func rangeDone(rq *evReq, res evResult, err error) {
+	cb, from, to := rq.rangeCB, rq.rangeFrom, rq.rangeTo
+	if err != nil {
+		cb(nil, nil, err)
+		return
+	}
+	if res.status != 206 {
+		// Non-206: the collected (≤512-byte) prefix becomes the
+		// StatusError message.
+		cb(nil, nil, &StatusError{Code: res.status,
+			Msg: fmt.Sprintf("range %d-%d of %s: %.80s", from, to, rq.url, res.body)})
+		return
+	}
+	want := to - from + 1
+	if res.bodyN != want {
+		cb(nil, nil, fmt.Errorf("httpx: range %d-%d returned %d bytes, want %d", from, to, res.bodyN, want))
+		return
+	}
+	if res.views == nil {
+		// Collect fallback (chunked or mis-declared 206, never produced
+		// by the emulated origin): hand the copy over as a single view.
+		body := res.body
+		cb([][]byte{body}, func() {}, nil)
+		return
+	}
+	cb(res.views, res.release, nil)
 }
 
 // evResult is one completed exchange, pre-interpretation.
@@ -324,8 +344,13 @@ const maxChunkLine = 4096
 // connection is retried once on a fresh dial, and every attempt runs
 // under its own request deadline.
 type evReq struct {
-	t    *EventTransport
-	done func(*evResult, error)
+	t *EventTransport
+	// done interprets the result for the caller's callback, getCB or
+	// rangeCB: a plain function, so a request costs no closure.
+	done    func(rq *evReq, res evResult, err error)
+	getCB   func(status int, body []byte, err error)
+	rangeCB func(views [][]byte, release func(), err error)
+	url     string
 
 	addr, host, uri    string
 	hasRange           bool
@@ -351,6 +376,7 @@ type evReq struct {
 	sendPooled *[]byte
 
 	acc  []byte
+	accp *[]byte // the headPool entry acc came from
 	scan int
 
 	status        int
@@ -390,9 +416,24 @@ func (rq *evReq) target(url string) bool {
 	return true
 }
 
+// target sets rq's target from url, parsing it only when it differs
+// from the previous request's.
+func (t *EventTransport) target(rq *evReq, url string) bool {
+	if url != t.lastURL || url == "" {
+		if !rq.target(url) {
+			return false
+		}
+		t.lastURL, t.lastAddr, t.lastHost, t.lastURI = url, rq.addr, rq.host, rq.uri
+		return true
+	}
+	rq.addr, rq.host, rq.uri = t.lastAddr, t.lastHost, t.lastURI
+	return true
+}
+
 func (t *EventTransport) startRequest(rq *evReq) {
 	rq.t = t
-	rq.acc = (*headPool.Get().(*[]byte))[:0]
+	rq.accp = headPool.Get().(*[]byte)
+	rq.acc = (*rq.accp)[:0]
 	rq.script = handshake.ClientScript()
 	rq.armDeadline()
 	rq.getConn()
@@ -747,18 +788,15 @@ var headPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4<<10); return &b },
 }
 
-const maxPooledHead = 64 << 10
-
 // putAcc returns the request's head-accumulation buffer to the pool.
 // Only call when no live slice of acc can escape the request: after
 // parseHead has copied out everything it interprets, results reference
 // rq.body and rq.views, never acc.
 func (rq *evReq) putAcc() {
-	if rq.acc != nil && cap(rq.acc) <= maxPooledHead {
-		b := rq.acc[:0]
-		headPool.Put(&b)
+	if rq.accp != nil {
+		putBuf(&headPool, rq.accp, rq.acc)
 	}
-	rq.acc = nil
+	rq.acc, rq.accp = nil, nil
 }
 
 // feedHead accumulates the response head and parses it at the
@@ -794,7 +832,8 @@ func (rq *evReq) feedHead(b []byte) int {
 // http.ReadResponse accepts (TestReadResponseMatchesNetHTTP and
 // FuzzReadResponseHead hold it to that, at net/http's defaults since
 // Go 1.22; bare-LF line ends are the one deliberate difference, since
-// every emulated server writes CRLF).
+// every emulated server writes CRLF). The server's request heads are
+// held to net/http's ReadRequest by the same contract (reqHead.parse).
 func (rq *evReq) parseHead() error {
 	rq.status = 0
 	rq.contentLength = -1
@@ -842,6 +881,7 @@ func (rq *evReq) parseHead() error {
 		// allocate the ~20 KB padding header once per request.
 		switch {
 		case eqFold(key, "Content-Length"):
+			val = trimOWS(val)
 			if cl != nil && !bytes.Equal(cl, val) {
 				return fmt.Errorf("conflicting Content-Length %q and %q", cl, val)
 			}
@@ -883,10 +923,12 @@ func (rq *evReq) parseHead() error {
 }
 
 // nextField cuts the next header field off block as textproto's
-// ReadMIMEHeader reads one: the line up to CRLF, folded with any obs-fold
-// continuation lines, split at its first colon into a name and an
-// OWS-trimmed value, both validated. At the blank line that ends the
-// block it returns a nil key and the bytes after that line.
+// ReadMIMEHeader reads one: the line up to CRLF, OWS-trimmed or folded
+// with any obs-fold continuation lines, split at its first colon into a
+// name and a value with its leading OWS trimmed, both validated. (A
+// folded value keeps the space that joins an empty continuation line, as
+// textproto's does.) At the blank line that ends the block it returns a
+// nil key and the bytes after that line.
 func nextField(block []byte) (key, val, rest []byte, err error) {
 	line, rest := cutLine(block)
 	if line == nil {
@@ -901,12 +943,17 @@ func nextField(block []byte) (key, val, rest []byte, err error) {
 	}
 	if len(rest) > 0 && (rest[0] == ' ' || rest[0] == '\t') {
 		line, rest = foldLines(line, rest)
+	} else {
+		line = trimOWS(line)
 	}
 	key, val = line[:colon], line[colon+1:]
 	if !validFieldName(key, true) || !validFieldValue(val) {
 		return nil, nil, nil, fmt.Errorf("malformed header line %q", line)
 	}
-	return key, trimOWS(val), rest, nil
+	for len(val) > 0 && (val[0] == ' ' || val[0] == '\t') {
+		val = val[1:]
+	}
+	return key, val, rest, nil
 }
 
 // parseVersion is http.ParseHTTPVersion over bytes.
@@ -1004,7 +1051,7 @@ func hasToken(v []byte, token string) bool {
 
 // eqFold reports ASCII case-insensitive equality of b and s without
 // allocating.
-func eqFold(b []byte, s string) bool {
+func eqFold[S string | []byte](b S, s string) bool {
 	if len(b) != len(s) {
 		return false
 	}
@@ -1024,7 +1071,7 @@ func eqFold(b []byte, s string) bool {
 }
 
 // trimOWS trims SP and HTAB from both ends of b.
-func trimOWS(b []byte) []byte {
+func trimOWS[S string | []byte](b S) S {
 	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t') {
 		b = b[1:]
 	}
@@ -1067,6 +1114,10 @@ func (rq *evReq) beginBody() {
 		// The exact-length 206: deliver borrowed views, zero-copy.
 		rq.collectBody = false
 		rq.hold = &viewHold{}
+		if n := len(rq.t.freeViews); n > 0 {
+			rq.views = rq.t.freeViews[n-1]
+			rq.t.freeViews = rq.t.freeViews[:n-1]
+		}
 	}
 	switch {
 	case rq.chunked:
@@ -1284,22 +1335,30 @@ func (rq *evReq) complete() {
 	rq.stopTimers()
 	pc := rq.pc
 	pc.rq = nil
-	res := &evResult{status: rq.status, body: rq.body, bodyN: rq.bodyN}
+	res := evResult{status: rq.status, body: rq.body, bodyN: rq.bodyN}
 	if rq.views != nil {
-		hold := rq.hold
-		res.views = rq.views
+		t, hold, views := rq.t, rq.hold, rq.views
+		res.views = views
 		res.release = func() {
+			if hold.released {
+				return
+			}
 			hold.released = true
 			pc.drainRel()
+			// The consumer is done with the views: their slice serves
+			// the transport's next body.
+			clear(views)
+			t.freeViews = append(t.freeViews, views[:0])
 		}
 	}
+	rq.views = nil
 	if rq.conndead || rq.respClose || rq.dlFired {
 		rq.t.retire(pc)
 	} else {
 		rq.t.putIdle(pc)
 	}
 	rq.putAcc()
-	rq.done(res, nil)
+	rq.done(rq, res, nil)
 }
 
 // fail ends the attempt with err. A reused connection whose request
@@ -1334,5 +1393,5 @@ func (rq *evReq) fail(err error, retryStage bool) {
 	}
 	rq.stopTimers()
 	rq.putAcc()
-	rq.done(nil, err)
+	rq.done(rq, evResult{}, err)
 }

@@ -44,7 +44,8 @@ var accPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4<<10); return &b },
 }
 
-const maxPooledAcc = 64 << 10
+// maxPooledBuf bounds the buffers putBuf returns to their pools.
+const maxPooledBuf = 64 << 10
 
 // stagePool recycles the per-connection response-staging arenas (a
 // response head plus its non-stable body bytes; page payloads alias
@@ -55,12 +56,8 @@ var stagePool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4<<10); return &b },
 }
 
-// srvBrPool / srvBwPool recycle the per-connection bufio pair the
-// machine feeds http.ReadRequest and the responseWriter from.
-var srvBrPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, 4<<10) },
-}
-
+// srvBwPool recycles the per-connection bufio.Writer the responseWriter
+// frames responses through.
 var srvBwPool = sync.Pool{
 	New: func() any { return bufio.NewWriterSize(io.Discard, 4<<10) },
 }
@@ -95,7 +92,8 @@ type eventConn struct {
 	// views immediately (server-bound traffic is headers and handshake
 	// messages, so the copy is what a blocking bufio reader did too).
 	acc  []byte
-	scan int // request-terminator search resumes here
+	accp *[]byte // the accPool entry acc came from
+	scan int     // request-terminator search resumes here
 
 	// Handshake progress.
 	script    [3]handshake.ServerStep
@@ -111,7 +109,10 @@ type eventConn struct {
 	pumpIdx int
 	pumpOff int
 
-	// Current request.
+	// Current request: head parses every request head into the one
+	// request it owns; req is that request between its head's parse and
+	// its dispatch (it waits there for a declared body).
+	head     reqHead
 	req      *http.Request
 	reqTotal int // acc bytes spanning the request (headers + body)
 	pendReq  *http.Request
@@ -129,11 +130,9 @@ type eventConn struct {
 	failWritten int64
 	failAcked   int64
 
-	stage      *stageWriter
-	rw         *responseWriter
-	hdrReader  bytes.Reader
-	bodyReader bytes.Reader
-	br         *bufio.Reader
+	stage  *stageWriter
+	arenap *[]byte // the stagePool entry stage.arena came from
+	rw     *responseWriter
 
 	remoteAddr string
 }
@@ -149,14 +148,14 @@ func (s *Server) serveConn(c *netem.Conn) {
 		script:     handshake.ServerScript(s.hs),
 		remoteAddr: c.RemoteAddr().String(),
 	}
-	ec.acc = (*accPool.Get().(*[]byte))[:0]
-	ec.stage = &stageWriter{arena: (*stagePool.Get().(*[]byte))[:0]}
+	ec.accp = accPool.Get().(*[]byte)
+	ec.acc = (*ec.accp)[:0]
+	ec.arenap = stagePool.Get().(*[]byte)
+	ec.stage = &stageWriter{arena: (*ec.arenap)[:0]}
 	bw := srvBwPool.Get().(*bufio.Writer)
 	bw.Reset(ec.stage)
 	ec.rw = &responseWriter{conn: ec.stage, header: make(http.Header, 8), bw: bw}
 	ec.stage.rw = ec.rw
-	ec.br = srvBrPool.Get().(*bufio.Reader)
-	ec.br.Reset(&ec.hdrReader)
 	// Steps are bound once per connection: a method value or closure
 	// built per wake would allocate on every readiness callback.
 	advance := ec.advance
@@ -190,22 +189,13 @@ func (ec *eventConn) finish() {
 	ec.c.OnWritable(nil)
 	ec.delay.Stop()
 	ec.c.Close()
-	if cap(ec.acc) <= maxPooledAcc {
-		acc := ec.acc[:0]
-		accPool.Put(&acc)
-	}
-	ec.acc = nil
+	putBuf(&accPool, ec.accp, ec.acc)
+	ec.acc, ec.accp = nil, nil
 	// The machine is done: no step can touch the staging or bufio
 	// state after evDone, so their buffers go back to their pools.
-	if cap(ec.stage.arena) <= maxPooledAcc {
-		arena := ec.stage.arena[:0]
-		stagePool.Put(&arena)
-	}
-	ec.stage.arena = nil
+	putBuf(&stagePool, ec.arenap, ec.stage.arena)
+	ec.stage.arena, ec.arenap = nil, nil
 	ec.stage.recs = nil
-	ec.br.Reset(nil)
-	srvBrPool.Put(ec.br)
-	ec.br = nil
 	ec.rw.bw.Reset(io.Discard)
 	srvBwPool.Put(ec.rw.bw)
 	ec.rw.bw = nil
@@ -213,6 +203,17 @@ func (ec *eventConn) finish() {
 	s.mu.Lock()
 	s.active--
 	s.mu.Unlock()
+}
+
+// putBuf returns buf, which may have grown past the buffer *p held when
+// it came from pool, to pool through p itself: a fresh pointer per Put
+// would be one allocation. Buffers grown past maxPooledBuf are left to
+// the collector.
+func putBuf(pool *sync.Pool, p *[]byte, buf []byte) {
+	if cap(buf) <= maxPooledBuf {
+		*p = buf[:0]
+		pool.Put(p)
+	}
 }
 
 // fill copies arrived bytes into acc until it holds at least need.
@@ -367,15 +368,8 @@ func (ec *eventConn) advance() {
 func (ec *eventConn) readRequest() bool {
 	if ec.req == nil {
 		// Accumulate until the header terminator is visible.
-		he := -1
-		for {
-			if i := bytes.Index(ec.acc[ec.scan:], crlfcrlf); i >= 0 {
-				he = ec.scan + i
-				break
-			}
-			if len(ec.acc) >= len(crlfcrlf)-1 {
-				ec.scan = len(ec.acc) - (len(crlfcrlf) - 1)
-			}
+		he := ec.headEnd()
+		for he < 0 {
 			ok, err := ec.fill(len(ec.acc) + 1)
 			if err != nil {
 				ec.finish()
@@ -384,10 +378,9 @@ func (ec *eventConn) readRequest() bool {
 			if !ok {
 				return false
 			}
+			he = ec.headEnd()
 		}
-		ec.hdrReader.Reset(ec.acc[:he+len(crlfcrlf)])
-		ec.br.Reset(&ec.hdrReader)
-		req, err := http.ReadRequest(ec.br)
+		req, err := ec.head.parse(ec.acc[:he])
 		if err != nil {
 			ec.finish()
 			return false
@@ -399,7 +392,7 @@ func (ec *eventConn) readRequest() bool {
 			return false
 		}
 		ec.req = req
-		ec.reqTotal = he + len(crlfcrlf)
+		ec.reqTotal = he
 		if req.ContentLength > 0 {
 			ec.reqTotal += int(req.ContentLength)
 		}
@@ -425,13 +418,26 @@ func (ec *eventConn) readRequest() bool {
 	}
 	req.RemoteAddr = ec.remoteAddr
 	if req.ContentLength > 0 {
-		ec.bodyReader.Reset(ec.acc[ec.reqTotal-int(req.ContentLength) : ec.reqTotal])
-		req.Body = io.NopCloser(&ec.bodyReader)
+		req.Body = io.NopCloser(bytes.NewReader(ec.acc[ec.reqTotal-int(req.ContentLength) : ec.reqTotal]))
 	}
 	ec.dispatch(req)
 	ec.consume(ec.reqTotal)
 	ec.scan = 0
 	return true
+}
+
+// headEnd returns the length of the request head at the front of acc,
+// through the blank line that ends it, or -1 while acc holds none. The
+// search resumes at ec.scan, three bytes before the end of acc at the
+// previous miss, so a terminator split across arrivals is still found.
+func (ec *eventConn) headEnd() int {
+	if i := bytes.Index(ec.acc[ec.scan:], crlfcrlf); i >= 0 {
+		return ec.scan + i + len(crlfcrlf)
+	}
+	if len(ec.acc) >= len(crlfcrlf)-1 {
+		ec.scan = len(ec.acc) - (len(crlfcrlf) - 1)
+	}
+	return -1
 }
 
 // dispatch stages one response: the handler runs inline (at the

@@ -113,6 +113,7 @@ type blockingConn struct {
 	p      *netem.Participant
 	ready  bool   // a readiness callback fired since the last attempt
 	unread []byte // arrived bytes copied out of their view, not yet read
+	buf    []byte // unread's backing array, kept across views
 }
 
 func newBlockingConn(p *netem.Participant, c *netem.Conn) *blockingConn {
@@ -144,7 +145,8 @@ func (b *blockingConn) Read(p []byte) (int, error) {
 			return 0, err
 		}
 		if view != nil {
-			b.unread = append(b.unread[:0], view...)
+			b.buf = append(b.buf[:0], view...)
+			b.unread = b.buf
 			b.c.Release(len(view))
 		} else if err := b.wait(); err != nil {
 			return 0, err

@@ -226,7 +226,7 @@ func feedResponse(t *testing.T, clock *netem.Clock, stream []byte, from, to int6
 	et := NewEventTransport(nil, clock, netem.NewLoop())
 	conn, _ := netem.Pipe(clock, netem.LinkParams{Rate: netem.Mbps(1), Delay: time.Millisecond},
 		netem.LinkParams{Rate: netem.Mbps(1), Delay: time.Millisecond}, "c", "s")
-	rq := &evReq{t: et, state: evcHead, done: func(res *evResult, err error) {
+	rq := &evReq{t: et, state: evcHead, done: func(_ *evReq, res evResult, err error) {
 		if out.err = err; err != nil {
 			return
 		}
@@ -393,7 +393,8 @@ func (l *flushLog) Write(p []byte) (int, error) {
 
 // TestWriteHeaderAllocs checks that a warmed responseWriter's header
 // and buffer take a watch-shaped head, no CR or LF in its values,
-// without allocating.
+// without allocating, and that neither a range response's status line
+// nor a chunk-size line allocates.
 func TestWriteHeaderAllocs(t *testing.T) {
 	w := &responseWriter{header: make(http.Header), bw: bufio.NewWriterSize(io.Discard, 4<<10)}
 	w.header.Set("Content-Type", "application/json")
@@ -401,5 +402,51 @@ func TestWriteHeaderAllocs(t *testing.T) {
 	w.header.Set("X-Padding", strings.Repeat("p", 20<<10))
 	if avg := testing.AllocsPerRun(100, func() { writeHeader(w.bw, w.header) }); avg != 0 {
 		t.Fatalf("writeHeader allocates %.1f times per head, want 0", avg)
+	}
+	w = &responseWriter{header: http.Header{"Content-Length": {"5"}}, bw: bufio.NewWriterSize(io.Discard, 4<<10)}
+	if avg := testing.AllocsPerRun(100, func() {
+		w.wroteHeader = false
+		w.WriteHeader(http.StatusPartialContent)
+	}); avg != 0 {
+		t.Fatalf("WriteHeader allocates %.1f times per head, want 0", avg)
+	}
+	w = &responseWriter{header: make(http.Header), bw: bufio.NewWriterSize(io.Discard, 4<<10),
+		wroteHeader: true, status: http.StatusOK, chunked: true}
+	chunk := []byte("hello")
+	if avg := testing.AllocsPerRun(100, func() { w.Write(chunk) }); avg != 0 {
+		t.Fatalf("a chunked Write allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestStatusAndChunkLinesMatchFmt pins the status line and chunk-size
+// line the responseWriter writes to the fmt formats it used to write
+// them with, one Write call each, for the statuses the emulation sends
+// and for codes net/http has no text for or would refuse.
+func TestStatusAndChunkLinesMatchFmt(t *testing.T) {
+	for _, status := range []int{200, 206, 403, 404, 416, 501, 999, 1000, 12345, 42, 7, 0, -5, -50, -500} {
+		var got flushLog
+		w := &responseWriter{header: http.Header{"Content-Length": {"0"}}, bw: bufio.NewWriterSize(&got, 16)}
+		w.WriteHeader(status)
+		w.bw.Flush()
+		text := http.StatusText(status)
+		if text == "" {
+			text = "status"
+		}
+		want := fmt.Sprintf("HTTP/1.1 %03d %s\r\n", status, text)
+		// Every line is longer than the buffer, so bufio hands each
+		// Write straight through: the first call must be the line.
+		if len(got) == 0 || got[0] != want {
+			t.Errorf("status %d: writes %q, want a first write of %q", status, got, want)
+		}
+	}
+	for _, n := range []int{1, 9, 10, 15, 16, 255, 256, 4095} {
+		var got flushLog
+		w := &responseWriter{header: make(http.Header), bw: bufio.NewWriterSize(&got, 8<<10),
+			wroteHeader: true, status: http.StatusOK, chunked: true}
+		w.Write(make([]byte, n))
+		w.bw.Flush()
+		if want := fmt.Sprintf("%x\r\n%s\r\n", n, make([]byte, n)); strings.Join(got, "") != want {
+			t.Errorf("chunk of %d: writes %.40q, want %.40q", n, strings.Join(got, ""), want)
+		}
 	}
 }

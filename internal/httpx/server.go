@@ -2,7 +2,6 @@ package httpx
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"net/http"
 	"net/textproto"
@@ -193,9 +192,31 @@ func (w *responseWriter) WriteHeader(status int) {
 	if text == "" {
 		text = "status"
 	}
-	fmt.Fprintf(w.bw, "HTTP/1.1 %03d %s\r\n", status, text)
+	// One Write of the whole status line, as fmt.Fprintf's would be,
+	// appended in bufio's own free space.
+	line := append(w.bw.AvailableBuffer(), "HTTP/1.1 "...)
+	line = appendStatusCode(line, status)
+	line = append(append(append(line, ' '), text...), "\r\n"...)
+	w.bw.Write(line)
 	writeHeader(w.bw, w.header)
 	io.WriteString(w.bw, "\r\n")
+}
+
+// appendStatusCode appends status as fmt's %03d formats it: at least
+// three digits, zero-padded after any sign.
+func appendStatusCode(b []byte, status int) []byte {
+	start := len(b)
+	b = strconv.AppendInt(b, int64(status), 10)
+	digits := start
+	if status < 0 {
+		digits++
+	}
+	for len(b)-start < 3 {
+		b = append(b, 0)
+		copy(b[digits+1:], b[digits:])
+		b[digits] = '0'
+	}
+	return b
 }
 
 // headerNewlineToSpace is net/http's rewrite of CR and LF in header
@@ -248,7 +269,9 @@ func (w *responseWriter) Write(b []byte) (int, error) {
 	}
 	w.written += int64(len(b))
 	if w.chunked {
-		fmt.Fprintf(w.bw, "%x\r\n", len(b))
+		// The chunk-size line goes out in one Write, as fmt.Fprintf's did.
+		line := strconv.AppendUint(w.bw.AvailableBuffer(), uint64(len(b)), 16)
+		w.bw.Write(append(line, "\r\n"...))
 		w.body(b, false)
 		io.WriteString(w.bw, "\r\n")
 	} else {

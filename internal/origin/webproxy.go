@@ -74,11 +74,16 @@ func NewWebProxy(network string, catalog *videostore.Catalog, servers func() []s
 }
 
 // Handler returns the proxy's HTTP handler. It serves
-// GET /watch?v=<11-char id> with a VideoInfo JSON document.
+// GET /watch?v=<11-char id> with a VideoInfo JSON document and answers
+// every other path with 404: the proxy has one route.
 func (p *WebProxy) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/watch", p.handleWatch)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/watch" {
+			http.NotFound(w, r)
+			return
+		}
+		p.handleWatch(w, r)
+	})
 }
 
 func (p *WebProxy) handleWatch(w http.ResponseWriter, r *http.Request) {
