@@ -894,9 +894,7 @@ func (rq *evReq) parseHead() error {
 			keepAlive = keepAlive || hasToken(val, "keep-alive")
 		}
 	}
-	// net/http ignores Transfer-Encoding before HTTP/1.1, and reads a
-	// 0.0 version as 1.1.
-	if teLines > 0 && (major > 1 || major == 1 && minor >= 1 || major == 0 && minor == 0) {
+	if teLines > 0 && transferCoded(major, minor) {
 		if teLines > 1 || !eqFold(te, "chunked") {
 			return fmt.Errorf("unsupported Transfer-Encoding %q", te)
 		}
@@ -911,15 +909,28 @@ func (rq *evReq) parseHead() error {
 			rq.contentLength = int64(n)
 		}
 	}
+	rq.respClose = closes(major, minor, hasClose, keepAlive)
+	return nil
+}
+
+// transferCoded reports whether a message of version major.minor heeds
+// Transfer-Encoding: net/http ignores it before HTTP/1.1, and reads a
+// 0.0 version as 1.1.
+func transferCoded(major, minor int) bool {
+	return major > 1 || major == 1 && minor >= 1 || major == 0 && minor == 0
+}
+
+// closes reports whether a message of version major.minor ends its
+// connection, given whether its Connection fields list "close" and
+// "keep-alive" (net/http's shouldClose).
+func closes(major, minor int, hasClose, keepAlive bool) bool {
 	switch {
 	case major < 1:
-		rq.respClose = true
+		return true
 	case major == 1 && minor == 0:
-		rq.respClose = hasClose || !keepAlive
-	default:
-		rq.respClose = hasClose
+		return hasClose || !keepAlive
 	}
-	return nil
+	return hasClose
 }
 
 // nextField cuts the next header field off block as textproto's
@@ -1038,13 +1049,16 @@ func validValueBytes(v []byte) bool {
 
 // hasToken reports whether the comma-separated list v holds token,
 // ASCII case-insensitively (httpguts.HeaderValuesContainsToken).
-func hasToken(v []byte, token string) bool {
+func hasToken[S string | []byte](v S, token string) bool {
 	for len(v) > 0 {
-		var elem []byte
-		elem, v, _ = bytes.Cut(v, []byte(","))
-		if eqFold(trimOWS(elem), token) {
+		i := 0
+		for i < len(v) && v[i] != ',' {
+			i++
+		}
+		if eqFold(trimOWS(v[:i]), token) {
 			return true
 		}
+		v = v[min(i+1, len(v)):]
 	}
 	return false
 }

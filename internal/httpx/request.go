@@ -90,16 +90,12 @@ func (h *reqHead) parse(head []byte) (*http.Request, error) {
 			hdr["Cache-Control"] = []string{"no-cache"}
 		}
 	}
-	conn := hdr["Connection"]
-	hasClose := valuesHaveToken(conn, "close")
-	switch {
-	case major < 1:
-		r.Close = true
-	case major == 1 && minor == 0:
-		r.Close = hasClose || !valuesHaveToken(conn, "keep-alive")
-	default:
-		r.Close = hasClose
+	var hasClose, keepAlive bool
+	for _, v := range hdr["Connection"] {
+		hasClose = hasClose || hasToken(v, "close")
+		keepAlive = keepAlive || hasToken(v, "keep-alive")
 	}
+	r.Close = closes(major, minor, hasClose, keepAlive)
 	if err := h.transfer(r, major, minor); err != nil {
 		return nil, err
 	}
@@ -260,21 +256,6 @@ func reuse(b []byte, prev string) string {
 	return string(b)
 }
 
-// valuesHaveToken reports whether any of the comma-separated lists in
-// vs holds token (httpguts.HeaderValuesContainsToken).
-func valuesHaveToken(vs []string, token string) bool {
-	for _, v := range vs {
-		for len(v) > 0 {
-			var elem string
-			elem, v, _ = strings.Cut(v, ",")
-			if eqFold(trimOWS(elem), token) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // transfer applies net/http's request framing rules to the parsed
 // header: a Transfer-Encoding field is removed and, from HTTP/1.1 on,
 // must be a single "chunked"; repeated Content-Length fields must agree
@@ -285,8 +266,7 @@ func (h *reqHead) transfer(r *http.Request, major, minor int) error {
 	chunked := false
 	if raw, ok := hdr["Transfer-Encoding"]; ok {
 		delete(hdr, "Transfer-Encoding")
-		// HTTP/1.0 ignores Transfer-Encoding; a 0.0 version reads as 1.1.
-		if major > 1 || major == 1 && minor >= 1 || major == 0 && minor == 0 {
+		if transferCoded(major, minor) {
 			if len(raw) != 1 || !eqFold(raw[0], "chunked") {
 				return fmt.Errorf("unsupported transfer encoding %q", raw)
 			}
